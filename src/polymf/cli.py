@@ -16,11 +16,10 @@ from . import fixtures
 from .factorization import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    EXACT_SIZE_THRESHOLD,
     MatrixFactorization,
     VerificationError,
+    certify,
     verify_exact,
-    verify_randomized,
 )
 from .matrix import MatrixError
 from .poly import ParseError, PolyError, Polynomial, parse_polynomial
@@ -76,37 +75,36 @@ def _write_output(path: str | None, text: str) -> None:
                 fh.write("\n")
 
 
+def _is_string_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _parse_problem(text: str) -> SummandReducedPoly | Polynomial:
-    """A JSON object with terms/products is a structured document;
-    anything else is polynomial text."""
+    """JSON input must be a structured document: an object whose "terms"
+    is a list of strings and whose "products" is a list of lists of
+    strings.  Anything else is polynomial text."""
     stripped = text.strip()
-    if stripped.startswith("{"):
-        doc = json.loads(stripped)
-        return SummandReducedPoly.from_strings(
-            list(doc.get("terms", [])), list(doc.get("products", []))
-        )
-    return parse_polynomial(stripped)
-
-
-def _verification_metadata(cfg: RunConfig, size: int) -> dict:
-    mode = cfg.verify_mode
-    if mode == "auto":
-        mode = "exact" if size <= EXACT_SIZE_THRESHOLD else "randomized"
-    meta = {"mode": mode}
-    if mode == "randomized":
-        meta["trials"] = cfg.trials
-        meta["seed"] = cfg.seed
-    return meta
+    if not stripped.startswith(("{", "[")):
+        return parse_polynomial(stripped)
+    doc = json.loads(stripped)
+    if not isinstance(doc, dict):
+        raise PolyError("a structured document must be a JSON object")
+    terms, products = doc.get("terms", []), doc.get("products", [])
+    if not _is_string_list(terms):
+        raise PolyError('"terms" must be a list of strings')
+    if not (isinstance(products, list) and all(_is_string_list(p) for p in products)):
+        raise PolyError('"products" must be a list of lists of strings')
+    return SummandReducedPoly.from_strings(terms, products)
 
 
 def _render_factorization(
-    mf: MatrixFactorization, cfg: RunConfig, predicted: dict | None
+    mf: MatrixFactorization, cfg: RunConfig, predicted: dict | None, record: dict
 ) -> str:
     if cfg.output_format == "structured":
         doc = mf.to_dict()
         doc["method"] = cfg.method
         doc["predicted_sizes"] = predicted
-        doc["verification"] = _verification_metadata(cfg, mf.size)
+        doc["verification"] = record
         return json.dumps(doc, indent=2)
     lines = [
         f"f = {mf.f}",
@@ -141,33 +139,27 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_PARSE
-            mf = standard_factorize_polynomial(
-                problem, cfg.standard_variant, verify=cfg.verify_mode
-            )
+            mf = standard_factorize_polynomial(problem, cfg.standard_variant, verify="skip")
         else:
             predicted = predict_sizes(problem).to_dict()
             if cfg.method == "refined":
                 mf = run_refined(
-                    problem,
-                    cfg.yoshino_variant,
-                    verify=cfg.verify_mode,
-                    strict=cfg.strict_validate,
+                    problem, cfg.yoshino_variant, verify="skip", strict=cfg.strict_validate
                 )
             elif cfg.method == "improved":
                 mf = run_improved(
-                    problem,
-                    cfg.yoshino_variant,
-                    verify=cfg.verify_mode,
-                    strict=cfg.strict_validate,
+                    problem, cfg.yoshino_variant, verify="skip", strict=cfg.strict_validate
                 )
             else:
                 mf = run_standard(
                     problem,
                     cfg.standard_variant,
                     max_monomials=cfg.max_standard_monomials,
-                    verify=cfg.verify_mode,
+                    verify="skip",
                     strict=cfg.strict_validate,
                 )
+        # built unchecked, so that the one certificate is the one reported
+        record = certify(mf, cfg.verify_mode, cfg.trials, cfg.seed)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -181,7 +173,7 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    _write_output(args.output, _render_factorization(mf, cfg, predicted))
+    _write_output(args.output, _render_factorization(mf, cfg, predicted, record))
     return EXIT_OK
 
 
@@ -193,19 +185,16 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: cannot parse factorization file: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    mode = cfg.verify_mode
-    if mode == "auto":
-        mode = "exact" if mf.size <= EXACT_SIZE_THRESHOLD else "randomized"
-    if mode == "exact":
-        ok, diag = verify_exact(mf)
-    else:
-        ok = verify_randomized(mf, trials=cfg.trials, seed=cfg.seed)
-        diag = "ok" if ok else f"randomized check failed ({cfg.trials} trials, seed {cfg.seed})"
+    try:
+        record = certify(mf, cfg.verify_mode, cfg.trials, cfg.seed)
+        ok, diag = True, "ok"
+    except VerificationError as exc:
+        ok, diag, record = False, str(exc), exc.record
     if cfg.output_format == "structured":
         _write_output(
             args.output,
             json.dumps(
-                {"f": str(mf.f), "size": mf.size, "pass": ok, "mode": mode, "diagnostics": diag},
+                {"f": str(mf.f), "size": mf.size, "pass": ok, **record, "diagnostics": diag},
                 indent=2,
             ),
         )
@@ -343,6 +332,13 @@ def cmd_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if failures == 0 else EXIT_DEMO_FAILURE
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polymf",
@@ -362,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--yoshino-variant", choices=YOSHINO_VARIANTS, default="standard")
         sp.add_argument("--standard-variant", choices=STANDARD_VARIANTS, default="standard")
         sp.add_argument("--verify", choices=("exact", "randomized", "auto"), default="auto")
-        sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+        sp.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--format", choices=("text", "structured"), default="text")
         sp.add_argument("--strict-validate", action="store_true")

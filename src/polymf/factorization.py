@@ -1,10 +1,12 @@
 """Matrix factorizations of polynomials and their morphisms.
 
 A matrix factorization of f is a pair (phi, psi) of n x n polynomial
-matrices with phi*psi = psi*phi = f*I_n.  Factorizations are validated
-at construction: exactly up to size EXACT_SIZE_THRESHOLD, by randomized
-evaluation at integer points above it (still an exact rational check at
-each sampled point, so a reported failure is always genuine).
+matrices with phi*psi = psi*phi = f*I_n.  `certify` is the one place a
+pair is checked: it maps the requested mode and the size to the check
+that runs (exact symbolic products up to EXACT_SIZE_THRESHOLD, exact
+products at random integer points above it), runs it, and returns a
+record of what ran.  Both checks use exact arithmetic, so a reported
+failure is always genuine.
 """
 
 from __future__ import annotations
@@ -12,15 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
-import numpy as np
+from .matrix import PolyMatrix, MatrixError, from_strings, identity, mat_mul, scalar_matrix
+from .poly import Polynomial, parse_polynomial
 
-from .matrix import PolyMatrix, MatrixError, identity, mat_mul, scalar_matrix
-from .poly import Polynomial
-
-# Constructors verify exactly up to this size and fall back to randomized
-# point checks above it; pass verify="exact" to force the full product.
+# certify checks exactly up to this size and by randomized point checks
+# above it; pass verify="exact" to force the full product.
 EXACT_SIZE_THRESHOLD = 64
 DEFAULT_TRIALS = 8
 DEFAULT_SEED = 0
@@ -28,16 +29,30 @@ COORDINATE_BOUND = 10**6
 
 
 class VerificationError(ValueError):
-    """The defining identity phi*psi = psi*phi = f*I failed."""
+    """The defining identity phi*psi = psi*phi = f*I failed.
+
+    ``record`` is the record of the check that failed (see `certify`).
+    """
+
+    def __init__(self, message: str, record: dict):
+        super().__init__(message)
+        self.record = record
 
 
 @dataclass(frozen=True)
 class MatrixFactorization:
-    """A verified pair (phi, psi) with phi*psi = psi*phi = f*I_n."""
+    """A pair (phi, psi) of square matrices of one size, meant to satisfy
+    phi*psi = psi*phi = f*I_n; `make_factorization` certifies it."""
 
     f: Polynomial
     phi: PolyMatrix
     psi: PolyMatrix
+
+    def __post_init__(self):
+        if not self.phi.is_square or not self.psi.is_square:
+            raise MatrixError("factors must be square")
+        if self.phi.rows != self.psi.rows:
+            raise MatrixError(f"factor size mismatch: {self.phi.rows} vs {self.psi.rows}")
 
     @property
     def size(self) -> int:
@@ -53,9 +68,9 @@ class MatrixFactorization:
 
     @staticmethod
     def from_dict(data: dict) -> "MatrixFactorization":
-        from .matrix import from_strings
-        from .poly import parse_polynomial
-
+        """Read a document written by `to_dict`, without verifying it."""
+        if not isinstance(data, dict):
+            raise MatrixError("a factorization document must be a JSON object")
         mf = MatrixFactorization(
             parse_polynomial(data["f"]),
             from_strings(data["phi"]),
@@ -72,34 +87,46 @@ def make_factorization(
     psi: PolyMatrix,
     *,
     verify: str = "auto",
+) -> MatrixFactorization:
+    """Build a factorization of f and certify it in mode verify (see
+    `certify`, which also takes the trials and seed of a randomized check).
+
+    verify="skip" builds it unchecked: for the intermediate results of a
+    proven construction whose final pair is certified.
+    """
+    mf = MatrixFactorization(f, phi, psi)
+    if verify != "skip":
+        certify(mf, verify)
+    return mf
+
+
+def certify(
+    mf: MatrixFactorization,
+    verify: str = "auto",
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-) -> MatrixFactorization:
-    """Build a factorization of f, verifying the defining identity.
+) -> dict:
+    """Check the defining identity of mf and return what ran.
 
-    verify: "exact", "randomized", "auto" (exact up to the size threshold),
-    or "skip" (internal use, for outputs of constructions proven correct
-    elsewhere in the call).
+    verify: "exact", "randomized", or "auto" (exact up to the size
+    threshold, randomized above it).  Returns {"mode": "exact"} or
+    {"mode": "randomized", "trials": trials, "seed": seed}, and raises
+    VerificationError carrying that record if the check fails.
     """
-    if not phi.is_square or not psi.is_square:
-        raise MatrixError("factors must be square")
-    if phi.rows != psi.rows:
-        raise MatrixError(f"factor size mismatch: {phi.rows} vs {psi.rows}")
-    mf = MatrixFactorization(f, phi, psi)
-    if verify == "skip":
-        return mf
-    if verify == "exact" or (verify == "auto" and mf.size <= EXACT_SIZE_THRESHOLD):
+    if verify == "auto":
+        verify = "exact" if mf.size <= EXACT_SIZE_THRESHOLD else "randomized"
+    if verify == "exact":
+        record = {"mode": "exact"}
         ok, diag = verify_exact(mf)
-        if not ok:
-            raise VerificationError(diag)
-    elif verify in ("auto", "randomized"):
-        if not verify_randomized(mf, trials=trials, seed=seed):
-            raise VerificationError(
-                f"randomized verification failed ({trials} trials, seed {seed})"
-            )
+    elif verify == "randomized":
+        record = {"mode": "randomized", "trials": trials, "seed": seed}
+        ok = verify_randomized(mf, trials=trials, seed=seed)
+        diag = f"randomized verification failed ({trials} trials, seed {seed})"
     else:
         raise ValueError(f"unknown verify mode: {verify!r}")
-    return mf
+    if not ok:
+        raise VerificationError(diag, record)
+    return record
 
 
 def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
@@ -133,9 +160,16 @@ def verify_randomized(
     Each trial draws integer coordinates uniformly in
     [-COORDINATE_BOUND, COORDINATE_BOUND], evaluates both factors and f,
     and checks the numeric product identity with exact arithmetic.
-    Deterministic given the seed.  Never fails on a valid factorization;
-    an invalid one escapes detection at a single point with probability
-    at most deg(f)/(2*COORDINATE_BOUND + 1) (Schwartz-Zippel).
+    Deterministic given the seed.  Never fails on a valid factorization.
+    If phi*psi != f*I, some entry of phi*psi - f*I is a nonzero
+    polynomial of degree at most max(max deg phi + max deg psi, deg f),
+    so a single point misses it with probability at most that degree
+    over 2*COORDINATE_BOUND + 1 (Schwartz-Zippel).
+
+    Checking phi*psi alone suffices when f != 0: Q[x] is a domain, so
+    phi*psi = f*I makes psi/f a right inverse of phi over its fraction
+    field, hence a two-sided one, and psi*phi = f*I.  For f = 0 that
+    argument fails, and psi*phi is checked as well.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -143,12 +177,15 @@ def verify_randomized(
     variables = sorted(mf.phi.variables() | mf.psi.variables() | mf.f.variables())
     phi_nz = _nonzero_entries(mf.phi)
     psi_nz = _nonzero_entries(mf.psi)
+    both_orders = mf.f.is_zero()
     for _ in range(trials):
         point = {v: rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for v in variables}
         a = [(i, j, e.evaluate(point)) for i, j, e in phi_nz]
         b = [(i, j, e.evaluate(point)) for i, j, e in psi_nz]
         fval = mf.f.evaluate(point)
         if not _product_equals_scalar(mf.size, a, b, fval):
+            return False
+        if both_orders and not _product_equals_scalar(mf.size, b, a, fval):
             return False
     return True
 
@@ -162,72 +199,39 @@ def _nonzero_entries(m: PolyMatrix) -> list[tuple[int, int, Polynomial]]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# Exact integer product check.  The numeric matrices at desk scale reach
-# size 512 with entries around 10^40, so the product is computed modulo
-# enough word-sized primes to exceed a rigorous magnitude bound; equality
-# modulo all of them is then exact equality.
-# ---------------------------------------------------------------------------
-
-
-def _small_primes(limit_product: int) -> list[int]:
-    primes: list[int] = []
-    prod = 1
-    candidate = 2**20 - 1
-    while prod <= limit_product:
-        while not _is_prime(candidate):
-            candidate -= 2
-        primes.append(candidate)
-        prod *= candidate
-        candidate -= 2
-    return primes
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _product_equals_scalar(
     n: int,
     a: list[tuple[int, int, Fraction]],
     b: list[tuple[int, int, Fraction]],
     c: Fraction,
 ) -> bool:
-    """Exact check that a @ b == c * I for sparse rational n x n matrices."""
+    """Exact check that a @ b == c*I for n x n rational matrices given by
+    their nonzeros (row, col, value).
+
+    Every value is scaled to a Python int by the common denominator, and
+    each row of a @ b is accumulated in a dict over the nonzeros of b's
+    rows; Python ints are exact, so no magnitude bound is needed.
+    """
     scale = c.denominator
-    for _, _, x in a:
+    for _, _, x in chain(a, b):
         scale = lcm(scale, x.denominator)
-    for _, _, x in b:
-        scale = lcm(scale, x.denominator)
-    ai = [(i, j, int(x * scale)) for i, j, x in a]
-    bi = [(i, j, int(x * scale)) for i, j, x in b]
-    ci = int(c * scale * scale)
-    max_a = max((abs(x) for _, _, x in ai), default=0)
-    max_b = max((abs(x) for _, _, x in bi), default=0)
-    bound = n * max_a * max_b + abs(ci) + 1
-    for p in _small_primes(2 * bound):
-        cm = (_mod_matrix(n, ai, p) @ _mod_matrix(n, bi, p)) % p
-        want = np.zeros((n, n), dtype=np.int64)
-        np.fill_diagonal(want, ci % p)
-        if not np.array_equal(cm, want):
+
+    def rows(entries: list[tuple[int, int, Fraction]]) -> list[list[tuple[int, int]]]:
+        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for i, j, x in entries:
+            out[i].append((j, x.numerator * (scale // x.denominator)))
+        return out
+
+    b_rows = rows(b)
+    want = c.numerator * (scale * scale // c.denominator)
+    for i, a_row in enumerate(rows(a)):
+        acc: dict[int, int] = {}
+        for k, x in a_row:
+            for j, y in b_rows[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        if acc.pop(i, 0) != want or any(acc.values()):
             return False
     return True
-
-
-def _mod_matrix(n: int, entries: list[tuple[int, int, int]], p: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.int64)
-    for i, j, x in entries:
-        m[i, j] = x % p
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Small hand-checked factorizations used by the demo and the tests.
 
-Each fixture is built from its literal entries and verified exactly at
-construction, so importing this module already re-proves every identity.
+Each fixture is a function that builds its pair from literal entries
+and verifies it exactly, so every call re-proves the identity.
 The two composite pairs assemble the building blocks exactly the way the
 refined pipeline does: reduced multiplicative tensor inside the product,
 one additive tensor step for the monomial part.

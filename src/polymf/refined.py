@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .factorization import MatrixFactorization
+from .factorization import MatrixFactorization, make_factorization
 from .poly import Monomial, Polynomial, PolyError, parse_polynomial
 from .standard import (
     SummandList,
@@ -294,18 +294,20 @@ def _pipeline(
         raise ValidationFailure("pipelines need at least one product group")
     group_mfs = []
     for g in srp.products:
-        factor_mfs = [standard_factorize_polynomial(f, verify=verify) for f in g.factors]
+        factor_mfs = [standard_factorize_polynomial(f, verify="skip") for f in g.factors]
         mf = factor_mfs[0]
         for nxt in factor_mfs[1:]:
-            mf = product_tensor(mf, nxt, verify=verify)
+            mf = product_tensor(mf, nxt, verify="skip")
         group_mfs.append(mf)
     combined = group_mfs[0]
     for nxt in group_mfs[1:]:
-        combined = yoshino(combined, nxt, yvariant, verify=verify)
+        combined = yoshino(combined, nxt, yvariant, verify="skip")
     if srp.s >= 1:
-        monomial_mf = standard_factorize(monomial_pairs(list(srp.monomial_terms())), verify=verify)
-        combined = yoshino(monomial_mf, combined, yvariant, verify=verify)
-    return combined
+        monomial_mf = standard_factorize(monomial_pairs(list(srp.monomial_terms())), verify="skip")
+        combined = yoshino(monomial_mf, combined, yvariant, verify="skip")
+    # Every step above is a proven construction, built unchecked; the
+    # certificate the caller gets is this one check of the returned pair.
+    return make_factorization(combined.f, combined.phi, combined.psi, verify=verify)
 
 
 def run_refined(

@@ -78,19 +78,11 @@ def standard_factorize(
     Size of the result is 2^(k-1) for k summands.
     """
     (g1, h1), *rest = sl.pairs
-    mf = make_factorization(
-        g1 * h1,
-        PolyMatrix([[g1]]),
-        PolyMatrix([[h1]]),
-        verify=verify,
-    )
+    mf = make_factorization(g1 * h1, PolyMatrix([[g1]]), PolyMatrix([[h1]]), verify="skip")
     for g, h in rest:
-        # only the final result needs verification; intermediate steps are
-        # re-verified implicitly by the last one
         mf = standard_step(mf, g, h, variant, verify="skip")
-    if rest:
-        mf = make_factorization(mf.f, mf.phi, mf.psi, verify=verify)
-    return mf
+    # only the returned pair is certified; the steps are proven
+    return make_factorization(mf.f, mf.phi, mf.psi, verify=verify)
 
 
 def monomial_pairs(monomials: list[Monomial]) -> SummandList:

@@ -4,19 +4,25 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymf import (
     EXACT_SIZE_THRESHOLD,
     MatrixFactorization,
     MatrixError,
     Morphism,
+    Polynomial,
+    PolyMatrix,
+    SummandReducedPoly,
     VerificationError,
+    certify,
     compose,
     from_strings,
     identity_morphism,
     is_morphism,
     make_factorization,
     parse_polynomial,
+    run_improved,
     scalar_morphism,
     verify_exact,
     verify_randomized,
@@ -24,6 +30,26 @@ from polymf import (
 from polymf import fixtures
 
 from conftest import factorizations, nonzero_polynomials
+
+
+def with_phi_entry(mf, i, j, value):
+    """mf with phi[i][j] replaced by value; psi and f unchanged."""
+    rows = [list(row) for row in mf.phi.entries]
+    rows[i][j] = value
+    return MatrixFactorization(mf.f, PolyMatrix(rows), mf.psi)
+
+
+def pair_p_case():
+    good = fixtures.pair_p()
+    return good, with_phi_entry(good, 2, 1, parse_polynomial("x^3"))
+
+
+def improved_128_case(products):
+    """The improved pair of a no-monomial document (size 128, above the
+    exact threshold), and the same pair with one phi entry +1."""
+    good = run_improved(SummandReducedPoly.from_strings([], products), verify="skip")
+    assert good.size == 128 > EXACT_SIZE_THRESHOLD
+    return good, with_phi_entry(good, 5, 9, good.phi.entries[5][9] + Polynomial.const(1))
 
 
 class TestVerifyExact:
@@ -69,12 +95,38 @@ class TestVerifyRandomized:
         for seed in range(5):
             assert verify_randomized(mf, trials=3, seed=seed)
 
-    def test_detects_a_corrupted_entry(self):
-        good = fixtures.pair_p()
-        rows = [[str(e) for e in row] for row in good.phi.entries]
-        rows[2][1] = "x^3"
-        bad = MatrixFactorization(good.f, from_strings(rows), good.psi)
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pair_p_case,
+            lambda: improved_128_case([["xy + z^2", "x + y"], ["x + z", "y + z"]]),
+            lambda: improved_128_case([["1/2xy + z^2", "x + 2/3y"], ["x + 3/7z", "y + z"]]),
+        ],
+        ids=["pair_p", "improved_128", "improved_128_rational"],
+    )
+    def test_detects_a_corrupted_entry(self, case):
+        good, bad = case()
+        assert verify_randomized(good, trials=4, seed=0)
         assert not verify_randomized(bad, trials=4, seed=0)
+
+    @given(factorizations(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_exact_check(self, mf, data):
+        i = data.draw(st.integers(0, mf.size - 1))
+        j = data.draw(st.integers(0, mf.size - 1))
+        bad = with_phi_entry(mf, i, j, mf.phi.entries[i][j] + Polynomial.const(1))
+        for candidate in (mf, bad):
+            assert verify_randomized(candidate, trials=2) == verify_exact(candidate)[0]
+
+    def test_zero_polynomial_checks_both_orders(self):
+        # phi*psi = 0 but psi*phi != 0: for f = 0 one order proves nothing
+        mf = MatrixFactorization(
+            Polynomial.zero(),
+            from_strings([["1", "0"], ["0", "0"]]),
+            from_strings([["0", "0"], ["1", "0"]]),
+        )
+        assert not verify_exact(mf)[0]
+        assert not verify_randomized(mf, trials=1)
 
     def test_deterministic_given_seed(self):
         mf = fixtures.pair_n()
@@ -96,6 +148,28 @@ class TestVerifyRandomized:
                 verify="auto",
             )
         assert EXACT_SIZE_THRESHOLD == 64
+
+
+class TestCertify:
+    def test_auto_is_exact_up_to_the_threshold(self):
+        assert certify(fixtures.part1_pair()) == {"mode": "exact"}
+
+    def test_auto_is_randomized_above_it(self):
+        good, _ = improved_128_case([["xy + z^2", "x + y"], ["x + z", "y + z"]])
+        record = certify(good, trials=2, seed=5)
+        assert record == {"mode": "randomized", "trials": 2, "seed": 5}
+
+    def test_failure_carries_the_record(self):
+        _, bad = pair_p_case()
+        with pytest.raises(VerificationError) as exc:
+            certify(bad, "randomized", trials=3, seed=1)
+        assert exc.value.record == {"mode": "randomized", "trials": 3, "seed": 1}
+        with pytest.raises(VerificationError, match="entry"):
+            certify(bad, "exact")
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            certify(fixtures.pair_m(), "skip")
 
 
 class TestSerialization:

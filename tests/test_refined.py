@@ -19,6 +19,7 @@ from polymf import (
     validate_summand_reduced,
     verify_exact,
 )
+from polymf import factorization
 
 
 def srp(terms, products):
@@ -187,6 +188,38 @@ class TestPipelines:
     def test_pipeline_needs_a_product(self):
         with pytest.raises(ValidationFailure):
             run_refined(srp(["x^2"], []))
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """The verify mode of every certify call made through the module."""
+    calls = []
+    real = factorization.certify
+
+    def recording(mf, verify="auto", *args, **kwargs):
+        calls.append(verify)
+        return real(mf, verify, *args, **kwargs)
+
+    monkeypatch.setattr(factorization, "certify", recording)
+    return calls
+
+
+class TestOneCertificate:
+    @pytest.mark.parametrize("run", [run_refined, run_improved, run_standard])
+    @pytest.mark.parametrize("verify", ["auto", "exact"])
+    def test_each_run_certifies_once(self, run, verify, part1_srp, certify_calls):
+        run(part1_srp, verify=verify)
+        assert certify_calls == [verify]
+
+    @pytest.mark.parametrize("run", [run_refined, run_improved])
+    def test_two_groups_certify_once(self, run, certify_calls):
+        run(srp([], [["xy + z^2", "x + y"], ["x + z", "y + z"]]))
+        assert certify_calls == ["auto"]
+
+    def test_skip_certifies_nothing(self, part2_srp, certify_calls):
+        run_refined(part2_srp, verify="skip")
+        run_standard(part2_srp, max_monomials=13, verify="skip")
+        assert certify_calls == []
 
 
 class TestCompareReport:
