@@ -71,6 +71,14 @@ class MatrixFactorization:
         """Read a document written by `to_dict`, without verifying it."""
         if not isinstance(data, dict):
             raise MatrixError("a factorization document must be a JSON object")
+        if not isinstance(data["f"], str):
+            raise MatrixError("'f' must be a string")
+        for name in ("phi", "psi"):
+            rows = data[name]
+            if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
+            ):
+                raise MatrixError(f"{name!r} must be a list of rows of strings")
         mf = MatrixFactorization(
             parse_polynomial(data["f"]),
             from_strings(data["phi"]),
@@ -135,18 +143,14 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
     Returns (True, "ok") or (False, diagnostics naming the first
     offending entry and its value).
     """
-    target = scalar_matrix(mf.f, mf.size)
     for name, a, b in (("phi*psi", mf.phi, mf.psi), ("psi*phi", mf.psi, mf.phi)):
         product = mat_mul(a, b)
-        for i in range(mf.size):
-            for j in range(mf.size):
-                got = product.entries[i][j]
-                want = target.entries[i][j]
-                if got != want:
-                    return (
-                        False,
-                        f"{name} entry ({i},{j}) is {got}, expected {want}",
-                    )
+        for i, row in enumerate(product.row_maps):
+            want = {i: mf.f} if mf.f else {}
+            if row != want:
+                j = min(j for j in row.keys() | want.keys() if row.get(j) != want.get(j))
+                expected = mf.f if i == j else Polynomial.zero()
+                return False, f"{name} entry ({i},{j}) is {product[i, j]}, expected {expected}"
     return True, "ok"
 
 
@@ -175,28 +179,17 @@ def verify_randomized(
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     variables = sorted(mf.phi.variables() | mf.psi.variables() | mf.f.variables())
-    phi_nz = _nonzero_entries(mf.phi)
-    psi_nz = _nonzero_entries(mf.psi)
     both_orders = mf.f.is_zero()
     for _ in range(trials):
         point = {v: rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for v in variables}
-        a = [(i, j, e.evaluate(point)) for i, j, e in phi_nz]
-        b = [(i, j, e.evaluate(point)) for i, j, e in psi_nz]
+        a = [(i, j, e.evaluate(point)) for i, j, e in mf.phi.nonzeros()]
+        b = [(i, j, e.evaluate(point)) for i, j, e in mf.psi.nonzeros()]
         fval = mf.f.evaluate(point)
         if not _product_equals_scalar(mf.size, a, b, fval):
             return False
         if both_orders and not _product_equals_scalar(mf.size, b, a, fval):
             return False
     return True
-
-
-def _nonzero_entries(m: PolyMatrix) -> list[tuple[int, int, Polynomial]]:
-    return [
-        (i, j, e)
-        for i, row in enumerate(m.entries)
-        for j, e in enumerate(row)
-        if e
-    ]
 
 
 def _product_equals_scalar(

@@ -1,15 +1,17 @@
-"""Dense matrices over exact polynomials.
+"""Sparse matrices over exact polynomials.
 
-Storage is dense (target sizes stay at or below 512 rows) while sparsity
-lives in the polynomial entries: multiplication skips zero entries.
-All values are immutable after construction; operations are pure.
+A matrix stores, for each row, a {column: entry} map of its nonzero
+entries only; the paper's pairs are sparse (the standard method puts
+exactly k nonzeros in each row of a size-2^(k-1) pair), so every
+operation below walks the stored nonzeros and never the n^2 slots.
+Row maps are never mutated once a matrix is built: values are immutable
+after construction and operations are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .poly import EvalPoint, Polynomial
 
@@ -21,74 +23,83 @@ class MatrixError(ValueError):
 _ZERO = Polynomial.zero()
 _ONE = Polynomial.const(1)
 
+RowMap = dict[int, Polynomial]
+
 
 class PolyMatrix:
-    """Immutable rows x cols grid of canonical polynomials."""
+    """Immutable rows x cols matrix of canonical polynomials, stored as a
+    tuple of per-row {column: nonzero entry} maps (`row_maps`)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "row_maps")
 
     def __init__(self, entries: Sequence[Sequence[Polynomial]], rows: int | None = None, cols: int | None = None):
-        grid = tuple(tuple(row) for row in entries)
+        """Build from a dense grid of entries; zeros are not stored."""
+        grid = [tuple(row) for row in entries]
         if rows is None:
             rows = len(grid)
         if cols is None:
             cols = len(grid[0]) if grid else 0
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise MatrixError("entry grid does not match declared shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", grid)
+        _init(self, rows, cols, tuple({j: e for j, e in enumerate(row) if e} for row in grid))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
 
+    @property
+    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """Dense read-only view, built on each access."""
+        return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols)) for row in self.row_maps)
+
+    def nonzeros(self) -> Iterator[tuple[int, int, Polynomial]]:
+        """The stored entries as (row, column, entry)."""
+        for i, row in enumerate(self.row_maps):
+            for j, e in row.items():
+                yield i, j, e
+
     def __getitem__(self, idx: tuple[int, int]) -> Polynomial:
         i, j = idx
-        return self.entries[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.cols} columns")
+        return self.row_maps[i].get(j, _ZERO)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PolyMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.row_maps == other.row_maps
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, frozenset(self.nonzeros())))
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for row in self.entries:
-            for e in row:
-                out |= e.variables()
-        return out
+        return set().union(*(e.variables() for row in self.row_maps for e in row.values()))
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
-
-    def map(self, fn: Callable[[Polynomial], Polynomial]) -> "PolyMatrix":
-        return PolyMatrix([[fn(e) for e in row] for row in self.entries], self.rows, self.cols)
+        out: list[RowMap] = [{} for _ in range(self.cols)]
+        for i, j, e in self.nonzeros():
+            out[j][i] = e
+        return _sparse(out, self.cols, self.rows)
 
     def __neg__(self) -> "PolyMatrix":
-        return self.map(lambda e: -e)
+        return _sparse([{j: -e for j, e in row.items()} for row in self.row_maps], self.rows, self.cols)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise MatrixError(f"shape mismatch for add: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        return PolyMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            self.rows,
-            self.cols,
-        )
+        out = []
+        for ra, rb in zip(self.row_maps, other.row_maps):
+            row = dict(ra)
+            for j, e in rb.items():
+                row[j] = row.get(j, _ZERO) + e
+            out.append({j: e for j, e in row.items() if e})
+        return _sparse(out, self.rows, self.cols)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return mat_mul(self, other)
@@ -101,6 +112,25 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols})"
 
 
+def _init(m: PolyMatrix, rows: int, cols: int, row_maps: tuple[RowMap, ...]) -> None:
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "row_maps", row_maps)
+
+
+def _sparse(row_maps: Iterable[RowMap], rows: int, cols: int) -> PolyMatrix:
+    """A matrix from row maps that already hold only nonzero entries."""
+    if rows < 0 or cols < 0:
+        raise MatrixError(f"negative matrix dimension {rows}x{cols}")
+    m = PolyMatrix.__new__(PolyMatrix)
+    _init(m, rows, cols, tuple(row_maps))
+    return m
+
+
+def _shift(row: RowMap, offset: int) -> RowMap:
+    return {j + offset: e for j, e in row.items()}
+
+
 def from_strings(rows: Iterable[Iterable[str]]) -> PolyMatrix:
     from .poly import parse_polynomial
 
@@ -108,103 +138,82 @@ def from_strings(rows: Iterable[Iterable[str]]) -> PolyMatrix:
 
 
 def identity(n: int) -> PolyMatrix:
-    if n < 0:
-        raise MatrixError("identity size must be nonnegative")
-    return PolyMatrix([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n, n)
+    return scalar_matrix(_ONE, n)
 
 
 def zeros(rows: int, cols: int) -> PolyMatrix:
-    return PolyMatrix([[_ZERO] * cols for _ in range(rows)], rows, cols)
+    return _sparse(({} for _ in range(rows)), rows, cols)
 
 
 def scalar_matrix(p: Polynomial, n: int) -> PolyMatrix:
     """n x n matrix with p on the diagonal, zero elsewhere."""
-    return PolyMatrix([[p if i == j else _ZERO for j in range(n)] for i in range(n)], n, n)
+    return _sparse(({i: p} if p else {} for i in range(n)), n, n)
 
 
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Exact product; skips zero entries (schoolbook otherwise)."""
+    """Exact product: row i of a*b sums a[i,k] * (row k of b) over the
+    nonzeros a[i,k]."""
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    b_nonzero = [[(j, e) for j, e in enumerate(row) if e] for row in b.entries]
-    out = [[_ZERO] * b.cols for _ in range(a.rows)]
-    for i, arow in enumerate(a.entries):
-        oi = out[i]
-        for k, aik in enumerate(arow):
-            if not aik:
-                continue
-            for j, bkj in b_nonzero[k]:
-                oi[j] = oi[j] + aik * bkj
-    return PolyMatrix(out, a.rows, b.cols)
+    out = []
+    for arow in a.row_maps:
+        acc: RowMap = {}
+        for k, aik in arow.items():
+            for j, bkj in b.row_maps[k].items():
+                acc[j] = acc.get(j, _ZERO) + aik * bkj
+        out.append({j: e for j, e in acc.items() if e})
+    return _sparse(out, a.rows, b.cols)
 
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Kronecker product with row-major blocks: block (i,j) is a[i,j] * b."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [[_ZERO] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.entries[i][j]
-            if not aij:
-                continue
-            for p in range(b.rows):
-                orow = out[i * b.rows + p]
-                brow = b.entries[p]
-                for q in range(b.cols):
-                    if brow[q]:
-                        orow[j * b.cols + q] = aij * brow[q]
-    return PolyMatrix(out, rows, cols)
+    """Kronecker product with row-major blocks: block (i,j) is a[i,j] * b.
+
+    Products of nonzero polynomials are nonzero, so nothing is filtered.
+    """
+    return _sparse(
+        (
+            {j * b.cols + q: aij * bpq for j, aij in arow.items() for q, bpq in brow.items()}
+            for arow in a.row_maps
+            for brow in b.row_maps
+        ),
+        a.rows * b.rows,
+        a.cols * b.cols,
+    )
 
 
 def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Block diagonal [[a, 0], [0, b]]; empty blocks are dropped."""
-    rows = a.rows + b.rows
-    cols = a.cols + b.cols
-    out = [[_ZERO] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        out[i][: a.cols] = a.entries[i]
-    for i in range(b.rows):
-        out[a.rows + i][a.cols:] = b.entries[i]
-    return PolyMatrix(out, rows, cols)
+    return _sparse(
+        a.row_maps + tuple(_shift(row, a.cols) for row in b.row_maps),
+        a.rows + b.rows,
+        a.cols + b.cols,
+    )
 
 
 def block2x2(a: PolyMatrix, b: PolyMatrix, c: PolyMatrix, d: PolyMatrix) -> PolyMatrix:
     """Assemble [[a, b], [c, d]] from conformable blocks."""
     if a.rows != b.rows or c.rows != d.rows or a.cols != c.cols or b.cols != d.cols:
         raise MatrixError("non-conformable blocks")
-    top = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
-    bottom = [list(rc) + list(rd) for rc, rd in zip(c.entries, d.entries)]
-    return PolyMatrix(top + bottom, a.rows + c.rows, a.cols + b.cols)
+    return _sparse(
+        (
+            {**left, **_shift(right, a.cols)}
+            for left, right in zip(a.row_maps + c.row_maps, b.row_maps + d.row_maps)
+        ),
+        a.rows + c.rows,
+        a.cols + b.cols,
+    )
 
 
-@dataclass(frozen=True)
-class ShuffleMatrix:
+def shuffle_matrix(m: int, n: int) -> PolyMatrix:
     """Perfect shuffle permutation matrix S_{m,n} of size mn x mn.
 
     Satisfies B (x) A = S_{r,p} (A (x) B) S_{s,q}^T for A of size p x q
     and B of size r x s, and S S^T = I.
     """
-
-    m: int
-    n: int
-    matrix: PolyMatrix
-
-    @property
-    def size(self) -> int:
-        return self.m * self.n
-
-
-def shuffle_matrix(m: int, n: int) -> ShuffleMatrix:
     if m < 1 or n < 1:
         raise MatrixError("shuffle dimensions must be positive")
-    size = m * n
-    out = [[_ZERO] * size for _ in range(size)]
     # S_{m,n} = sum_i e_i^T (x) I_n (x) e_i puts a 1 at (i*n + a, a*m + i).
-    for i in range(m):
-        for a in range(n):
-            out[i * n + a][a * m + i] = _ONE
-    return ShuffleMatrix(m, n, PolyMatrix(out, size, size))
+    return _sparse(({a * m + i: _ONE} for i in range(m) for a in range(n)), m * n, m * n)
 
 
 def evaluate_matrix(a: PolyMatrix, point: EvalPoint) -> list[list[Fraction]]:

@@ -41,6 +41,21 @@ class SummandList:
         return total
 
 
+def double(
+    c: PolyMatrix, d: PolyMatrix, g: PolyMatrix, h: PolyMatrix, variant: str = "standard"
+) -> tuple[PolyMatrix, PolyMatrix]:
+    """The doubled pair ([[C, -G], [H, D]], [[D, G], [-H, C]]), or its
+    variant v1 (rows of the first matrix and columns of the second
+    interchanged) or v2 (the other way around)."""
+    if variant == "standard":
+        return block2x2(c, -g, h, d), block2x2(d, g, -h, c)
+    if variant == "v1":
+        return block2x2(h, d, c, -g), block2x2(g, d, c, -h)
+    if variant == "v2":
+        return block2x2(-g, c, d, h), block2x2(-h, c, d, g)
+    raise ValueError(f"unknown standard-method variant {variant!r}")
+
+
 def standard_step(
     mf: MatrixFactorization,
     g: Polynomial,
@@ -50,23 +65,7 @@ def standard_step(
     verify: str = "auto",
 ) -> MatrixFactorization:
     """One doubling step: a factorization of mf.f + g*h of size 2n."""
-    n = mf.size
-    c, d = mf.phi, mf.psi
-    gi = scalar_matrix(g, n)
-    hi = scalar_matrix(h, n)
-    if variant == "standard":
-        p = block2x2(c, -gi, hi, d)
-        q = block2x2(d, gi, -hi, c)
-    elif variant == "v1":
-        # rows of P interchanged, columns of Q interchanged
-        p = block2x2(hi, d, c, -gi)
-        q = block2x2(gi, d, c, -hi)
-    elif variant == "v2":
-        # columns of P interchanged, rows of Q interchanged
-        p = block2x2(-gi, c, d, hi)
-        q = block2x2(-hi, c, d, gi)
-    else:
-        raise ValueError(f"unknown standard-method variant {variant!r}")
+    p, q = double(mf.phi, mf.psi, scalar_matrix(g, mf.size), scalar_matrix(h, mf.size), variant)
     return make_factorization(mf.f + g * h, p, q, verify=verify)
 
 

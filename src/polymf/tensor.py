@@ -23,15 +23,14 @@ from .factorization import (
     mat_mul,
 )
 from .matrix import (
-    PolyMatrix,
     block2x2,
     direct_sum,
     identity,
     kron,
-    scalar_matrix,
     shuffle_matrix,
+    zeros,
 )
-from .poly import Polynomial
+from .standard import double
 
 YOSHINO_VARIANTS = ("standard", "v1", "v2", "v3")
 STANDARD_VARIANTS = ("standard", "v1", "v2")
@@ -45,26 +44,22 @@ def yoshino(
     verify: str = "auto",
 ) -> MatrixFactorization:
     """Additive tensor product: a factorization of f + g of size 2nm."""
+    if variant not in YOSHINO_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {YOSHINO_VARIANTS}")
     phi, psi, phi2, psi2 = x.phi, x.psi, y.phi, y.psi
     n, m = x.size, y.size
     pk = kron(phi, identity(m))   # phi (x) 1_m
     sk = kron(psi, identity(m))   # psi (x) 1_m
     kp = kron(identity(n), phi2)  # 1_n (x) phi'
     ks = kron(identity(n), psi2)  # 1_n (x) psi'
-    if variant == "standard":
-        a = block2x2(pk, kp, -ks, sk)
-        b = block2x2(sk, -kp, ks, pk)
-    elif variant == "v1":
-        a = block2x2(kp, sk, pk, -ks)
-        b = block2x2(ks, sk, pk, -kp)
-    elif variant == "v2":
-        a = block2x2(sk, -ks, kp, pk)
-        b = block2x2(pk, ks, -kp, sk)
-    elif variant == "v3":
-        a = block2x2(-ks, pk, sk, kp)
-        b = block2x2(-kp, pk, sk, ks)
-    else:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {YOSHINO_VARIANTS}")
+    # Each variant is a doubling (C, D, G, H) of the standard method.
+    c, d, g, h, doubling = {
+        "standard": (pk, sk, -kp, -ks, "standard"),
+        "v1": (pk, sk, ks, kp, "v1"),
+        "v2": (sk, pk, ks, kp, "standard"),
+        "v3": (pk, sk, ks, kp, "v2"),
+    }[variant]
+    a, b = double(c, d, g, h, doubling)
     return make_factorization(x.f + y.f, a, b, verify=verify)
 
 
@@ -83,8 +78,7 @@ def mult_tensor_variant(
     """Variant with the Kronecker blocks on the anti-diagonal, size 2nm."""
     pp = kron(x.phi, y.phi)
     ss = kron(x.psi, y.psi)
-    nm = pp.rows
-    zero = scalar_matrix(Polynomial.zero(), nm)
+    zero = zeros(pp.rows, pp.cols)
     return make_factorization(
         x.f * y.f,
         block2x2(zero, pp, pp, zero),
@@ -156,7 +150,7 @@ def commutativity_morphism(
 def shuffle_isomorphism_check(x: MatrixFactorization, y: MatrixFactorization) -> bool:
     """True iff conjugating the factors of X (x) Y by the perfect shuffle
     yields exactly the factors of Y (x) X (reduced tensors)."""
-    s = shuffle_matrix(y.size, x.size).matrix
+    s = shuffle_matrix(y.size, x.size)
     st = s.transpose()
     for ax, ay in ((x.phi, y.phi), (x.psi, y.psi)):
         if kron(ay, ax) != mat_mul(mat_mul(s, kron(ax, ay)), st):

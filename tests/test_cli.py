@@ -170,6 +170,15 @@ class TestVerify:
         assert run(["verify", "--input", write_json(tmp_path, "mf.json", doc)]) == 2
         assert_error_line(capsys)
 
+    @pytest.mark.parametrize("doc", [
+        {"f": "x^2", "size": 1, "phi": ["x"], "psi": ["x"]},
+        {"f": 5, "size": 1, "phi": [["x"]], "psi": [["x"]]},
+        {"f": "x^2", "size": 1, "phi": [["x"]], "psi": [[1]]},
+    ])
+    def test_malformed_pair_document_rejected(self, tmp_path, capsys, doc):
+        assert run(["verify", "--input", write_json(tmp_path, "mf.json", doc)]) == 2
+        assert_error_line(capsys)
+
     def test_corrupted_randomized_pair_fails(self, tmp_path, capsys):
         mf = run_improved(
             SummandReducedPoly.from_strings(NO_MONOMIAL["terms"], NO_MONOMIAL["products"]),

@@ -29,6 +29,34 @@ def m(rows):
     return from_strings(rows)
 
 
+def assert_sparse(a):
+    """Only nonzero entries are stored, in range, and the dense view
+    rebuilds the same matrix."""
+    assert len(a.row_maps) == a.rows
+    for row in a.row_maps:
+        assert all(e and 0 <= j < a.cols for j, e in row.items())
+    assert PolyMatrix(a.entries) == a
+
+
+class TestSparseStorage:
+    @given(poly_matrices(), poly_matrices(), poly_matrices(), poly_matrices())
+    @settings(max_examples=100)
+    def test_operations_store_only_nonzeros(self, a, b, c, d):
+        for result in (
+            a, mat_mul(a, b), kron(a, b), direct_sum(a, b), block2x2(a, b, c, d),
+            a.transpose(), -a, a + b, a + (-a), scalar_matrix(a[0, 0], 3),
+        ):
+            assert_sparse(result)
+        assert (a + (-a)).row_maps == ({}, {})
+
+    def test_constructors_store_only_nonzeros(self):
+        for result in (identity(3), zeros(2, 3), shuffle_matrix(2, 3), from_strings([["0", "x"], ["y", "0"]])):
+            assert_sparse(result)
+        assert from_strings([["0", "x"], ["y", "0"]]).row_maps == (
+            {1: parse_polynomial("x")}, {0: parse_polynomial("y")},
+        )
+
+
 class TestBasics:
     def test_shape_validation(self):
         with pytest.raises(MatrixError):
@@ -100,28 +128,28 @@ class TestKronecker:
 
 class TestShuffle:
     def test_s22_swaps_middle_indices(self):
-        s = shuffle_matrix(2, 2).matrix
+        s = shuffle_matrix(2, 2)
         one = Polynomial.const(1)
         assert s[0, 0] == one and s[3, 3] == one
         assert s[1, 2] == one and s[2, 1] == one
 
     @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 2), (4, 4)])
     def test_orthogonality(self, p, q):
-        s = shuffle_matrix(p, q).matrix
+        s = shuffle_matrix(p, q)
         assert mat_mul(s, s.transpose()) == identity(p * q)
 
     def test_non_square_conjugation(self):
         a = m([["x", "y", "0"], ["1", "0", "z"]])
         b = m([["x", "0"], ["y", "z"], ["0", "1"]])
-        s = shuffle_matrix(b.rows, a.rows).matrix
-        t = shuffle_matrix(b.cols, a.cols).matrix
+        s = shuffle_matrix(b.rows, a.rows)
+        t = shuffle_matrix(b.cols, a.cols)
         assert kron(b, a) == mat_mul(mat_mul(s, kron(a, b)), t.transpose())
 
     @given(poly_matrices(), poly_matrices())
     @settings(max_examples=100)
     def test_shuffle_conjugates_kron(self, a, b):
-        s = shuffle_matrix(b.rows, a.rows).matrix
-        t = shuffle_matrix(b.cols, a.cols).matrix
+        s = shuffle_matrix(b.rows, a.rows)
+        t = shuffle_matrix(b.cols, a.cols)
         assert kron(b, a) == mat_mul(mat_mul(s, kron(a, b)), t.transpose())
 
 

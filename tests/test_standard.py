@@ -83,6 +83,13 @@ class TestStandardFactorize:
         assert all(r.f == q for r in results)
         assert len({r.phi for r in results}) == 3  # genuinely different matrices
 
+    def test_rows_hold_one_entry_per_summand(self):
+        q = p("x^9 + x^8y + x^7y^2 + x^6y^3 + x^5y^4 + x^4y^5 + x^3y^6 + x^2y^7 + xy^8 + y^9")
+        mf = standard_factorize_polynomial(q, verify="skip")
+        assert mf.size == 512
+        for m in (mf.phi, mf.psi):
+            assert all(len(row) == 10 for row in m.row_maps)
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(PolyError):
             standard_factorize_polynomial(Polynomial.zero())
