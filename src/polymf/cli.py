@@ -42,6 +42,11 @@ EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_CAP = 4
 
+# What reading and parsing a malformed input can raise.  ValueError
+# covers PolyError, MatrixError and JSON and UTF-8 decoding errors;
+# RecursionError is json's limit on nesting depth.
+_INPUT_ERRORS = (ValueError, KeyError, OSError, RecursionError)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -97,6 +102,13 @@ def _parse_problem(text: str) -> SummandReducedPoly | Polynomial:
     return SummandReducedPoly.from_strings(terms, products)
 
 
+def _over_cap(size: int | float, max_monomials: int) -> bool:
+    """True if a predicted size 2^e exceeds 2^(max_monomials - 1), the
+    size the standard method reaches with max_monomials summands.  Sizes
+    below 1 come from documents with no product, which fail validation."""
+    return isinstance(size, int) and size.bit_length() > max_monomials
+
+
 def _render_factorization(
     mf: MatrixFactorization, cfg: RunConfig, predicted: dict | None, record: dict
 ) -> str:
@@ -125,7 +137,7 @@ def _render_factorization(
 def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
         problem = _parse_problem(_read_input(args.input))
-    except (PolyError, json.JSONDecodeError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -142,6 +154,15 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
             mf = standard_factorize_polynomial(problem, cfg.standard_variant, verify="skip")
         else:
             predicted = predict_sizes(problem).to_dict()
+            size = predicted[f"{cfg.method}_size"]
+            if _over_cap(size, cfg.max_standard_monomials):
+                print(
+                    f"error: {cfg.method} construction skipped: predicted size {size} "
+                    f"exceeds 2^{cfg.max_standard_monomials - 1} "
+                    "(raise --max-standard-monomials to allow it)",
+                    file=sys.stderr,
+                )
+                return EXIT_CAP
             if cfg.method == "refined":
                 mf = run_refined(
                     problem, cfg.yoshino_variant, verify="skip", strict=cfg.strict_validate
@@ -181,7 +202,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
         doc = json.loads(_read_input(args.input))
         mf = MatrixFactorization.from_dict(doc)
-    except (PolyError, MatrixError, json.JSONDecodeError, KeyError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: cannot parse factorization file: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -215,7 +236,7 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
                 print(f"error: input is not summand-reduced:\n{report}", file=sys.stderr)
                 return EXIT_PARSE
         sizes = predict_sizes(problem)
-    except (PolyError, json.JSONDecodeError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if cfg.output_format == "structured":
@@ -362,7 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--format", choices=("text", "structured"), default="text")
         sp.add_argument("--strict-validate", action="store_true")
-        sp.add_argument("--max-standard-monomials", type=int, default=13)
+        sp.add_argument(
+            "--max-standard-monomials", type=int, default=13,
+            help="construction cap N: a method whose predicted size exceeds 2^(N-1) exits 4",
+        )
     return parser
 
 

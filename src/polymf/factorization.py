@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import lcm
 
 from .matrix import PolyMatrix, MatrixError, from_strings, identity, mat_mul, scalar_matrix
-from .poly import Polynomial, parse_polynomial
+from .poly import Coeff, Polynomial, parse_polynomial
 
 # certify checks exactly up to this size and by randomized point checks
 # above it; pass verify="exact" to force the full product.
@@ -79,12 +78,15 @@ class MatrixFactorization:
                 isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
             ):
                 raise MatrixError(f"{name!r} must be a list of rows of strings")
+        if not data["phi"]:
+            raise MatrixError("a factorization has at least one row")
         mf = MatrixFactorization(
             parse_polynomial(data["f"]),
             from_strings(data["phi"]),
             from_strings(data["psi"]),
         )
-        if mf.size != data.get("size", mf.size):
+        size = data.get("size", mf.size)
+        if type(size) is not int or size != mf.size:
             raise MatrixError("declared size does not match the matrices")
         return mf
 
@@ -194,9 +196,9 @@ def verify_randomized(
 
 def _product_equals_scalar(
     n: int,
-    a: list[tuple[int, int, Fraction]],
-    b: list[tuple[int, int, Fraction]],
-    c: Fraction,
+    a: list[tuple[int, int, Coeff]],
+    b: list[tuple[int, int, Coeff]],
+    c: Coeff,
 ) -> bool:
     """Exact check that a @ b == c*I for n x n rational matrices given by
     their nonzeros (row, col, value).
@@ -209,7 +211,7 @@ def _product_equals_scalar(
     for _, _, x in chain(a, b):
         scale = lcm(scale, x.denominator)
 
-    def rows(entries: list[tuple[int, int, Fraction]]) -> list[list[tuple[int, int]]]:
+    def rows(entries: list[tuple[int, int, Coeff]]) -> list[list[tuple[int, int]]]:
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for i, j, x in entries:
             out[i].append((j, x.numerator * (scale // x.denominator)))

@@ -10,10 +10,9 @@ after construction and operations are pure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .poly import EvalPoint, Polynomial
+from .poly import Coeff, EvalPoint, Polynomial, parse_polynomial
 
 
 class MatrixError(ValueError):
@@ -132,9 +131,18 @@ def _shift(row: RowMap, offset: int) -> RowMap:
 
 
 def from_strings(rows: Iterable[Iterable[str]]) -> PolyMatrix:
-    from .poly import parse_polynomial
+    """Parse a grid of polynomial texts.  Each distinct text is parsed once
+    per call and its entries share the (immutable) result: most entries of
+    a serialized pair are "0" or repeats of a few polynomials."""
+    parsed: dict[str, Polynomial] = {}
 
-    return PolyMatrix([[parse_polynomial(s) for s in row] for row in rows])
+    def entry(text: str) -> Polynomial:
+        p = parsed.get(text)
+        if p is None:
+            p = parsed[text] = parse_polynomial(text)
+        return p
+
+    return PolyMatrix([[entry(s) for s in row] for row in rows])
 
 
 def identity(n: int) -> PolyMatrix:
@@ -151,17 +159,27 @@ def scalar_matrix(p: Polynomial, n: int) -> PolyMatrix:
 
 
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Exact product: row i of a*b sums a[i,k] * (row k of b) over the
-    nonzeros a[i,k]."""
+    """Exact product: the products a[i,k] * b[k,j] over the nonzeros of
+    row i of a are grouped by column j, and each entry is one fused
+    sum of products (`Polynomial.dot`)."""
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    dot = Polynomial.dot
     out = []
     for arow in a.row_maps:
-        acc: RowMap = {}
+        pairs: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
         for k, aik in arow.items():
             for j, bkj in b.row_maps[k].items():
-                acc[j] = acc.get(j, _ZERO) + aik * bkj
-        out.append({j: e for j, e in acc.items() if e})
+                if j in pairs:
+                    pairs[j].append((aik, bkj))
+                else:
+                    pairs[j] = [(aik, bkj)]
+        row: RowMap = {}
+        for j, products in pairs.items():
+            e = dot(products)
+            if e:
+                row[j] = e
+        out.append(row)
     return _sparse(out, a.rows, b.cols)
 
 
@@ -216,6 +234,6 @@ def shuffle_matrix(m: int, n: int) -> PolyMatrix:
     return _sparse(({a * m + i: _ONE} for i in range(m) for a in range(n)), m * n, m * n)
 
 
-def evaluate_matrix(a: PolyMatrix, point: EvalPoint) -> list[list[Fraction]]:
+def evaluate_matrix(a: PolyMatrix, point: EvalPoint) -> list[list[Coeff]]:
     """Entrywise exact evaluation to a rational matrix."""
     return [[e.evaluate(point) for e in row] for row in a.entries]

@@ -1,8 +1,11 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial is a canonical, immutable collection of monomials with
-Fraction coefficients.  Canonical form is unique: terms are fully
-combined, zero terms are dropped, and iteration order is strictly
+exact rational coefficients.  A coefficient is stored as a Python int
+whenever its denominator is 1 and as a Fraction only when it is truly
+rational, so integer inputs never pay for Fraction arithmetic.
+Canonical form is unique: terms are fully combined, zero terms are
+dropped, integral coefficients are ints, and iteration order is strictly
 decreasing graded-lex over the fixed lexicographic variable order.
 Exactness makes every algebraic identity in this package bit-checkable.
 
@@ -21,8 +24,11 @@ from typing import Iterable, Mapping
 # Exponent key: ((var, exp), ...) sorted by var name, all exps > 0.
 ExpKey = tuple[tuple[str, int], ...]
 
+# An exact rational value: an int when its denominator is 1.
+Coeff = int | Fraction
+
 # Assignment of exact rational values to variables, for evaluation.
-EvalPoint = Mapping[str, Fraction | int]
+EvalPoint = Mapping[str, Coeff]
 
 _VAR_RE = re.compile(r"[A-Za-z][0-9]*\Z")
 
@@ -41,6 +47,16 @@ class ParseError(PolyError):
 
 class MissingVariableError(PolyError):
     """An evaluation point does not cover some variable."""
+
+
+def _coeff(c) -> Coeff:
+    """c as a canonical coefficient: an int when its denominator is 1,
+    else a Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def check_var_name(name: str) -> str:
@@ -70,11 +86,39 @@ def _cmp_exps(a: ExpKey, b: ExpKey) -> int:
 _exp_sort_key = cmp_to_key(_cmp_exps)
 
 
+def _times_key(ka: ExpKey, kb: ExpKey) -> ExpKey:
+    """The exponent key of a product of two monomials: a merge of the two
+    variable-sorted keys that adds the exponents of shared variables."""
+    if not ka:
+        return kb
+    if not kb:
+        return ka
+    out = []
+    i = j = 0
+    na, nb = len(ka), len(kb)
+    while i < na and j < nb:
+        va, ea = ka[i]
+        vb, eb = kb[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(ka[i])
+            i += 1
+        else:
+            out.append(kb[j])
+            j += 1
+    out.extend(ka[i:])
+    out.extend(kb[j:])
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A single nonzero term: coefficient times a product of variable powers."""
 
-    coeff: Fraction
+    coeff: Coeff
     exponents: ExpKey
 
     def __post_init__(self):
@@ -90,10 +134,7 @@ class Monomial:
         return _degree(self.exponents)
 
     def times(self, other: "Monomial") -> "Monomial":
-        exps: dict[str, int] = dict(self.exponents)
-        for v, e in other.exponents:
-            exps[v] = exps.get(v, 0) + e
-        return Monomial(self.coeff * other.coeff, tuple(sorted(exps.items())))
+        return Monomial(self.coeff * other.coeff, _times_key(self.exponents, other.exponents))
 
     def as_polynomial(self) -> "Polynomial":
         return Polynomial({self.exponents: self.coeff})
@@ -113,11 +154,11 @@ def split_monomial(m: Monomial) -> tuple[Monomial, Monomial]:
     flat = [v for v, e in m.exponents for _ in range(e)]
     cut = (len(flat) + 1) // 2
     h1 = _from_flat(m.coeff, flat[:cut])
-    h2 = _from_flat(Fraction(1), flat[cut:])
+    h2 = _from_flat(1, flat[cut:])
     return h1, h2
 
 
-def _from_flat(coeff: Fraction, flat: list[str]) -> Monomial:
+def _from_flat(coeff: Coeff, flat: list[str]) -> Monomial:
     exps: dict[str, int] = {}
     for v in flat:
         exps[v] = exps.get(v, 0) + 1
@@ -125,14 +166,14 @@ def _from_flat(coeff: Fraction, flat: list[str]) -> Monomial:
 
 
 class Polynomial:
-    """Immutable multivariate polynomial with exact rational coefficients."""
+    """Immutable multivariate polynomial with exact rational coefficients,
+    each stored as an int when it is integral and as a Fraction otherwise."""
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[ExpKey, Fraction] | None = None):
-        d = {k: Fraction(c) for k, c in (terms or {}).items() if c != 0}
-        object.__setattr__(self, "_terms", d)
-        object.__setattr__(self, "_hash", None)
+    def __init__(self, terms: Mapping[ExpKey, Coeff] | None = None):
+        self._terms = {k: _coeff(c) for k, c in (terms or {}).items() if c != 0}
+        self._hash = None
 
     # -- constructors ----------------------------------------------------
 
@@ -141,8 +182,9 @@ class Polynomial:
         return _ZERO
 
     @staticmethod
-    def const(c: Fraction | int) -> "Polynomial":
-        return Polynomial({(): Fraction(c)})
+    def const(c: Coeff) -> "Polynomial":
+        c = _coeff(c)
+        return _wrap({(): c} if c else {})
 
     @staticmethod
     def variable(name: str, exp: int = 1) -> "Polynomial":
@@ -151,14 +193,14 @@ class Polynomial:
             raise PolyError(f"negative exponent {exp} for {name}")
         if exp == 0:
             return Polynomial.const(1)
-        return Polynomial({((name, exp),): Fraction(1)})
+        return _wrap({((name, exp),): 1})
 
     @staticmethod
     def from_monomials(monomials: Iterable[Monomial]) -> "Polynomial":
-        acc: dict[ExpKey, Fraction] = {}
+        acc: dict[ExpKey, Coeff] = {}
         for m in monomials:
-            acc[m.exponents] = acc.get(m.exponents, Fraction(0)) + m.coeff
-        return Polynomial(acc)
+            acc[m.exponents] = acc.get(m.exponents, 0) + m.coeff
+        return _wrap(_settle(acc))
 
     # -- canonical views -------------------------------------------------
 
@@ -178,12 +220,12 @@ class Polynomial:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(): Fraction(1)}
+        return self._terms == {(): 1}
 
-    def as_constant(self) -> Fraction | None:
+    def as_constant(self) -> Coeff | None:
         """The value if this is a constant polynomial, else None."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if len(self._terms) == 1 and () in self._terms:
             return self._terms[()]
         return None
@@ -195,62 +237,58 @@ class Polynomial:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
+        acc = dict(self._terms)
+        get = acc.get
         for k, c in other._terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "_terms", out)
-        object.__setattr__(p, "_hash", None)
-        return p
+            acc[k] = get(k, 0) + c
+        return _wrap(_settle(acc))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({k: -c for k, c in self._terms.items()})
+        return _wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self._terms or not other._terms:
-            return _ZERO
-        out: dict[ExpKey, Fraction] = {}
-        for ka, ca in self._terms.items():
-            da = dict(ka)
-            for kb, cb in other._terms.items():
-                exps = dict(da)
-                for v, e in kb:
-                    exps[v] = exps.get(v, 0) + e
-                key = tuple(sorted(exps.items()))
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "_terms", out)
-        object.__setattr__(p, "_hash", None)
-        return p
+        return Polynomial.dot(((self, other),))
 
-    def scale(self, c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial({k: c * v for k, v in self._terms.items()})
+    @staticmethod
+    def dot(pairs: Iterable[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
+        """The sum of a*b over the (a, b) pairs, accumulated term by term in
+        one dict, so no intermediate product or partial sum is built."""
+        acc: dict[ExpKey, Coeff] = {}
+        get = acc.get
+        for a, b in pairs:
+            b_terms = b._terms.items()
+            for ka, ca in a._terms.items():
+                for kb, cb in b_terms:
+                    key = _times_key(ka, kb)
+                    acc[key] = get(key, 0) + ca * cb
+        return _wrap(_settle(acc))
+
+    def scale(self, c: Coeff) -> "Polynomial":
+        c = _coeff(c)
+        if c == 1:
+            return self
+        return _wrap(_settle({k: c * v for k, v in self._terms.items()}))
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate(self, point: EvalPoint) -> Fraction:
-        """Exact value at an assignment covering all variables."""
-        total = Fraction(0)
+    def evaluate(self, point: EvalPoint) -> Coeff:
+        """Exact value at an assignment covering all variables; an int
+        whenever it is integral (always, at integer points)."""
+        total = 0
         for k, c in self._terms.items():
             val = c
             for v, e in k:
                 if v not in point:
                     raise MissingVariableError(f"no assignment for variable {v!r}")
-                val *= Fraction(point[v]) ** e
+                x = point[v]
+                if type(x) is not int and not isinstance(x, Fraction):
+                    x = Fraction(x)
+                val *= x**e
             total += val
-        return total
+        return _coeff(total)
 
     # -- equality / hashing ----------------------------------------------
 
@@ -260,8 +298,7 @@ class Polynomial:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash(frozenset(self._terms.items()))
         return h
 
     def __bool__(self) -> bool:
@@ -279,10 +316,25 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
+def _wrap(terms: dict[ExpKey, Coeff]) -> Polynomial:
+    """The polynomial over a term dict that is already canonical (no zero
+    coefficient, integral coefficients as ints); the dict is kept, not copied."""
+    p = Polynomial.__new__(Polynomial)
+    p._terms = terms
+    p._hash = None
+    return p
+
+
+def _settle(acc: dict[ExpKey, Coeff]) -> dict[ExpKey, Coeff]:
+    """A canonical term dict from exact sums: zero sums are dropped and
+    integral Fractions become ints."""
+    return {k: c if type(c) is int else _coeff(c) for k, c in acc.items() if c}
+
+
 _ZERO = Polynomial({})
 
 
-def _format_term(coeff: Fraction, exps: ExpKey, leading: bool) -> str:
+def _format_term(coeff: Coeff, exps: ExpKey, leading: bool) -> str:
     sign = "-" if coeff < 0 else "+"
     mag = abs(coeff)
     factors = [f"{v}^{e}" if e > 1 else v for v, e in exps]
@@ -301,7 +353,7 @@ def count_expanded_monomials(p: Polynomial) -> int:
     return p.num_terms()
 
 
-def evaluate(p: Polynomial, point: EvalPoint) -> Fraction:
+def evaluate(p: Polynomial, point: EvalPoint) -> Coeff:
     return p.evaluate(point)
 
 
@@ -395,7 +447,7 @@ class _Parser:
     def factor(self) -> Polynomial:
         kind, text, offset = self.next()
         if kind == "num":
-            value = Fraction(int(text))
+            value: Coeff = int(text)
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "/":
                 self.next()
@@ -404,7 +456,7 @@ class _Parser:
                     raise ParseError("expected denominator", doffset)
                 if int(dtext) == 0:
                     raise ParseError("zero denominator", doffset)
-                value /= int(dtext)
+                value = Fraction(value, int(dtext))
             return Polynomial.const(value)
         if kind == "name":
             exp = 1

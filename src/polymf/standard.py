@@ -42,17 +42,30 @@ class SummandList:
 
 
 def double(
-    c: PolyMatrix, d: PolyMatrix, g: PolyMatrix, h: PolyMatrix, variant: str = "standard"
+    c: PolyMatrix,
+    d: PolyMatrix,
+    g: PolyMatrix,
+    h: PolyMatrix,
+    variant: str = "standard",
+    *,
+    negate: bool = False,
 ) -> tuple[PolyMatrix, PolyMatrix]:
     """The doubled pair ([[C, -G], [H, D]], [[D, G], [-H, C]]), or its
     variant v1 (rows of the first matrix and columns of the second
-    interchanged) or v2 (the other way around)."""
+    interchanged) or v2 (the other way around).
+
+    negate=True doubles (C, D, -G, -H) instead; either way each of G and
+    H is negated exactly once.
+    """
+    ng, nh = -g, -h
+    if negate:
+        g, ng, h, nh = ng, g, nh, h
     if variant == "standard":
-        return block2x2(c, -g, h, d), block2x2(d, g, -h, c)
+        return block2x2(c, ng, h, d), block2x2(d, g, nh, c)
     if variant == "v1":
-        return block2x2(h, d, c, -g), block2x2(g, d, c, -h)
+        return block2x2(h, d, c, ng), block2x2(g, d, c, nh)
     if variant == "v2":
-        return block2x2(-g, c, d, h), block2x2(-h, c, d, g)
+        return block2x2(ng, c, d, h), block2x2(nh, c, d, g)
     raise ValueError(f"unknown standard-method variant {variant!r}")
 
 

@@ -52,14 +52,15 @@ def yoshino(
     sk = kron(psi, identity(m))   # psi (x) 1_m
     kp = kron(identity(n), phi2)  # 1_n (x) phi'
     ks = kron(identity(n), psi2)  # 1_n (x) psi'
-    # Each variant is a doubling (C, D, G, H) of the standard method.
-    c, d, g, h, doubling = {
-        "standard": (pk, sk, -kp, -ks, "standard"),
-        "v1": (pk, sk, ks, kp, "v1"),
-        "v2": (sk, pk, ks, kp, "standard"),
-        "v3": (pk, sk, ks, kp, "v2"),
+    # Each variant is a doubling (C, D, G, H) of the standard method; the
+    # standard variant doubles (pk, sk, -kp, -ks), negated inside `double`.
+    c, d, g, h, doubling, negate = {
+        "standard": (pk, sk, kp, ks, "standard", True),
+        "v1": (pk, sk, ks, kp, "v1", False),
+        "v2": (sk, pk, ks, kp, "standard", False),
+        "v3": (pk, sk, ks, kp, "v2", False),
     }[variant]
-    a, b = double(c, d, g, h, doubling)
+    a, b = double(c, d, g, h, doubling, negate=negate)
     return make_factorization(x.f + y.f, a, b, verify=verify)
 
 

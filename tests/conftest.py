@@ -18,19 +18,30 @@ from polymf.standard import standard_step
 
 VARS = ("x", "y", "z")
 
+INTEGER_COEFFICIENTS = st.integers(-3, 3).filter(bool).map(Fraction)
+# Denominators include 1, so some of these coefficients are integral
+# Fractions, and sums and products of them cancel to integers.
+RATIONAL_COEFFICIENTS = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from((1, 2, 3, 7))
+)
+
 
 @st.composite
-def monomials(draw, max_degree: int = 2) -> Monomial:
-    coeff = Fraction(draw(st.integers(-3, 3).filter(bool)))
+def monomials(draw, max_degree: int = 2, coefficients=INTEGER_COEFFICIENTS) -> Monomial:
+    coeff = draw(coefficients)
     names = draw(st.lists(st.sampled_from(VARS), unique=True, max_size=2))
     exps = tuple(sorted((v, draw(st.integers(1, max_degree))) for v in names))
     return Monomial(coeff, exps)
 
 
 @st.composite
-def polynomials(draw, max_terms: int = 3) -> Polynomial:
-    ms = draw(st.lists(monomials(), min_size=0, max_size=max_terms))
+def polynomials(draw, max_terms: int = 3, coefficients=INTEGER_COEFFICIENTS) -> Polynomial:
+    ms = draw(st.lists(monomials(coefficients=coefficients), min_size=0, max_size=max_terms))
     return Polynomial.from_monomials(ms)
+
+
+def rational_polynomials(max_terms: int = 3):
+    return polynomials(max_terms=max_terms, coefficients=RATIONAL_COEFFICIENTS)
 
 
 def nonzero_polynomials(max_terms: int = 2):
@@ -52,11 +63,11 @@ def factorizations(draw, max_steps: int = 2):
 
 
 @st.composite
-def poly_matrices(draw, rows: int = 2, cols: int = 2) -> PolyMatrix:
-    entries = [
-        [draw(polynomials(max_terms=1)) for _ in range(cols)] for _ in range(rows)
-    ]
-    return PolyMatrix(entries, rows, cols)
+def poly_matrices(draw, rows: int = 2, cols: int = 2, entries=None) -> PolyMatrix:
+    if entries is None:
+        entries = polynomials(max_terms=1)
+    grid = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    return PolyMatrix(grid, rows, cols)
 
 
 @pytest.fixture

@@ -1,20 +1,42 @@
 """End-to-end CLI behaviour: verbs, formats, exit codes, round trips."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polymf
-from polymf import Polynomial, SummandReducedPoly, factorization, fixtures, run_improved
+from polymf import (
+    ParseError,
+    Polynomial,
+    SummandReducedPoly,
+    cli,
+    factorization,
+    fixtures,
+    parse_polynomial,
+    run_improved,
+)
 from polymf.cli import main
 
 PART1 = {"terms": ["z*y"], "products": [["x*y^2+x^2*z+y*z^2", "x*y+z^2"]]}
 PART2 = {"terms": ["x^5y^2"], "products": [["xy^2+x^2z+yz^2", "x^2z+y^2+y^2z"]]}
 NO_MONOMIAL = {"terms": [], "products": [["xy + z^2", "x + y"], ["x + z", "y + z"]]}
+TWO_PRODUCT = {
+    "terms": ["zy"],
+    "products": [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
+}
+# refined size 2^(0 + 32 - 2 + 1) = 2^31, improved 2^32
+HUGE = {
+    "terms": ["w"],
+    "products": [[" + ".join(f"{v}^{i}" for i in range(1, 17)) for v in "xy"]],
+}
 
 
 @pytest.fixture
@@ -74,6 +96,29 @@ class TestFactorize:
         src = tmp_path / "poly.txt"
         src.write_text("x^2 +")
         assert run(["factorize", "--input", str(src), "--method", "standard"]) == 2
+
+    @pytest.mark.parametrize("method", ["refined", "improved"])
+    def test_predicted_size_gate_stops_before_construction(
+        self, tmp_path, capsys, monkeypatch, method
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("construction started")
+
+        monkeypatch.setattr(cli, f"run_{method}", never)
+        code = run(["factorize", "--input", write_json(tmp_path, "huge.json", HUGE),
+                    "--method", method])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(2**31 if method == "refined" else 2**32) in err
+
+    @pytest.mark.parametrize("method, size", [("refined", 2**9), ("improved", 2**11)])
+    def test_paper_corpus_is_within_the_default_gate(self, tmp_path, method, size):
+        out = tmp_path / "out.json"
+        code = run(["factorize", "--input", write_json(tmp_path, "two.json", TWO_PRODUCT),
+                    "--method", method, "--trials", "1", "--format", "structured",
+                    "--output", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["size"] == size
 
     def test_cap_exceeded_exit_code(self, tmp_path):
         src = tmp_path / "part2.json"
@@ -174,6 +219,9 @@ class TestVerify:
         {"f": "x^2", "size": 1, "phi": ["x"], "psi": ["x"]},
         {"f": 5, "size": 1, "phi": [["x"]], "psi": [["x"]]},
         {"f": "x^2", "size": 1, "phi": [["x"]], "psi": [[1]]},
+        {"f": "x^2", "size": True, "phi": [["x"]], "psi": [["x"]]},
+        {"f": "x^2", "size": 1.0, "phi": [["x"]], "psi": [["x"]]},
+        {"f": "x^2", "size": 0, "phi": [], "psi": []},
     ])
     def test_malformed_pair_document_rejected(self, tmp_path, capsys, doc):
         assert run(["verify", "--input", write_json(tmp_path, "mf.json", doc)]) == 2
@@ -249,3 +297,136 @@ class TestPackage:
         demo = subprocess.run([sys.executable, "-W", "error", "-m", "polymf.cli", "demo"],
                               env=env, capture_output=True, text=True)
         assert demo.returncode == 0, demo.stderr
+
+
+def run_captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def unparsable(text: str) -> bool:
+    try:
+        parse_polynomial(text)
+    except ParseError:
+        return True
+    return False
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+NON_OBJECTS = JSON_VALUES.filter(lambda v: not isinstance(v, dict))
+BAD_TEXT = st.sampled_from(["", "x^", "x +", "(x)", "x^-2", "1/0", "x ** y", "2.5x", "x^y", "\u00e9"]) | (
+    st.text(alphabet="xy019+-*/^ (.", max_size=8).filter(unparsable)
+)
+
+
+def is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def is_string_grid(value) -> bool:
+    return isinstance(value, list) and all(is_string_list(row) for row in value)
+
+
+@st.composite
+def malformed_problems(draw):
+    """A structured document with one defect, or a JSON value that is
+    not an object."""
+    doc = json.loads(json.dumps(PART1))
+    kind = draw(st.sampled_from([
+        "non_object", "terms_type", "products_type", "terms_text", "products_text", "fixed",
+    ]))
+    if kind == "non_object":
+        return draw(NON_OBJECTS)
+    if kind == "terms_type":
+        doc["terms"] = draw(JSON_VALUES.filter(lambda v: not is_string_list(v)))
+    elif kind == "products_type":
+        doc["products"] = draw(JSON_VALUES.filter(lambda v: not is_string_grid(v)))
+    elif kind == "terms_text":
+        doc["terms"] = [draw(BAD_TEXT)]
+    elif kind == "products_text":
+        doc["products"] = [["xy + z^2", draw(BAD_TEXT)]]
+    else:
+        doc = draw(st.sampled_from([
+            {**doc, "products": [[]]},
+            {**doc, "products": [["0", "x"]]},
+            {**doc, "terms": ["x + y"]},
+            {**doc, "terms": ["0"]},
+            {"terms": ["x"], "products": []},
+            {},
+        ]))
+    return doc
+
+
+@st.composite
+def malformed_pairs(draw):
+    """A serialized pair with one defect (or a wrong entry, which must
+    fail verification), or a JSON value that is not an object."""
+    doc = fixtures.pair_m().to_dict()
+    name = draw(st.sampled_from(["phi", "psi"]))
+    i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    kind = draw(st.sampled_from([
+        "non_object", "f_type", "f_text", "size_type", "size_value", "matrix_type",
+        "ragged", "entry_type", "entry_text", "missing", "wrong_entry",
+    ]))
+    if kind == "non_object":
+        return draw(NON_OBJECTS)
+    if kind == "f_type":
+        doc["f"] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, str)))
+    elif kind == "f_text":
+        doc["f"] = draw(BAD_TEXT)
+    elif kind == "size_type":
+        doc["size"] = draw(JSON_VALUES.filter(lambda v: type(v) is not int))
+    elif kind == "size_value":
+        doc["size"] = draw(st.integers().filter(lambda n: n != 2))
+    elif kind == "matrix_type":
+        doc[name] = draw(JSON_VALUES.filter(lambda v: not is_string_grid(v) or len(v) != 2))
+    elif kind == "ragged":
+        doc[name][i] = doc[name][i][:1] if draw(st.booleans()) else doc[name][i] + ["x"]
+    elif kind == "entry_type":
+        doc[name][i][j] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, str)))
+    elif kind == "entry_text":
+        doc[name][i][j] = draw(BAD_TEXT)
+    elif kind == "missing":
+        del doc[draw(st.sampled_from(["f", "phi", "psi"]))]
+    else:
+        doc[name][i][j] = str(parse_polynomial(doc[name][i][j]) + Polynomial.const(1))
+    return doc
+
+
+def assert_documented_failure(code: int, err: str) -> None:
+    assert code in (cli.EXIT_PARSE, cli.EXIT_VERIFY, cli.EXIT_CAP)
+    assert "Traceback" not in err
+    if code != cli.EXIT_VERIFY:
+        assert err.startswith("error:")
+
+
+class TestMalformedDocuments:
+    """Malformed input ends in a documented exit code and an error line,
+    never a traceback."""
+
+    @given(doc=malformed_problems())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_factorize(self, tmp_path, doc):
+        code, _, err = run_captured(["factorize", "--input", write_json(tmp_path, "doc.json", doc)])
+        assert_documented_failure(code, err)
+
+    @given(doc=malformed_pairs())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_verify(self, tmp_path, doc):
+        code, _, err = run_captured(["verify", "--input", write_json(tmp_path, "mf.json", doc)])
+        assert_documented_failure(code, err)
+
+    @pytest.mark.parametrize("command", ["factorize", "verify", "predict"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000], ids=["not_utf8", "deep"])
+    def test_undecodable_input(self, tmp_path, command, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        code, _, err = run_captured([command, "--input", str(path)])
+        assert code == cli.EXIT_PARSE and err.startswith("error:")

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polymf import matrix
 from polymf import (
     MatrixError,
     PolyMatrix,
@@ -22,7 +24,9 @@ from polymf import (
     zeros,
 )
 
-from conftest import poly_matrices
+from conftest import poly_matrices, rational_polynomials
+
+rational_matrices = poly_matrices(entries=rational_polynomials(max_terms=2))
 
 
 def m(rows):
@@ -101,6 +105,34 @@ class TestProducts:
     @settings(max_examples=100)
     def test_left_distributivity(self, a, b, c):
         assert mat_mul(a, b + c) == mat_mul(a, b) + mat_mul(a, c)
+
+
+    @given(rational_matrices, rational_matrices)
+    @settings(max_examples=100)
+    def test_each_entry_is_its_sum_of_products(self, a, b):
+        c = mat_mul(a, b)
+        for i in range(a.rows):
+            for j in range(b.cols):
+                assert c[i, j] == sum((a[i, k] * b[k, j] for k in range(a.cols)), Polynomial.zero())
+        assert_sparse(c)
+
+
+class TestFromStrings:
+    @given(st.lists(rational_polynomials(max_terms=2), min_size=1, max_size=3), st.data())
+    @settings(max_examples=100)
+    def test_repeated_entries_give_equal_matrices(self, pool, data):
+        texts = [str(q) for q in pool] + ["0"]
+        row = st.lists(st.sampled_from(texts), min_size=3, max_size=3)
+        grid = data.draw(st.lists(row, min_size=1, max_size=4))
+        assert from_strings(grid) == PolyMatrix([[parse_polynomial(t) for t in r] for r in grid])
+
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        calls = []
+        real = matrix.parse_polynomial
+        monkeypatch.setattr(matrix, "parse_polynomial", lambda text: calls.append(text) or real(text))
+        a = from_strings([["x", "0", "x"], ["0", "1/2 y", "x"]])
+        assert sorted(calls) == ["0", "1/2 y", "x"]
+        assert a[0, 0] is a[1, 2] and a[0, 0] == parse_polynomial("x")
 
 
 class TestKronecker:

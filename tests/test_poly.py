@@ -1,6 +1,7 @@
 """Polynomial arithmetic, canonical form, parsing, and splitting."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from polymf import (
     split_monomial,
 )
 
-from conftest import polynomials
+from conftest import polynomials, rational_polynomials
 
 
 def p(text: str) -> Polynomial:
@@ -108,6 +109,64 @@ class TestEvaluation:
         pt = {"x": x, "y": y, "z": z}
         assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
         assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
+
+
+def assert_integer_first(q: Polynomial) -> None:
+    """Every stored coefficient is an int exactly when it is integral."""
+    for m in q.terms:
+        assert type(m.coeff) in (int, Fraction)
+        assert (type(m.coeff) is int) == (m.coeff.denominator == 1), m
+
+
+def fraction_value(q: Polynomial, point) -> Fraction:
+    """Reference evaluation in Fraction arithmetic only."""
+    return sum(
+        (Fraction(m.coeff) * prod(Fraction(point[v]) ** e for v, e in m.exponents) for m in q.terms),
+        Fraction(0),
+    )
+
+
+class TestIntegerFirst:
+    def test_rational_cancellation_stores_int(self):
+        assert type((p("1/2 x") * p("2")).terms[0].coeff) is int
+        for q in (p("1/2 x") * p("2"), p("1/3 x + 2/3 x"), p("2/4 x").scale(2), p("4/2 x")):
+            assert q == p("x") or q == p("2x")
+            assert_integer_first(q)
+        assert type(Polynomial.const(Fraction(6, 3)).as_constant()) is int
+        assert type(Polynomial({(): Fraction(5)}).as_constant()) is int
+        assert type(p("3/4").as_constant()) is Fraction
+
+    @given(rational_polynomials(), rational_polynomials(), st.sampled_from([2, Fraction(3, 2), Fraction(-7, 7)]))
+    @settings(max_examples=100)
+    def test_coefficients_are_int_exactly_when_integral(self, a, b, c):
+        for q in (a, b, a * b, a + b, a - b, -a, a.scale(c), Polynomial.dot([(a, b), (b, a)])):
+            assert_integer_first(q)
+
+    @given(st.lists(st.tuples(rational_polynomials(), rational_polynomials()), max_size=4))
+    @settings(max_examples=100)
+    def test_dot_is_a_sum_of_products(self, pairs):
+        assert Polynomial.dot(pairs) == sum((a * b for a, b in pairs), Polynomial.zero())
+
+    @given(rational_polynomials())
+    @settings(max_examples=100)
+    def test_str_round_trips_on_rational_inputs(self, q):
+        again = parse_polynomial(str(q))
+        assert again == q
+        assert_integer_first(again)
+
+    @given(
+        rational_polynomials(),
+        st.integers(-50, 50), st.integers(-50, 50),
+        st.fractions(max_denominator=9), st.fractions(max_denominator=9),
+    )
+    @settings(max_examples=100)
+    def test_evaluate_matches_a_fraction_reference(self, q, x, y, fz, fy):
+        for point in ({"x": x, "y": y, "z": x - y}, {"x": x, "y": fy, "z": fz}):
+            value = q.evaluate(point)
+            assert value == fraction_value(q, point)
+            assert (type(value) is int) == (Fraction(value).denominator == 1)
+        if all(m.coeff.denominator == 1 for m in q.terms):
+            assert type(q.evaluate({"x": x, "y": y, "z": 7})) is int
 
 
 class TestMonomialSplit:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from polymf import (
     YOSHINO_VARIANTS,
+    PolyMatrix,
     commutativity_morphism,
     compose,
     direct_sum_factorizations,
@@ -37,6 +38,14 @@ class TestYoshino:
         t = yoshino(fixtures.pair_m(), fixtures.pair_q(), variant)
         assert verify_exact(t)[0]
         assert t.size == 4
+
+    @pytest.mark.parametrize("variant", YOSHINO_VARIANTS)
+    def test_each_variant_negates_two_blocks(self, variant, monkeypatch):
+        negated = []
+        real = PolyMatrix.__neg__
+        monkeypatch.setattr(PolyMatrix, "__neg__", lambda m: negated.append(m) or real(m))
+        yoshino(fixtures.pair_m(), fixtures.pair_p(), variant, verify="skip")
+        assert len(negated) == 2
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
