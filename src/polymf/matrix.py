@@ -6,13 +6,25 @@ exactly k nonzeros in each row of a size-2^(k-1) pair), so every
 operation below walks the stored nonzeros and never the n^2 slots.
 Row maps are never mutated once a matrix is built: values are immutable
 after construction and operations are pure.
+
+`mat_mul`, which every exact check runs, multiplies over packed
+exponents: per call, each monomial's exponent vector becomes one int in
+a mixed radix whose digit for a variable is wide enough to hold the sum
+of the two factors' highest exponents, so multiplying two monomials is
+one integer addition and no product can carry into the next digit.
+Coefficients are scaled to ints by a common denominator, so an output
+row accumulates in one int-keyed dict of int sums.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .poly import Coeff, EvalPoint, Polynomial, parse_polynomial
+# mat_mul reads and builds term dicts directly (see Polynomial._terms).
+from .poly import Coeff, EvalPoint, ExpKey, Polynomial, _coeff, _wrap, parse_polynomial
 
 
 class MatrixError(ValueError):
@@ -23,6 +35,8 @@ _ZERO = Polynomial.zero()
 _ONE = Polynomial.const(1)
 
 RowMap = dict[int, Polynomial]
+
+_denominator = attrgetter("denominator")
 
 
 class PolyMatrix:
@@ -159,28 +173,97 @@ def scalar_matrix(p: Polynomial, n: int) -> PolyMatrix:
 
 
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Exact product: the products a[i,k] * b[k,j] over the nonzeros of
-    row i of a are grouped by column j, and each entry is one fused
-    sum of products (`Polynomial.dot`)."""
+    """Exact product over packed exponents and integer coefficients.
+
+    Per call, each variable v gets a mixed-radix digit of width
+    maxexp_a(v) + maxexp_b(v) + 1, and a monomial's exponents are packed
+    into one int, digit by digit.  A digit of a product term is the sum of
+    one digit from a and one from b, so it never reaches its width: no
+    carry crosses digits, and adding two packed keys packs the product
+    monomial.  Distinct monomials thus keep distinct keys.  The entries
+    of b also carry their column j as the top digit (j * radix + packed).
+    Coefficients are scaled to ints by each matrix's denominator lcm, so
+    each output row is one dict from packed key to int sum.  Only the
+    nonzero sums are decoded (once per distinct key, per call) and
+    divided back by the scale.
+    """
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    dot = Polynomial.dot
+    keys_a, top_a, scale_a = _profile(a)
+    keys_b, top_b, scale_b = _profile(b)
+    digits = [(v, top_a.get(v, 0) + top_b.get(v, 0) + 1) for v in sorted(top_a.keys() | top_b.keys())]
+    place: dict[str, int] = {}
+    radix = 1
+    for v, width in digits:
+        place[v] = radix
+        radix *= width
+    packs = {k: sum(x * place[v] for v, x in k) for k in keys_a | keys_b}
+    b_rows = [
+        [(j * radix + key, c) for j, e in row.items() for key, c in _packed(e, packs, scale_b)]
+        for row in b.row_maps
+    ]
+    scale = scale_a * scale_b
+    decoded: dict[int, ExpKey] = {}
     out = []
     for arow in a.row_maps:
-        pairs: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
         for k, aik in arow.items():
-            for j, bkj in b.row_maps[k].items():
-                if j in pairs:
-                    pairs[j].append((aik, bkj))
-                else:
-                    pairs[j] = [(aik, bkj)]
-        row: RowMap = {}
-        for j, products in pairs.items():
-            e = dot(products)
-            if e:
-                row[j] = e
-        out.append(row)
+            brow = b_rows[k]
+            for ka, ca in _packed(aik, packs, scale_a):
+                for kb, cb in brow:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + ca * cb
+        terms: dict[int, dict[ExpKey, Coeff]] = {}
+        for key, c in acc.items():
+            if not c:
+                continue
+            j, packed = divmod(key, radix)
+            exps = decoded.get(packed)
+            if exps is None:
+                exps = decoded[packed] = _unpack(packed, digits)
+            if j not in terms:
+                terms[j] = {}
+            terms[j][exps] = c if scale == 1 else _coeff(Fraction(c, scale))
+        out.append({j: _wrap(t) for j, t in terms.items()})
     return _sparse(out, a.rows, b.cols)
+
+
+def _profile(m: PolyMatrix) -> tuple[set[ExpKey], dict[str, int], int]:
+    """The distinct exponent keys of m's terms, the highest exponent of
+    each variable in them, and the lcm of the coefficient denominators."""
+    keys: set[ExpKey] = set()
+    denominators = {1}
+    for row in m.row_maps:
+        for e in row.values():
+            keys.update(e._terms)
+            denominators.update(map(_denominator, e._terms.values()))
+    top: dict[str, int] = {}
+    for k in keys:
+        for v, x in k:
+            if x > top.get(v, 0):
+                top[v] = x
+    return keys, top, lcm(*denominators)
+
+
+def _packed(p: Polynomial, packs: dict[ExpKey, int], scale: int) -> Iterable[tuple[int, int]]:
+    """The terms of p as (packed exponents, coefficient * scale), all ints."""
+    t = p._terms
+    if scale == 1:
+        return zip(map(packs.__getitem__, t), t.values())
+    return [(packs[k], c.numerator * (scale // c.denominator)) for k, c in t.items()]
+
+
+def _unpack(packed: int, digits: list[tuple[str, int]]) -> ExpKey:
+    """The exponent key whose packed form is packed (lowest digit first)."""
+    exps = []
+    for v, width in digits:
+        if not packed:
+            break
+        packed, x = divmod(packed, width)
+        if x:
+            exps.append((v, x))
+    return tuple(exps)
 
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Mapping
 
 # Exponent key: ((var, exp), ...) sorted by var name, all exps > 0.
@@ -69,21 +68,11 @@ def _degree(exps: ExpKey) -> int:
     return sum(e for _, e in exps)
 
 
-def _cmp_exps(a: ExpKey, b: ExpKey) -> int:
-    """Graded-lex comparison: total degree first, then the first variable
-    (in lex order) with differing exponent decides, higher exponent wins."""
-    da, db = _degree(a), _degree(b)
-    if da != db:
-        return 1 if da > db else -1
-    ia, ib = dict(a), dict(b)
-    for v in sorted(set(ia) | set(ib)):
-        ea, eb = ia.get(v, 0), ib.get(v, 0)
-        if ea != eb:
-            return 1 if ea > eb else -1
-    return 0
-
-
-_exp_sort_key = cmp_to_key(_cmp_exps)
+def _graded_lex_key(exps: ExpKey) -> tuple:
+    """Ascending sort key of decreasing graded-lex order: higher total
+    degree first, then the first variable (in lex order) whose exponents
+    differ decides, higher exponent first."""
+    return (-_degree(exps), tuple((v, -e) for v, e in exps))
 
 
 def _times_key(ka: ExpKey, kb: ExpKey) -> ExpKey:
@@ -207,8 +196,13 @@ class Polynomial:
     @property
     def terms(self) -> tuple[Monomial, ...]:
         """Monomials in strictly decreasing graded-lex order."""
-        keys = sorted(self._terms, key=_exp_sort_key, reverse=True)
-        return tuple(Monomial(self._terms[k], k) for k in keys)
+        return tuple(Monomial(self._terms[k], k) for k in self._sorted_keys())
+
+    def _sorted_keys(self) -> list[ExpKey]:
+        """Exponent keys in strictly decreasing graded-lex order."""
+        if len(self._terms) < 2:
+            return list(self._terms)
+        return sorted(self._terms, key=_graded_lex_key)
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -307,10 +301,8 @@ class Polynomial:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        parts = []
-        for i, m in enumerate(self.terms):
-            parts.append(_format_term(m.coeff, m.exponents, leading=(i == 0)))
-        return "".join(parts)
+        terms = self._terms
+        return "".join(_format_term(terms[k], k, leading=(i == 0)) for i, k in enumerate(self._sorted_keys()))
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
@@ -337,13 +329,45 @@ _ZERO = Polynomial({})
 def _format_term(coeff: Coeff, exps: ExpKey, leading: bool) -> str:
     sign = "-" if coeff < 0 else "+"
     mag = abs(coeff)
-    factors = [f"{v}^{e}" if e > 1 else v for v, e in exps]
+    factors = [f"{v}^{_decimal(e)}" if e > 1 else v for v, e in exps]
     if not factors or mag != 1:
-        factors.insert(0, str(mag))
+        text = _decimal(mag) if type(mag) is int else f"{_decimal(mag.numerator)}/{_decimal(mag.denominator)}"
+        factors.insert(0, text)
     body = "*".join(factors)
     if leading:
         return body if coeff > 0 else f"-{body}"
     return f" {sign} {body}"
+
+
+# Python converts an int of more than sys.get_int_max_str_digits() digits
+# (4300 by default, never below 640) to or from decimal text only in
+# pieces, so numerals go through these two in chunks of _CHUNK digits:
+# parse(str(p)) == p holds for coefficients of any length.
+_CHUNK = 600
+_CHUNK_BASE = 10**_CHUNK
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of the nonnegative int n, of any length."""
+    if n < _CHUNK_BASE:
+        return str(n)
+    chunks = []
+    while n >= _CHUNK_BASE:
+        n, r = divmod(n, _CHUNK_BASE)
+        chunks.append(f"{r:0{_CHUNK}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def _int_of(digits: str) -> int:
+    """The int of a string of decimal digits, of any length."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    value = 0
+    for start in range(0, len(digits), _CHUNK):
+        chunk = digits[start : start + _CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def count_expanded_monomials(p: Polynomial) -> int:
@@ -447,16 +471,17 @@ class _Parser:
     def factor(self) -> Polynomial:
         kind, text, offset = self.next()
         if kind == "num":
-            value: Coeff = int(text)
+            value: Coeff = _int_of(text)
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "/":
                 self.next()
                 dkind, dtext, doffset = self.next()
                 if dkind != "num":
                     raise ParseError("expected denominator", doffset)
-                if int(dtext) == 0:
+                denominator = _int_of(dtext)
+                if denominator == 0:
                     raise ParseError("zero denominator", doffset)
-                value = Fraction(value, int(dtext))
+                value = Fraction(value, denominator)
             return Polynomial.const(value)
         if kind == "name":
             exp = 1
@@ -468,7 +493,7 @@ class _Parser:
                     raise ParseError("negative exponent", eoffset)
                 if ekind != "num":
                     raise ParseError("expected exponent", eoffset)
-                exp = int(etext)
+                exp = _int_of(etext)
             return Polynomial.variable(text, exp)
         raise ParseError(f"unexpected token {text!r}", offset)
 

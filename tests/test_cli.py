@@ -185,6 +185,17 @@ class TestVerify:
              "--output", str(out)])
         assert run(["verify", "--input", str(out)]) == 0
 
+    def test_long_coefficients_round_trip(self, tmp_path):
+        sevens = "7" * 3000
+        doc = {"terms": ["zy"], "products": [[f"{sevens}x + y", f"{sevens}z + w"]]}
+        out = tmp_path / "out.json"
+        assert run(["factorize", "--input", write_json(tmp_path, "long.json", doc),
+                    "--format", "structured", "--output", str(out)]) == 0
+        assert parse_polynomial(json.loads(out.read_text())["f"]) == SummandReducedPoly.from_strings(
+            doc["terms"], doc["products"]
+        ).expanded_polynomial()
+        assert run(["verify", "--input", str(out)]) == 0
+
     def test_paper_fixtures_pass(self, tmp_path):
         for name, mf in (("p1", fixtures.part1_pair()), ("p2", fixtures.part2_pair())):
             path = tmp_path / f"{name}.json"

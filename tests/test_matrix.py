@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polymf import matrix
 from polymf import (
     MatrixError,
+    Monomial,
     PolyMatrix,
     Polynomial,
     block2x2,
@@ -24,7 +25,7 @@ from polymf import (
     zeros,
 )
 
-from conftest import poly_matrices, rational_polynomials
+from conftest import INTEGER_COEFFICIENTS, RATIONAL_COEFFICIENTS, poly_matrices, polynomials, rational_polynomials
 
 rational_matrices = poly_matrices(entries=rational_polynomials(max_terms=2))
 
@@ -115,6 +116,95 @@ class TestProducts:
             for j in range(b.cols):
                 assert c[i, j] == sum((a[i, k] * b[k, j] for k in range(a.cols)), Polynomial.zero())
         assert_sparse(c)
+
+
+# Wide monomials for the packed product: six or more variables (numbered
+# names included) and exponents from 1 to past 1000.
+WIDE_VARS = ("a", "b", "x", "x1", "x10", "x2", "y", "z")
+
+
+@st.composite
+def wide_monomials(draw, coefficients) -> Monomial:
+    names = draw(st.lists(st.sampled_from(WIDE_VARS), unique=True, max_size=len(WIDE_VARS)))
+    exps = tuple(sorted((v, draw(st.one_of(st.integers(1, 3), st.integers(999, 1200)))) for v in names))
+    return Monomial(draw(coefficients), exps)
+
+
+def wide_polynomials(coefficients):
+    return st.lists(wide_monomials(coefficients), max_size=3).map(Polynomial.from_monomials)
+
+
+ENTRY_STRATEGIES = {
+    "integer": polynomials(max_terms=2),
+    "rational": rational_polynomials(max_terms=2),
+    "constant": st.builds(Polynomial.const, RATIONAL_COEFFICIENTS | st.just(0)),
+    "wide-integer": wide_polynomials(INTEGER_COEFFICIENTS),
+    "wide-rational": wide_polynomials(RATIONAL_COEFFICIENTS),
+}
+
+
+def entrywise_product(a, b):
+    """Reference product: each entry is Polynomial.dot of the paired entries."""
+    return PolyMatrix(
+        [[Polynomial.dot((a[i, k], b[k, j]) for k in range(a.cols)) for j in range(b.cols)] for i in range(a.rows)],
+        a.rows,
+        b.cols,
+    )
+
+
+def assert_integer_first(a):
+    for _, _, e in a.nonzeros():
+        for term in e.terms:
+            assert (type(term.coeff) is int) == (term.coeff.denominator == 1), term
+
+
+class TestPackedProduct:
+    @pytest.mark.parametrize("kind", sorted(ENTRY_STRATEGIES))
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_matches_the_entrywise_reference(self, kind, data):
+        rows, inner, cols = (data.draw(st.integers(0, 3)) for _ in range(3))
+        entries = ENTRY_STRATEGIES[kind]
+        a = data.draw(poly_matrices(rows, inner, entries=entries))
+        b = data.draw(poly_matrices(inner, cols, entries=entries))
+        c = mat_mul(a, b)
+        assert (c.rows, c.cols) == (rows, cols)
+        assert c == entrywise_product(a, b)
+        if rows:  # the dense view of a 0-row matrix has no column count
+            assert_sparse(c)
+        assert_integer_first(c)
+
+    def test_empty_shapes(self):
+        assert mat_mul(zeros(0, 3), zeros(3, 2)) == zeros(0, 2)
+        assert mat_mul(zeros(2, 0), zeros(0, 3)) == zeros(2, 3)
+        assert mat_mul(m([["x", "y"]]), zeros(2, 0)) == zeros(1, 0)
+
+    def test_cancelling_rows_store_nothing(self):
+        c = mat_mul(m([["x", "y"], ["1/2 x", "1/2 y"], ["x", "0"]]), m([["y", "2y"], ["-x", "-2x"]]))
+        assert c.row_maps == ({}, {}, {0: parse_polynomial("xy"), 1: parse_polynomial("2xy")})
+        assert_sparse(c)
+
+    def test_no_variables(self):
+        c = mat_mul(m([["2", "1/3"], ["0", "-1"]]), m([["3", "0"], ["6", "1/2"]]))
+        assert c == m([["8", "1/6"], ["-6", "-1/2"]])
+        assert_integer_first(c)
+
+    def test_exponent_sums_do_not_carry(self):
+        # x has top exponent 2 in both factors.  A digit of width 2 + 2
+        # would pack x^4 as the next variable's digit 1, i.e. as y.
+        a = m([["x^2", "y"]])
+        b = m([["x^2"], ["1"]])
+        assert mat_mul(a, b) == m([["x^4 + y"]])
+        # The top digit is the column: y^4 must not carry into column 1.
+        assert mat_mul(m([["y^2"]]), m([["y^2", "1"]])) == m([["y^4", "y^2"]])
+
+    def test_large_exponents_and_many_variables(self):
+        a = m([["a^1000 b x1 - x10^1200", "x2^999 y z"]])
+        b = m([["b^1000 x10 + x1"], ["a x2 z^1001"]])
+        expected = parse_polynomial(
+            "a^1000 b^1001 x1 x10 + a^1000 b x1^2 - b^1000 x10^1201 - x1 x10^1200 + a x2^1000 y z^1002"
+        )
+        assert mat_mul(a, b) == scalar_matrix(expected, 1)
 
 
 class TestFromStrings:

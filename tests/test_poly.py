@@ -65,11 +65,29 @@ class TestParsing:
         assert p("x - x").is_zero()
         assert str(p("xy - yx")) == "0"
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * 5000, f"{'9' * 5000}/{'7' * 4999}x^{'3' * 4400} - {'8' * 12000}y", "2" * 601 + "x"],
+        ids=["integer", "rational-and-exponent", "just-over-a-chunk"],
+    )
+    def test_numerals_of_any_length_round_trip(self, text):
+        q = p(text)
+        assert parse_polynomial(str(q)) == q
+        assert (q - q).is_zero()
+
+    def test_long_numeral_value(self):
+        assert p("1" * 5000).as_constant() == (10**5000 - 1) // 9
+
 
 class TestCanonicalForm:
     def test_graded_lex_order(self):
         q = p("y + x^2 + xy + 1")
         assert [str(m) for m in q.terms] == ["x^2", "x*y", "y", "1"]
+
+    def test_graded_lex_order_of_numbered_names(self):
+        q = p("x10 + x1 + x1^2 + x*x10 + x^2 + 3")
+        assert [str(m) for m in q.terms] == ["x^2", "x*x10", "x1^2", "x1", "x10", "3"]
+        assert str(q) == "x^2 + x*x10 + x1^2 + x1 + x10 + 3"
 
     def test_like_terms_combine(self):
         assert p("2x + 3x") == p("5x")
