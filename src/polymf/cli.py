@@ -1,7 +1,8 @@
 """Command-line surface: factorize, verify, predict, demo.
 
 Exit codes: 0 success, 1 demo fixture failure, 2 parse/validation
-failure, 3 verification failure, 4 construction cap exceeded.
+failure, 3 verification failure, 4 construction or evaluation cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import fixtures
 from .factorization import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    EvaluationCapError,
     MatrixFactorization,
     VerificationError,
     certify,
@@ -181,7 +183,7 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
                 )
         # built unchecked, so that the one certificate is the one reported
         record = certify(mf, cfg.verify_mode, cfg.trials, cfg.seed)
-    except CapExceededError as exc:
+    except (CapExceededError, EvaluationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValidationFailure as exc:
@@ -211,6 +213,9 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         ok, diag = True, "ok"
     except VerificationError as exc:
         ok, diag, record = False, str(exc), exc.record
+    except EvaluationCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
     if cfg.output_format == "structured":
         _write_output(
             args.output,

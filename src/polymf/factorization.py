@@ -3,21 +3,26 @@
 A matrix factorization of f is a pair (phi, psi) of n x n polynomial
 matrices with phi*psi = psi*phi = f*I_n.  `certify` is the one place a
 pair is checked: it maps the requested mode and the size to the check
-that runs (exact symbolic products up to EXACT_SIZE_THRESHOLD, exact
-products at random integer points above it), runs it, and returns a
-record of what ran.  Both checks use exact arithmetic, so a reported
-failure is always genuine.
+that runs (the exact symbolic product up to EXACT_SIZE_THRESHOLD,
+Freivalds' vector check at random integer points above it), runs it,
+and returns a record of what ran.  Both checks use exact arithmetic, so
+a reported failure is always genuine.
+
+Both check phi*psi alone when f != 0: Q[x] is a domain, so phi*psi = f*I
+makes psi/f a right inverse of phi over its fraction field, hence a
+two-sided one, and psi*phi = f*I.  For f = 0 that argument fails
+(phi*psi = 0 says nothing of psi*phi), and psi*phi is checked as well.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
 from math import lcm
+from operator import mul
 
 from .matrix import PolyMatrix, MatrixError, from_strings, identity, mat_mul, scalar_matrix
-from .poly import Coeff, Polynomial, parse_polynomial
+from .poly import Polynomial, parse_polynomial
 
 # certify checks exactly up to this size and by randomized point checks
 # above it; pass verify="exact" to force the full product.
@@ -25,6 +30,17 @@ EXACT_SIZE_THRESHOLD = 64
 DEFAULT_TRIALS = 8
 DEFAULT_SEED = 0
 COORDINATE_BOUND = 10**6
+# verify_randomized refuses, before any trial, a pair with an entry or f
+# whose value at a point of [-COORDINATE_BOUND, COORDINATE_BOUND]^m may
+# exceed this many bits (see Polynomial.value_bits).  A trial makes one
+# product of two such values per stored nonzero of phi, about 2 ms each
+# at 2^16 bits on a 2-core Xeon; the paper's pairs stay below 200 bits.
+EVALUATION_BIT_CAP = 2**16
+
+
+class EvaluationCapError(ValueError):
+    """verify_randomized refused a pair whose values at a random point
+    may exceed EVALUATION_BIT_CAP bits; no trial ran."""
 
 
 class VerificationError(ValueError):
@@ -61,8 +77,8 @@ class MatrixFactorization:
         return {
             "f": str(self.f),
             "size": self.size,
-            "phi": [[str(e) for e in row] for row in self.phi.entries],
-            "psi": [[str(e) for e in row] for row in self.psi.entries],
+            "phi": self.phi.texts(),
+            "psi": self.psi.texts(),
         }
 
     @staticmethod
@@ -142,10 +158,14 @@ def certify(
 def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
     """Check phi*psi = psi*phi = f*I by exact symbolic products.
 
-    Returns (True, "ok") or (False, diagnostics naming the first
-    offending entry and its value).
+    Computes phi*psi, and psi*phi only when f = 0 (see the module
+    docstring for why one order suffices otherwise).  Returns (True, "ok")
+    or (False, diagnostics naming the first offending entry and its value).
     """
-    for name, a, b in (("phi*psi", mf.phi, mf.psi), ("psi*phi", mf.psi, mf.phi)):
+    orders = [("phi*psi", mf.phi, mf.psi)]
+    if mf.f.is_zero():
+        orders.append(("psi*phi", mf.psi, mf.phi))
+    for name, a, b in orders:
         product = mat_mul(a, b)
         for i, row in enumerate(product.row_maps):
             want = {i: mf.f} if mf.f else {}
@@ -161,72 +181,75 @@ def verify_randomized(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> bool:
-    """Check phi*psi = f*I at random integer points, exactly.
+    """Check phi*psi = f*I by Freivalds' vector check at random integer
+    points, exactly.
 
-    Each trial draws integer coordinates uniformly in
-    [-COORDINATE_BOUND, COORDINATE_BOUND], evaluates both factors and f,
-    and checks the numeric product identity with exact arithmetic.
-    Deterministic given the seed.  Never fails on a valid factorization.
-    If phi*psi != f*I, some entry of phi*psi - f*I is a nonzero
-    polynomial of degree at most max(max deg phi + max deg psi, deg f),
-    so a single point misses it with probability at most that degree
-    over 2*COORDINATE_BOUND + 1 (Schwartz-Zippel).
+    Each stored nonzero of phi and psi is first mapped to an index into
+    the list of distinct entries.  Each trial then draws a point x and a
+    vector r, both with integer coordinates uniform in [-B, B] for
+    B = COORDINATE_BOUND, evaluates every distinct entry and f once at x,
+    and checks phi(x)*(psi(x)*r) = f(x)*r over the stored nonzeros, in
+    ints scaled by the lcm of the values' denominators: O(nnz) work per
+    trial.  Deterministic given the seed.  Never fails on a valid
+    factorization.
 
-    Checking phi*psi alone suffices when f != 0: Q[x] is a domain, so
-    phi*psi = f*I makes psi/f a right inverse of phi over its fraction
-    field, hence a two-sided one, and psi*phi = f*I.  For f = 0 that
-    argument fails, and psi*phi is checked as well.
+    If phi*psi != f*I, some entry of (phi*psi - f*I)*r, read as a
+    polynomial in x and in the n coordinates of r as extra variables, is
+    nonzero of degree at most D + 1, where D = max(deg phi + deg psi,
+    deg f) over the highest entry degrees.  So a wrong pair escapes one
+    trial with probability at most (D+1)/(2B+1) (Schwartz-Zippel), and
+    every trial with at most ((D+1)/(2B+1))^trials.  For f = 0, where
+    phi*psi = 0 proves nothing about psi*phi (see the module docstring),
+    each trial also checks psi(x)*(phi(x)*r) = 0.
+
+    Raises EvaluationCapError, before any trial, if a value at a point of
+    [-B, B]^m may exceed EVALUATION_BIT_CAP bits.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    variables = sorted(mf.phi.variables() | mf.psi.variables() | mf.f.variables())
+    index: dict[Polynomial, int] = {}
+
+    def indexed(m: PolyMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each row as (columns, indices of the entries in `distinct`)."""
+        return [
+            (tuple(row), tuple(index.setdefault(e, len(index)) for e in row.values()))
+            for row in m.row_maps
+        ]
+
+    phi_rows, psi_rows = indexed(mf.phi), indexed(mf.psi)
+    distinct = list(index)
+    bits = max(p.value_bits(COORDINATE_BOUND) for p in (*distinct, mf.f))
+    if bits > EVALUATION_BIT_CAP:
+        raise EvaluationCapError(
+            f"randomized verification skipped: a value at a random point may "
+            f"reach {bits} bits, over the cap of {EVALUATION_BIT_CAP}"
+        )
+    variables = sorted(mf.f.variables().union(*(e.variables() for e in distinct)))
     both_orders = mf.f.is_zero()
+    rng = random.Random(seed)
     for _ in range(trials):
         point = {v: rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for v in variables}
-        a = [(i, j, e.evaluate(point)) for i, j, e in mf.phi.nonzeros()]
-        b = [(i, j, e.evaluate(point)) for i, j, e in mf.psi.nonzeros()]
+        values = [e.evaluate(point) for e in distinct]
         fval = mf.f.evaluate(point)
-        if not _product_equals_scalar(mf.size, a, b, fval):
+        r = [rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for _ in range(mf.size)]
+        scale = lcm(fval.denominator, *(x.denominator for x in values))
+        if scale != 1:
+            values = [x.numerator * (scale // x.denominator) for x in values]
+        want = fval.numerator * (scale * scale // fval.denominator)
+        if _apply(phi_rows, values, _apply(psi_rows, values, r)) != [want * x for x in r]:
             return False
-        if both_orders and not _product_equals_scalar(mf.size, b, a, fval):
-            return False
-    return True
-
-
-def _product_equals_scalar(
-    n: int,
-    a: list[tuple[int, int, Coeff]],
-    b: list[tuple[int, int, Coeff]],
-    c: Coeff,
-) -> bool:
-    """Exact check that a @ b == c*I for n x n rational matrices given by
-    their nonzeros (row, col, value).
-
-    Every value is scaled to a Python int by the common denominator, and
-    each row of a @ b is accumulated in a dict over the nonzeros of b's
-    rows; Python ints are exact, so no magnitude bound is needed.
-    """
-    scale = c.denominator
-    for _, _, x in chain(a, b):
-        scale = lcm(scale, x.denominator)
-
-    def rows(entries: list[tuple[int, int, Coeff]]) -> list[list[tuple[int, int]]]:
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i, j, x in entries:
-            out[i].append((j, x.numerator * (scale // x.denominator)))
-        return out
-
-    b_rows = rows(b)
-    want = c.numerator * (scale * scale // c.denominator)
-    for i, a_row in enumerate(rows(a)):
-        acc: dict[int, int] = {}
-        for k, x in a_row:
-            for j, y in b_rows[k]:
-                acc[j] = acc.get(j, 0) + x * y
-        if acc.pop(i, 0) != want or any(acc.values()):
+        if both_orders and any(_apply(psi_rows, values, _apply(phi_rows, values, r))):
             return False
     return True
+
+
+def _apply(
+    rows: list[tuple[tuple[int, ...], tuple[int, ...]]], values: list[int], v: list[int]
+) -> list[int]:
+    """The matrix whose row i holds values[k] at column j, for the
+    (columns, indices) pairs in rows[i], times the vector v."""
+    get_value, get_v = values.__getitem__, v.__getitem__
+    return [sum(map(mul, map(get_value, ks), map(get_v, js))) for js, ks in rows]
 
 
 # ---------------------------------------------------------------------------

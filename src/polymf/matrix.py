@@ -91,9 +91,6 @@ class PolyMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def variables(self) -> set[str]:
-        return set().union(*(e.variables() for row in self.row_maps for e in row.values()))
-
     def transpose(self) -> "PolyMatrix":
         out: list[RowMap] = [{} for _ in range(self.cols)]
         for i, j, e in self.nonzeros():
@@ -117,9 +114,25 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return mat_mul(self, other)
 
+    def texts(self) -> list[list[str]]:
+        """The dense grid of entry texts, "0" where no entry is stored.
+        Walks the stored nonzeros only, and calls str once per distinct
+        entry object: a pair's rows share a few polynomial objects."""
+        memo: dict[int, str] = {}
+        out = []
+        for row in self.row_maps:
+            line = ["0"] * self.cols
+            for j, e in row.items():
+                text = memo.get(id(e))
+                if text is None:
+                    text = memo[id(e)] = str(e)
+                line[j] = text
+            out.append(line)
+        return out
+
     def render(self) -> str:
         """Text form: rows on lines, entries comma-separated."""
-        return "\n".join(", ".join(str(e) for e in row) for row in self.entries)
+        return "\n".join(", ".join(row) for row in self.texts())
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols})"

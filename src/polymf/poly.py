@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 # Exponent key: ((var, exp), ...) sorted by var name, all exps > 0.
@@ -283,6 +284,26 @@ class Polynomial:
                 val *= x**e
             total += val
         return _coeff(total)
+
+    def value_bits(self, bound: int) -> int:
+        """A bound on the bits of the numerator of this polynomial's value
+        at any integer point whose coordinates have absolute value at most
+        bound: total degree * bit_length(bound) + coefficient bits (the
+        largest numerator's and the denominators' lcm's) +
+        bit_length(#terms).  It costs one pass over the terms and none of
+        the value's arithmetic."""
+        terms = self._terms
+        if not terms:
+            return 0
+        degree = max(map(_degree, terms))
+        top = max(abs(c.numerator) for c in terms.values())
+        denominators = lcm(*(c.denominator for c in terms.values()))
+        return (
+            degree * bound.bit_length()
+            + top.bit_length()
+            + denominators.bit_length()
+            + len(terms).bit_length()
+        )
 
     # -- equality / hashing ----------------------------------------------
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -119,6 +120,15 @@ class TestFactorize:
                     "--output", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["size"] == size
+
+    def test_evaluation_cap_exit_code(self, tmp_path, capsys):
+        # improved size 128 is certified at random points, where f has
+        # degree 20003: about 400000 bits per value
+        doc = {"terms": [], "products": [["x^20000y + z^2", "x + y"], ["x + z", "y + z"]]}
+        code = run(["factorize", "--input", write_json(tmp_path, "deep.json", doc),
+                    "--method", "improved"])
+        assert code == 4
+        assert_error_line(capsys)
 
     def test_cap_exceeded_exit_code(self, tmp_path):
         src = tmp_path / "part2.json"
@@ -250,6 +260,25 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False and report["size"] == 128
         assert (report["mode"], report["trials"], report["seed"]) == ("randomized", 8, 0)
+
+    def test_evaluation_cap_stops_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def never(p, point):
+            raise AssertionError("a trial started")
+
+        n, x_e = 65, "x^1000000"
+        doc = {
+            "f": x_e,
+            "size": n,
+            "phi": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+            "psi": [[x_e if i == j else "0" for j in range(n)] for i in range(n)],
+        }
+        path = write_json(tmp_path, "mf.json", doc)
+        monkeypatch.setattr(Polynomial, "evaluate", never)
+        start = time.perf_counter()
+        code = run(["verify", "--input", path, "--trials", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert_error_line(capsys)
 
     def test_trials_must_be_positive(self, tmp_path):
         path = write_json(tmp_path, "mf.json", fixtures.pair_m().to_dict())

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polymf import (
     EXACT_SIZE_THRESHOLD,
+    EvaluationCapError,
     MatrixFactorization,
     MatrixError,
     Morphism,
@@ -18,16 +19,21 @@ from polymf import (
     certify,
     compose,
     from_strings,
+    identity,
     identity_morphism,
     is_morphism,
     make_factorization,
     parse_polynomial,
     run_improved,
+    run_refined,
+    run_standard,
+    scalar_matrix,
     scalar_morphism,
     verify_exact,
     verify_randomized,
 )
-from polymf import fixtures
+from polymf import factorization, fixtures
+from polymf.factorization import COORDINATE_BOUND, EVALUATION_BIT_CAP
 
 from conftest import factorizations, nonzero_polynomials
 
@@ -44,12 +50,37 @@ def pair_p_case():
     return good, with_phi_entry(good, 2, 1, parse_polynomial("x^3"))
 
 
-def improved_128_case(products):
-    """The improved pair of a no-monomial document (size 128, above the
-    exact threshold), and the same pair with one phi entry +1."""
-    good = run_improved(SummandReducedPoly.from_strings([], products), verify="skip")
-    assert good.size == 128 > EXACT_SIZE_THRESHOLD
+PART2 = (["x^5y^2"], [["xy^2 + x^2z + yz^2", "x^2z + y^2 + y^2z"]])
+TWO_PRODUCT = (
+    ["zy"],
+    [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
+)
+
+
+def plus_one_case(run, doc, size):
+    """The pair run builds from doc (terms, products), of the given size
+    above the exact threshold, and the same pair with one phi entry +1."""
+    good = run(SummandReducedPoly.from_strings(*doc), verify="skip")
+    assert good.size == size > EXACT_SIZE_THRESHOLD
     return good, with_phi_entry(good, 5, 9, good.phi.entries[5][9] + Polynomial.const(1))
+
+
+def improved_128_case(products):
+    """The improved pair of a no-monomial document (size 128), and the
+    same pair with one phi entry +1."""
+    return plus_one_case(run_improved, ([], products), 128)
+
+
+def paper_pairs():
+    """The pipelines' pairs of the paper corpus: part I, part II and the
+    two-product example (up to size 2048)."""
+    part1 = (["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]])
+    for doc in (part1, PART2, TWO_PRODUCT):
+        srp = SummandReducedPoly.from_strings(*doc)
+        yield run_refined(srp, verify="skip")
+        yield run_improved(srp, verify="skip")
+        if doc is not TWO_PRODUCT:  # 2^15 by the standard method
+            yield run_standard(srp, verify="skip")
 
 
 class TestVerifyExact:
@@ -88,6 +119,27 @@ class TestVerifyExact:
     def test_standard_constructions_verify(self, mf):
         assert verify_exact(mf)[0]
 
+    @pytest.mark.parametrize(
+        "mf, products",
+        [
+            (fixtures.part1_pair(), 1),
+            # f = 0: phi*psi = 0 does not imply psi*phi = 0
+            (MatrixFactorization(Polynomial.zero(), from_strings([["x"]]), from_strings([["0"]])), 2),
+        ],
+        ids=["f_nonzero", "f_zero"],
+    )
+    def test_one_product_unless_f_is_zero(self, monkeypatch, mf, products):
+        mat_mul = factorization.mat_mul
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(factorization, "mat_mul", counting)
+        assert verify_exact(mf) == (True, "ok")
+        assert len(calls) == products
+
 
 class TestVerifyRandomized:
     def test_valid_pair_never_fails(self):
@@ -101,8 +153,10 @@ class TestVerifyRandomized:
             pair_p_case,
             lambda: improved_128_case([["xy + z^2", "x + y"], ["x + z", "y + z"]]),
             lambda: improved_128_case([["1/2xy + z^2", "x + 2/3y"], ["x + 3/7z", "y + z"]]),
+            lambda: plus_one_case(run_refined, TWO_PRODUCT, 512),
+            lambda: plus_one_case(run_standard, PART2, 512),
         ],
-        ids=["pair_p", "improved_128", "improved_128_rational"],
+        ids=["pair_p", "improved_128", "improved_128_rational", "refined_512", "standard_512"],
     )
     def test_detects_a_corrupted_entry(self, case):
         good, bad = case()
@@ -128,6 +182,21 @@ class TestVerifyRandomized:
         assert not verify_exact(mf)[0]
         assert not verify_randomized(mf, trials=1)
 
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_evaluates_each_distinct_entry_once_per_trial(self, monkeypatch, trials):
+        good, _ = improved_128_case([["xy + z^2", "x + y"], ["x + z", "y + z"]])
+        distinct = {e for m in (good.phi, good.psi) for _, _, e in m.nonzeros()}
+        evaluate = Polynomial.evaluate
+        calls = []
+
+        def counting(p, point):
+            calls.append(p)
+            return evaluate(p, point)
+
+        monkeypatch.setattr(Polynomial, "evaluate", counting)
+        assert verify_randomized(good, trials=trials)
+        assert len(calls) == trials * (len(distinct) + 1)
+
     def test_deterministic_given_seed(self):
         mf = fixtures.pair_n()
         assert verify_randomized(mf, trials=2, seed=7) == verify_randomized(
@@ -148,6 +217,25 @@ class TestVerifyRandomized:
                 verify="auto",
             )
         assert EXACT_SIZE_THRESHOLD == 64
+
+
+class TestEvaluationCap:
+    def test_refused_before_any_trial(self, monkeypatch):
+        def never(p, point):
+            raise AssertionError("a trial started")
+
+        x_e = parse_polynomial("x^1000000")
+        n = EXACT_SIZE_THRESHOLD + 1
+        mf = MatrixFactorization(x_e, identity(n), scalar_matrix(x_e, n))
+        monkeypatch.setattr(Polynomial, "evaluate", never)
+        with pytest.raises(EvaluationCapError, match="20000003 bits"):
+            certify(mf)
+
+    def test_paper_corpus_is_far_below_the_cap(self):
+        for mf in paper_pairs():
+            entries = {e for m in (mf.phi, mf.psi) for _, _, e in m.nonzeros()}
+            bits = max(p.value_bits(COORDINATE_BOUND) for p in (*entries, mf.f))
+            assert bits < EVALUATION_BIT_CAP // 100
 
 
 class TestCertify:

@@ -86,6 +86,24 @@ class TestBasics:
         again = from_strings(row.split(", ") for row in a.render().splitlines())
         assert again == a
 
+    @given(poly_matrices(rows=3, cols=2))
+    @settings(max_examples=50)
+    def test_texts_match_the_dense_view(self, a):
+        assert a.texts() == [[str(e) for e in row] for row in a.entries]
+
+    def test_texts_format_each_entry_object_once(self, monkeypatch):
+        a = m([["x + y", "x + y", "0"], ["0", "x + y", "1"]])  # "x + y" parsed once
+        to_str = Polynomial.__str__
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return to_str(p)
+
+        monkeypatch.setattr(Polynomial, "__str__", counting)
+        assert a.render() == "x + y, x + y, 0\n0, x + y, 1"
+        assert len(calls) == 2
+
 
 class TestProducts:
     def test_known_product(self):

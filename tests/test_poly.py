@@ -128,6 +128,13 @@ class TestEvaluation:
         assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
         assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
 
+    @given(rational_polynomials(), st.integers(1, 10**6), st.data())
+    @settings(max_examples=200)
+    def test_value_bits_bounds_the_value(self, q, bound, data):
+        coordinates = st.sampled_from((-bound, bound)) | st.integers(-bound, bound)
+        pt = {v: data.draw(coordinates) for v in "xyz"}
+        assert Fraction(q.evaluate(pt)).numerator.bit_length() <= q.value_bits(bound)
+
 
 def assert_integer_first(q: Polynomial) -> None:
     """Every stored coefficient is an int exactly when it is integral."""
