@@ -8,6 +8,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -119,7 +120,7 @@ def _render_factorization(
         doc["method"] = cfg.method
         doc["predicted_sizes"] = predicted
         doc["verification"] = record
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc)
     lines = [
         f"f = {mf.f}",
         f"method = {cfg.method}",
@@ -219,10 +220,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.output_format == "structured":
         _write_output(
             args.output,
-            json.dumps(
-                {"f": str(mf.f), "size": mf.size, "pass": ok, **record, "diagnostics": diag},
-                indent=2,
-            ),
+            json.dumps({"f": str(mf.f), "size": mf.size, "pass": ok, **record, "diagnostics": diag}),
         )
     else:
         _write_output(args.output, f"{'pass' if ok else 'FAIL'}: {diag}")
@@ -245,7 +243,7 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if cfg.output_format == "structured":
-        _write_output(args.output, json.dumps(sizes.to_dict(), indent=2))
+        _write_output(args.output, json.dumps(sizes.to_dict()))
     else:
         _write_output(
             args.output,
@@ -395,8 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by later calls in
+    the process: building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cfg = RunConfig(
         method=args.method,
         yoshino_variant=args.yoshino_variant,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .matrix import PolyMatrix, MatrixError, from_strings, identity, mat_mul, scalar_matrix
+from .matrix import PolyMatrix, MatrixError, _once_per_object, from_strings, identity, mat_mul, scalar_matrix
 from .poly import Polynomial, parse_polynomial
 
 # certify checks exactly up to this size and by randomized point checks
@@ -36,11 +36,16 @@ COORDINATE_BOUND = 10**6
 # product of two such values per stored nonzero of phi, about 2 ms each
 # at 2^16 bits on a 2-core Xeon; the paper's pairs stay below 200 bits.
 EVALUATION_BIT_CAP = 2**16
+# It also refuses a pair whose one trial may take more than this many
+# products of 64-bit words (see _trial_work), about 0.25 s on the same
+# Xeon; the paper's pairs stay about 1000 times below it.
+TRIAL_WORK_CAP = 2**28
 
 
 class EvaluationCapError(ValueError):
     """verify_randomized refused a pair whose values at a random point
-    may exceed EVALUATION_BIT_CAP bits; no trial ran."""
+    may exceed EVALUATION_BIT_CAP bits, or whose one trial may exceed
+    TRIAL_WORK_CAP; no trial ran."""
 
 
 class VerificationError(ValueError):
@@ -89,10 +94,8 @@ class MatrixFactorization:
         if not isinstance(data["f"], str):
             raise MatrixError("'f' must be a string")
         for name in ("phi", "psi"):
-            rows = data[name]
-            if not isinstance(rows, list) or not all(
-                isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
-            ):
+            # from_strings checks the rows and their entries as it parses
+            if not isinstance(data[name], list):
                 raise MatrixError(f"{name!r} must be a list of rows of strings")
         if not data["phi"]:
             raise MatrixError("a factorization has at least one row")
@@ -203,29 +206,39 @@ def verify_randomized(
     each trial also checks psi(x)*(phi(x)*r) = 0.
 
     Raises EvaluationCapError, before any trial, if a value at a point of
-    [-B, B]^m may exceed EVALUATION_BIT_CAP bits.
+    [-B, B]^m may exceed EVALUATION_BIT_CAP bits, or if the estimated work
+    of one trial (see _trial_work) exceeds TRIAL_WORK_CAP.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     index: dict[Polynomial, int] = {}
+    # Entries are looked up by object first: the pipelines' pairs share
+    # one object per distinct entry, so each object is hashed and compared
+    # by value once, not once per slot.
+    slot = _once_per_object(lambda e: index.setdefault(e, len(index)))
 
     def indexed(m: PolyMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each row as (columns, indices of the entries in `distinct`)."""
-        return [
-            (tuple(row), tuple(index.setdefault(e, len(index)) for e in row.values()))
-            for row in m.row_maps
-        ]
+        return [(tuple(row), tuple(map(slot, row.values()))) for row in m.row_maps]
 
     phi_rows, psi_rows = indexed(mf.phi), indexed(mf.psi)
     distinct = list(index)
-    bits = max(p.value_bits(COORDINATE_BOUND) for p in (*distinct, mf.f))
-    if bits > EVALUATION_BIT_CAP:
+    bits = [p.value_bits(COORDINATE_BOUND) for p in distinct]
+    f_bits = mf.f.value_bits(COORDINATE_BOUND)
+    top = max([f_bits, *bits])
+    if top > EVALUATION_BIT_CAP:
         raise EvaluationCapError(
             f"randomized verification skipped: a value at a random point may "
-            f"reach {bits} bits, over the cap of {EVALUATION_BIT_CAP}"
+            f"reach {top} bits, over the cap of {EVALUATION_BIT_CAP}"
+        )
+    both_orders = mf.f.is_zero()
+    work = _trial_work(mf.size, f_bits, _extent(phi_rows, bits), _extent(psi_rows, bits), both_orders)
+    if work > TRIAL_WORK_CAP:
+        raise EvaluationCapError(
+            f"randomized verification skipped: one trial may take {work} products "
+            f"of 64-bit words, over the cap of {TRIAL_WORK_CAP}"
         )
     variables = sorted(mf.f.variables().union(*(e.variables() for e in distinct)))
-    both_orders = mf.f.is_zero()
     rng = random.Random(seed)
     for _ in range(trials):
         point = {v: rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for v in variables}
@@ -241,6 +254,45 @@ def verify_randomized(
         if both_orders and any(_apply(psi_rows, values, _apply(phi_rows, values, r))):
             return False
     return True
+
+
+def _extent(rows: list[tuple[tuple[int, ...], tuple[int, ...]]], bits: list[int]) -> tuple[int, int]:
+    """The stored nonzeros of an indexed matrix (see verify_randomized)
+    and the most value bits of any of its entries."""
+    used = set().union(*(ks for _, ks in rows))
+    return sum(len(ks) for _, ks in rows), max((bits[k] for k in used), default=0)
+
+
+def _trial_work(
+    n: int, f_bits: int, phi: tuple[int, int], psi: tuple[int, int], both_orders: bool
+) -> int:
+    """An estimate of one Freivalds trial's arithmetic, in products of
+    64-bit words, from each factor's (stored nonzeros, value bits).
+
+    A trial computes u = psi(x)*r, where each stored nonzero multiplies a
+    value by a coordinate of r, then phi(x)*u, where each multiplies a
+    value by a coordinate of u (at most psi's value bits + r's + log2 n
+    bits), and f(x)*r; for f = 0 also the other order.  A product of an
+    a-word and a b-word int counts as a*b.
+    """
+    r_bits = COORDINATE_BOUND.bit_length()
+
+    def order(first: tuple[int, int], second: tuple[int, int]) -> int:
+        (first_nnz, first_bits), (second_nnz, second_bits) = first, second
+        u_bits = first_bits + r_bits + n.bit_length()
+        return (
+            first_nnz * _words(first_bits) * _words(r_bits)
+            + second_nnz * _words(second_bits) * _words(u_bits)
+        )
+
+    work = order(psi, phi) + n * _words(f_bits) * _words(r_bits)
+    if both_orders:
+        work += order(phi, psi)
+    return work
+
+
+def _words(bits: int) -> int:
+    return bits // 64 + 1
 
 
 def _apply(

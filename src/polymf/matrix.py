@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 # mat_mul reads and builds term dicts directly (see Polynomial._terms).
 from .poly import Coeff, EvalPoint, ExpKey, Polynomial, _coeff, _wrap, parse_polynomial
@@ -35,6 +35,7 @@ _ZERO = Polynomial.zero()
 _ONE = Polynomial.const(1)
 
 RowMap = dict[int, Polynomial]
+T = TypeVar("T")
 
 _denominator = attrgetter("denominator")
 
@@ -98,7 +99,10 @@ class PolyMatrix:
         return _sparse(out, self.cols, self.rows)
 
     def __neg__(self) -> "PolyMatrix":
-        return _sparse([{j: -e for j, e in row.items()} for row in self.row_maps], self.rows, self.cols)
+        """Negates each distinct entry object once; the slots that shared
+        it share its negation."""
+        negated = _once_per_object(Polynomial.__neg__)
+        return _sparse([{j: negated(e) for j, e in row.items()} for row in self.row_maps], self.rows, self.cols)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -118,15 +122,12 @@ class PolyMatrix:
         """The dense grid of entry texts, "0" where no entry is stored.
         Walks the stored nonzeros only, and calls str once per distinct
         entry object: a pair's rows share a few polynomial objects."""
-        memo: dict[int, str] = {}
+        text = _once_per_object(str)
         out = []
         for row in self.row_maps:
             line = ["0"] * self.cols
             for j, e in row.items():
-                text = memo.get(id(e))
-                if text is None:
-                    text = memo[id(e)] = str(e)
-                line[j] = text
+                line[j] = text(e)
             out.append(line)
         return out
 
@@ -136,6 +137,21 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols})"
+
+
+def _once_per_object(op: Callable[[Polynomial], T]) -> Callable[[Polynomial], T]:
+    """op, evaluated once per distinct argument object and shared by later
+    calls with the same object.  Keyed by id, so the memo must not outlive
+    the objects passed to it: use one per call of an operation."""
+    memo: dict[int, T] = {}
+
+    def once(x: Polynomial) -> T:
+        y = memo.get(id(x))
+        if y is None:
+            y = memo[id(x)] = op(x)
+        return y
+
+    return once
 
 
 def _init(m: PolyMatrix, rows: int, cols: int, row_maps: tuple[RowMap, ...]) -> None:
@@ -157,19 +173,42 @@ def _shift(row: RowMap, offset: int) -> RowMap:
     return {j + offset: e for j, e in row.items()}
 
 
-def from_strings(rows: Iterable[Iterable[str]]) -> PolyMatrix:
-    """Parse a grid of polynomial texts.  Each distinct text is parsed once
-    per call and its entries share the (immutable) result: most entries of
-    a serialized pair are "0" or repeats of a few polynomials."""
+def from_strings(rows: Iterable[list[str]]) -> PolyMatrix:
+    """Parse a grid of polynomial texts, given as rows that are lists of
+    strings of one length, into its row maps in one pass.
+
+    "0" slots are skipped without being parsed; every other distinct text
+    is parsed once per call and its slots share the (immutable) result,
+    since most entries of a serialized pair are "0" or repeats of a few
+    polynomials.  A text that parses to zero (" 0", "x - x") stores
+    nothing.  Raises MatrixError for a row that is not a list of strings
+    or whose length differs from the first row's.
+    """
     parsed: dict[str, Polynomial] = {}
 
     def entry(text: str) -> Polynomial:
+        if type(text) is not str:
+            _not_text()
         p = parsed.get(text)
         if p is None:
             p = parsed[text] = parse_polynomial(text)
         return p
 
-    return PolyMatrix([[entry(s) for s in row] for row in rows])
+    out: list[RowMap] = []
+    cols = None
+    for row in rows:
+        if type(row) is not list:
+            _not_text()
+        if cols is None:
+            cols = len(row)
+        elif len(row) != cols:
+            raise MatrixError(f"row {len(out)} has {len(row)} entries, row 0 has {cols}")
+        out.append({j: p for j, text in enumerate(row) if text != "0" and (p := entry(text))})
+    return _sparse(out, len(out), cols or 0)
+
+
+def _not_text() -> NoReturn:
+    raise MatrixError("a matrix must be a list of rows of strings")
 
 
 def identity(n: int) -> PolyMatrix:
@@ -282,11 +321,24 @@ def _unpack(packed: int, digits: list[tuple[str, int]]) -> ExpKey:
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Kronecker product with row-major blocks: block (i,j) is a[i,j] * b.
 
-    Products of nonzero polynomials are nonzero, so nothing is filtered.
+    Each product of an entry object of a with one of b is computed once
+    per call and shared by every slot that holds it, so the result holds
+    at most distinct(a) * distinct(b) entry objects, however many
+    nonzeros.  Products of nonzero polynomials are nonzero, so nothing
+    is filtered.
     """
+    memo: dict[tuple[int, int], Polynomial] = {}
+
+    def times(x: Polynomial, y: Polynomial) -> Polynomial:
+        key = (id(x), id(y))
+        p = memo.get(key)
+        if p is None:
+            p = memo[key] = x * y
+        return p
+
     return _sparse(
         (
-            {j * b.cols + q: aij * bpq for j, aij in arow.items() for q, bpq in brow.items()}
+            {j * b.cols + q: times(aij, bpq) for j, aij in arow.items() for q, bpq in brow.items()}
             for arow in a.row_maps
             for brow in b.row_maps
         ),

@@ -8,11 +8,15 @@ import pytest
 from hypothesis import strategies as st
 
 from polymf import (
+    MatrixFactorization,
     Monomial,
     Polynomial,
     PolyMatrix,
     SummandReducedPoly,
+    kron,
     make_factorization,
+    parse_polynomial,
+    run_refined,
 )
 from polymf.standard import standard_step
 
@@ -90,3 +94,13 @@ def two_product_srp() -> SummandReducedPoly:
         ["zy"],
         [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
     )
+
+
+def scaled_two_product_pair() -> MatrixFactorization:
+    """The refined two-product pair (512) with phi and psi times w^1600:
+    every value stays under the evaluation bit cap, but each stored
+    nonzero of phi multiplies two values of about 32000 bits in a trial."""
+    products = [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]]
+    mf = run_refined(SummandReducedPoly.from_strings(["zy"], products), verify="skip")
+    w = PolyMatrix([[parse_polynomial("w^1600")]])
+    return MatrixFactorization(mf.f * parse_polynomial("w^3200"), kron(mf.phi, w), kron(mf.psi, w))

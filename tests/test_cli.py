@@ -26,6 +26,8 @@ from polymf import (
 )
 from polymf.cli import main
 
+from conftest import scaled_two_product_pair
+
 PART1 = {"terms": ["z*y"], "products": [["x*y^2+x^2*z+y*z^2", "x*y+z^2"]]}
 PART2 = {"terms": ["x^5y^2"], "products": [["xy^2+x^2z+yz^2", "x^2z+y^2+y^2z"]]}
 NO_MONOMIAL = {"terms": [], "products": [["xy + z^2", "x + y"], ["x + z", "y + z"]]}
@@ -243,6 +245,11 @@ class TestVerify:
         {"f": "x^2", "size": True, "phi": [["x"]], "psi": [["x"]]},
         {"f": "x^2", "size": 1.0, "phi": [["x"]], "psi": [["x"]]},
         {"f": "x^2", "size": 0, "phi": [], "psi": []},
+        {"f": "x^2", "size": 2, "phi": [["x", "0"], ["0"]], "psi": [["x", "0"], ["0", "x"]]},
+        {"f": "x^2", "size": 2, "phi": [["x", "0"], ["0", "x"]], "psi": [["x", "0", "0"], ["0", "x"]]},
+        {"f": "x^2", "size": 2, "phi": [["x", 0], ["0", "x"]], "psi": [["x", "0"], ["0", "x"]]},
+        {"f": "x^2", "size": 2, "phi": [["x", "0"], ["0", "x"]], "psi": [["x", None], ["0", "x"]]},
+        {"f": "x^2", "size": 2, "phi": [["x", "0"], "0x"], "psi": [["x", "0"], ["0", "x"]]},
     ])
     def test_malformed_pair_document_rejected(self, tmp_path, capsys, doc):
         assert run(["verify", "--input", write_json(tmp_path, "mf.json", doc)]) == 2
@@ -280,6 +287,15 @@ class TestVerify:
         assert code == 4
         assert_error_line(capsys)
 
+    def test_trial_work_cap_stops_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def never(p, point):
+            raise AssertionError("a trial started")
+
+        path = write_json(tmp_path, "mf.json", scaled_two_product_pair().to_dict())
+        monkeypatch.setattr(Polynomial, "evaluate", never)
+        assert run(["verify", "--input", path, "--trials", "1"]) == 4
+        assert_error_line(capsys)
+
     def test_trials_must_be_positive(self, tmp_path):
         path = write_json(tmp_path, "mf.json", fixtures.pair_m().to_dict())
         with pytest.raises(SystemExit) as exc:
@@ -292,6 +308,25 @@ class TestVerify:
         assert run(["verify", "--input", str(path), "--format", "structured"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] is True and doc["mode"] == "exact"
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            path = write_json(tmp_path, "two.json", TWO_PRODUCT)
+            assert run(["predict", "--input", path]) == 0
+            assert run(["predict", "--input", path, "--format", "structured"]) == 0
+            with pytest.raises(SystemExit) as exc:
+                run(["predict", "--trials", "0"])
+            assert exc.value.code == 2
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert "refined_size = 512" in capsys.readouterr().out
 
 
 class TestPredict:

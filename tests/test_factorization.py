@@ -33,9 +33,9 @@ from polymf import (
     verify_randomized,
 )
 from polymf import factorization, fixtures
-from polymf.factorization import COORDINATE_BOUND, EVALUATION_BIT_CAP
+from polymf.factorization import COORDINATE_BOUND, EVALUATION_BIT_CAP, TRIAL_WORK_CAP
 
-from conftest import factorizations, nonzero_polynomials
+from conftest import factorizations, nonzero_polynomials, scaled_two_product_pair
 
 
 def with_phi_entry(mf, i, j, value):
@@ -236,6 +236,37 @@ class TestEvaluationCap:
             entries = {e for m in (mf.phi, mf.psi) for _, _, e in m.nonzeros()}
             bits = max(p.value_bits(COORDINATE_BOUND) for p in (*entries, mf.f))
             assert bits < EVALUATION_BIT_CAP // 100
+
+    def test_trial_work_refused_before_any_trial(self, monkeypatch):
+        mf = scaled_two_product_pair()
+        entries = {e for m in (mf.phi, mf.psi) for _, _, e in m.nonzeros()}
+        assert max(p.value_bits(COORDINATE_BOUND) for p in (*entries, mf.f)) <= EVALUATION_BIT_CAP
+
+        def never(p, point):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(Polynomial, "evaluate", never)
+        with pytest.raises(EvaluationCapError, match="64-bit words"):
+            certify(mf, trials=1)
+
+    def test_paper_pipelines_are_far_below_the_work_cap(self, monkeypatch):
+        work = []
+        estimate = factorization._trial_work
+
+        def recorded(*args):
+            work.append(estimate(*args))
+            raise StopTrial
+
+        monkeypatch.setattr(factorization, "_trial_work", recorded)
+        for mf in paper_pairs():
+            with pytest.raises(StopTrial):
+                verify_randomized(mf, trials=1)
+        assert len(work) == 8
+        assert max(work) * 100 <= TRIAL_WORK_CAP
+
+
+class StopTrial(Exception):
+    """Raised in place of a trial once its work is estimated."""
 
 
 class TestCertify:

@@ -235,12 +235,26 @@ class TestFromStrings:
         assert from_strings(grid) == PolyMatrix([[parse_polynomial(t) for t in r] for r in grid])
 
     def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        """The text "0" is never parsed; every other distinct text exactly once."""
         calls = []
         real = matrix.parse_polynomial
         monkeypatch.setattr(matrix, "parse_polynomial", lambda text: calls.append(text) or real(text))
         a = from_strings([["x", "0", "x"], ["0", "1/2 y", "x"]])
-        assert sorted(calls) == ["0", "1/2 y", "x"]
+        assert sorted(calls) == ["1/2 y", "x"]
         assert a[0, 0] is a[1, 2] and a[0, 0] == parse_polynomial("x")
+
+    def test_texts_that_parse_to_zero_store_nothing(self):
+        a = from_strings([["x - x", "x"], [" 0", "0"]])
+        assert a.row_maps == ({1: parse_polynomial("x")}, {})
+        assert (a.rows, a.cols) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "rows", [[["x"], ["x", "y"]], [["x", "y"], []], [["x", 1]], [[None, "0"]], [["x"], "y"], ["xy"]],
+        ids=["long", "short", "int", "null", "string_row", "string_rows"],
+    )
+    def test_malformed_grids_raise_matrix_error(self, rows):
+        with pytest.raises(MatrixError):
+            from_strings(rows)
 
 
 class TestKronecker:
@@ -264,6 +278,41 @@ class TestKronecker:
     @settings(max_examples=100)
     def test_kron_distributes_over_direct_sum(self, a, b, c):
         assert kron(direct_sum(a, b), c) == direct_sum(kron(a, c), kron(b, c))
+
+
+@st.composite
+def shared_matrices(draw) -> PolyMatrix:
+    """A matrix of 1-3 x 1-3 whose slots hold objects of a pool of 1-3
+    polynomials, so that entries share objects as a pipeline's do."""
+    pool = draw(st.lists(polynomials(max_terms=2), min_size=1, max_size=3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return PolyMatrix([[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)], rows, cols)
+
+
+def entry_objects(a) -> int:
+    return len({id(e) for _, _, e in a.nonzeros()})
+
+
+class TestSharedEntries:
+    @given(shared_matrices(), shared_matrices())
+    @settings(max_examples=100)
+    def test_kron_computes_each_product_once(self, a, b):
+        k = kron(a, b)
+        assert entry_objects(k) <= entry_objects(a) * entry_objects(b)
+        for i in range(a.rows):
+            for j in range(a.cols):
+                for p in range(b.rows):
+                    for q in range(b.cols):
+                        assert k[i * b.rows + p, j * b.cols + q] == a[i, j] * b[p, q]
+        assert_sparse(k)
+
+    @given(shared_matrices())
+    @settings(max_examples=100)
+    def test_negation_negates_each_object_once(self, a):
+        n = -a
+        assert entry_objects(n) <= entry_objects(a)
+        assert n == PolyMatrix([[-e for e in row] for row in a.entries], a.rows, a.cols)
+        assert_sparse(n)
 
 
 class TestShuffle:

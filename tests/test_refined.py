@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from polymf import (
     CapExceededError,
     PolyError,
+    Polynomial,
     ProductGroup,
     SummandReducedPoly,
     ValidationFailure,
@@ -220,6 +221,31 @@ class TestOneCertificate:
         run_refined(part2_srp, verify="skip")
         run_standard(part2_srp, max_monomials=13, verify="skip")
         assert certify_calls == []
+
+
+class TestSharedEntries:
+    """The pipelines build each distinct entry once and share it, so a
+    pair's cost follows its distinct entries, not its nonzeros."""
+
+    def test_two_product_pair_holds_few_entry_objects(self, two_product_srp, monkeypatch):
+        mf = run_refined(two_product_srp, verify="skip")
+        objects = {id(e) for m in (mf.phi, mf.psi) for _, _, e in m.nonzeros()}
+        assert len(objects) <= 1000  # of 16384 nonzeros
+        to_str = Polynomial.__str__
+        calls = []
+        monkeypatch.setattr(Polynomial, "__str__", lambda p: calls.append(p) or to_str(p))
+        mf.phi.texts()
+        mf.psi.texts()
+        assert len(calls) <= 1000
+
+    def test_randomized_check_compares_each_object_once(self, two_product_srp, monkeypatch):
+        mf = run_refined(two_product_srp, verify="skip")
+        objects = {id(e) for m in (mf.phi, mf.psi) for _, _, e in m.nonzeros()}
+        eq = Polynomial.__eq__
+        calls = []
+        monkeypatch.setattr(Polynomial, "__eq__", lambda p, q: calls.append(p) or eq(p, q))
+        assert factorization.verify_randomized(mf, trials=1)
+        assert len(calls) <= len(objects)
 
 
 class TestCompareReport:
