@@ -105,11 +105,10 @@ def _parse_problem(text: str) -> SummandReducedPoly | Polynomial:
     return SummandReducedPoly.from_strings(terms, products)
 
 
-def _over_cap(size: int | float, max_monomials: int) -> bool:
+def _over_cap(size: int, max_monomials: int) -> bool:
     """True if a predicted size 2^e exceeds 2^(max_monomials - 1), the
-    size the standard method reaches with max_monomials summands.  Sizes
-    below 1 come from documents with no product, which fail validation."""
-    return isinstance(size, int) and size.bit_length() > max_monomials
+    size the standard method reaches with max_monomials summands."""
+    return size.bit_length() > max_monomials
 
 
 def _render_factorization(
@@ -156,16 +155,19 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
                 return EXIT_PARSE
             mf = standard_factorize_polynomial(problem, cfg.standard_variant, verify="skip")
         else:
-            predicted = predict_sizes(problem).to_dict()
-            size = predicted[f"{cfg.method}_size"]
-            if _over_cap(size, cfg.max_standard_monomials):
-                print(
-                    f"error: {cfg.method} construction skipped: predicted size {size} "
-                    f"exceeds 2^{cfg.max_standard_monomials - 1} "
-                    "(raise --max-standard-monomials to allow it)",
-                    file=sys.stderr,
-                )
-                return EXIT_CAP
+            # predict_sizes refuses a document with no product group; the
+            # standard method still builds its terms, under its own cap.
+            if problem.l or cfg.method != "standard":
+                predicted = predict_sizes(problem).to_dict()
+                size = predicted[f"{cfg.method}_size"]
+                if _over_cap(size, cfg.max_standard_monomials):
+                    print(
+                        f"error: {cfg.method} construction skipped: predicted size {size} "
+                        f"exceeds 2^{cfg.max_standard_monomials - 1} "
+                        "(raise --max-standard-monomials to allow it)",
+                        file=sys.stderr,
+                    )
+                    return EXIT_CAP
             if cfg.method == "refined":
                 mf = run_refined(
                     problem, cfg.yoshino_variant, verify="skip", strict=cfg.strict_validate
@@ -239,6 +241,9 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
                 print(f"error: input is not summand-reduced:\n{report}", file=sys.stderr)
                 return EXIT_PARSE
         sizes = predict_sizes(problem)
+    except ValidationFailure as exc:
+        print(f"error: input is not summand-reduced:\n{exc}", file=sys.stderr)
+        return EXIT_PARSE
     except _INPUT_ERRORS as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -38,13 +38,15 @@ COORDINATE_BOUND = 10**6
 EVALUATION_BIT_CAP = 2**16
 # It also refuses a pair whose one trial may take more than this many
 # products of 64-bit words (see _trial_work), about 0.25 s on the same
-# Xeon; the paper's pairs stay about 1000 times below it.
+# Xeon, and a run whose trials together may take more than DEFAULT_TRIALS
+# times as many; the paper's pairs stay about 1000 times below the first.
 TRIAL_WORK_CAP = 2**28
 
 
 class EvaluationCapError(ValueError):
     """verify_randomized refused a pair whose values at a random point
-    may exceed EVALUATION_BIT_CAP bits, or whose one trial may exceed
+    may exceed EVALUATION_BIT_CAP bits, whose one trial may exceed
+    TRIAL_WORK_CAP, or whose trials together may exceed DEFAULT_TRIALS *
     TRIAL_WORK_CAP; no trial ran."""
 
 
@@ -206,8 +208,10 @@ def verify_randomized(
     each trial also checks psi(x)*(phi(x)*r) = 0.
 
     Raises EvaluationCapError, before any trial, if a value at a point of
-    [-B, B]^m may exceed EVALUATION_BIT_CAP bits, or if the estimated work
-    of one trial (see _trial_work) exceeds TRIAL_WORK_CAP.
+    [-B, B]^m may exceed EVALUATION_BIT_CAP bits, if the estimated work
+    of one trial (see _trial_work) exceeds TRIAL_WORK_CAP, or if that of
+    all the trials exceeds DEFAULT_TRIALS * TRIAL_WORK_CAP: every run at
+    the default trials that one trial's cap allows is allowed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -237,6 +241,12 @@ def verify_randomized(
         raise EvaluationCapError(
             f"randomized verification skipped: one trial may take {work} products "
             f"of 64-bit words, over the cap of {TRIAL_WORK_CAP}"
+        )
+    if trials * work > DEFAULT_TRIALS * TRIAL_WORK_CAP:
+        raise EvaluationCapError(
+            f"randomized verification skipped: {trials} trials may take {trials * work} "
+            f"products of 64-bit words, over the cap of {DEFAULT_TRIALS * TRIAL_WORK_CAP} "
+            f"({DEFAULT_TRIALS} trials of {TRIAL_WORK_CAP})"
         )
     variables = sorted(mf.f.variables().union(*(e.variables() for e in distinct)))
     rng = random.Random(seed)

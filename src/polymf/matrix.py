@@ -14,6 +14,13 @@ of the two factors' highest exponents, so multiplying two monomials is
 one integer addition and no product can carry into the next digit.
 Coefficients are scaled to ints by a common denominator, so an output
 row accumulates in one int-keyed dict of int sums.
+
+A pipeline pair's slots share a few entry objects (`kron` and negation
+compute each distinct entry once), so the operations that make or read
+entries work once per distinct object, through a memo keyed by id and
+local to the call: `mat_mul` packs each entry object once, `kron`
+multiplies each pair of objects once and reuses an object multiplied by
+the constant one, and negation and `texts` treat each object once.
 """
 
 from __future__ import annotations
@@ -235,14 +242,20 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     monomial.  Distinct monomials thus keep distinct keys.  The entries
     of b also carry their column j as the top digit (j * radix + packed).
     Coefficients are scaled to ints by each matrix's denominator lcm, so
-    each output row is one dict from packed key to int sum.  Only the
-    nonzero sums are decoded (once per distinct key, per call) and
-    divided back by the scale.
+    each output row is one dict from packed key to int sum.
+
+    The setup costs what the distinct entry objects cost, not what the
+    stored nonzeros do: each distinct object of a and of b is profiled
+    and packed once per call (a pipeline pair's slots share a few
+    objects), and every slot that holds it reads its packed term list.
+    Only the nonzero sums are decoded, each distinct exponent key and
+    each distinct scaled sum once per call.
     """
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    keys_a, top_a, scale_a = _profile(a)
-    keys_b, top_b, scale_b = _profile(b)
+    objects_a, objects_b = _objects(a), _objects(b)
+    keys_a, top_a, scale_a = _profile(objects_a.values())
+    keys_b, top_b, scale_b = _profile(objects_b.values())
     digits = [(v, top_a.get(v, 0) + top_b.get(v, 0) + 1) for v in sorted(top_a.keys() | top_b.keys())]
     place: dict[str, int] = {}
     radix = 1
@@ -250,19 +263,22 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         place[v] = radix
         radix *= width
     packs = {k: sum(x * place[v] for v, x in k) for k in keys_a | keys_b}
+    packed_a = {i: _packed(e, packs, scale_a) for i, e in objects_a.items()}
+    packed_b = {i: _packed(e, packs, scale_b) for i, e in objects_b.items()}
     b_rows = [
-        [(j * radix + key, c) for j, e in row.items() for key, c in _packed(e, packs, scale_b)]
+        [(j * radix + key, c) for j, e in row.items() for key, c in packed_b[id(e)]]
         for row in b.row_maps
     ]
     scale = scale_a * scale_b
     decoded: dict[int, ExpKey] = {}
+    coeffs: dict[int, Coeff] = {}
     out = []
     for arow in a.row_maps:
         acc: dict[int, int] = {}
         get = acc.get
         for k, aik in arow.items():
             brow = b_rows[k]
-            for ka, ca in _packed(aik, packs, scale_a):
+            for ka, ca in packed_a[id(aik)]:
                 for kb, cb in brow:
                     key = ka + kb
                     acc[key] = get(key, 0) + ca * cb
@@ -274,22 +290,33 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             exps = decoded.get(packed)
             if exps is None:
                 exps = decoded[packed] = _unpack(packed, digits)
+            if scale != 1:
+                q = coeffs.get(c)
+                if q is None:
+                    q = coeffs[c] = _coeff(Fraction(c, scale))
+                c = q
             if j not in terms:
                 terms[j] = {}
-            terms[j][exps] = c if scale == 1 else _coeff(Fraction(c, scale))
+            terms[j][exps] = c
         out.append({j: _wrap(t) for j, t in terms.items()})
     return _sparse(out, a.rows, b.cols)
 
 
-def _profile(m: PolyMatrix) -> tuple[set[ExpKey], dict[str, int], int]:
-    """The distinct exponent keys of m's terms, the highest exponent of
-    each variable in them, and the lcm of the coefficient denominators."""
+def _objects(m: PolyMatrix) -> dict[int, Polynomial]:
+    """The distinct entry objects of m, by id.  Keyed by id, so the
+    result must not outlive m: use one per call of an operation."""
+    return {id(e): e for row in m.row_maps for e in row.values()}
+
+
+def _profile(entries: Iterable[Polynomial]) -> tuple[set[ExpKey], dict[str, int], int]:
+    """The distinct exponent keys of the entries' terms, the highest
+    exponent of each variable in them, and the lcm of the coefficient
+    denominators."""
     keys: set[ExpKey] = set()
     denominators = {1}
-    for row in m.row_maps:
-        for e in row.values():
-            keys.update(e._terms)
-            denominators.update(map(_denominator, e._terms.values()))
+    for e in entries:
+        keys.update(e._terms)
+        denominators.update(map(_denominator, e._terms.values()))
     top: dict[str, int] = {}
     for k in keys:
         for v, x in k:
@@ -298,11 +325,11 @@ def _profile(m: PolyMatrix) -> tuple[set[ExpKey], dict[str, int], int]:
     return keys, top, lcm(*denominators)
 
 
-def _packed(p: Polynomial, packs: dict[ExpKey, int], scale: int) -> Iterable[tuple[int, int]]:
+def _packed(p: Polynomial, packs: dict[ExpKey, int], scale: int) -> list[tuple[int, int]]:
     """The terms of p as (packed exponents, coefficient * scale), all ints."""
     t = p._terms
     if scale == 1:
-        return zip(map(packs.__getitem__, t), t.values())
+        return list(zip(map(packs.__getitem__, t), t.values()))
     return [(packs[k], c.numerator * (scale // c.denominator)) for k, c in t.items()]
 
 
@@ -324,8 +351,11 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     Each product of an entry object of a with one of b is computed once
     per call and shared by every slot that holds it, so the result holds
     at most distinct(a) * distinct(b) entry objects, however many
-    nonzeros.  Products of nonzero polynomials are nonzero, so nothing
-    is filtered.
+    nonzeros.  A product with the constant one is the other entry object
+    itself, not a copy: kron(a, identity(m)) and kron(identity(n), b)
+    multiply no polynomial and hold exactly the entry objects of a or b
+    (where such an entry is one too, either one may be held).
+    Products of nonzero polynomials are nonzero, so nothing is filtered.
     """
     memo: dict[tuple[int, int], Polynomial] = {}
 
@@ -333,7 +363,7 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         key = (id(x), id(y))
         p = memo.get(key)
         if p is None:
-            p = memo[key] = x * y
+            p = memo[key] = y if x.is_one() else x if y.is_one() else x * y
         return p
 
     return _sparse(

@@ -258,14 +258,18 @@ class SizeReport:
 
 
 def predict_sizes(srp: SummandReducedPoly) -> SizeReport:
+    """The closed-form sizes of the module docstring.  Raises
+    ValidationFailure for a document with no product group, which no
+    pipeline builds and whose formulas give no size."""
+    _require_product(srp)
     s, l = srp.s, srp.l
     counts = [g.monomial_counts for g in srp.products]
     sum_prod_p = sum(prod(c) for c in counts)
     sum_p = sum(sum(c) for c in counts)
     sum_m = sum(len(c) for c in counts)
-    standard = 2 ** (sum_prod_p + s - 1) if s >= 1 else 2 ** (sum_prod_p - 1)
-    improved = 2 ** (sum_p + s - 1) if s >= 1 else 2 ** (sum_p - 1)
-    refined = 2 ** (l - 1 + sum_p - sum_m + s) if s >= 1 else 2 ** (l - 1 + sum_p - sum_m)
+    standard = 2 ** (sum_prod_p + s - 1)
+    improved = 2 ** (sum_p + s - 1)
+    refined = 2 ** (l - 1 + sum_p - sum_m + s)
     return SizeReport(
         standard_size=standard,
         improved_size=improved,
@@ -282,6 +286,11 @@ def _check_valid(srp: SummandReducedPoly, strict: bool) -> None:
             raise ValidationFailure(str(report))
 
 
+def _require_product(srp: SummandReducedPoly) -> None:
+    if srp.l == 0:
+        raise ValidationFailure("pipelines need at least one product group")
+
+
 def _pipeline(
     srp: SummandReducedPoly,
     product_tensor,
@@ -290,8 +299,7 @@ def _pipeline(
     strict: bool,
 ) -> MatrixFactorization:
     _check_valid(srp, strict)
-    if srp.l == 0:
-        raise ValidationFailure("pipelines need at least one product group")
+    _require_product(srp)
     group_mfs = []
     for g in srp.products:
         factor_mfs = [standard_factorize_polynomial(f, verify="skip") for f in g.factors]

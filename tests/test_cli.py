@@ -90,6 +90,14 @@ class TestFactorize:
         assert code == 0
         assert "size = 2" in capsys.readouterr().out
 
+    def test_standard_on_a_document_without_products(self, tmp_path, capsys):
+        """The standard method still builds a terms-only document, which
+        has no predicted sizes (validation is advisory by default)."""
+        path = write_json(tmp_path, "terms.json", {"terms": ["x^2", "y^2"], "products": []})
+        assert run(["factorize", "--input", path, "--method", "standard"]) == 0
+        out = capsys.readouterr().out
+        assert "size = 2" in out and "predicted sizes" not in out
+
     def test_refined_rejects_plain_polynomial(self, tmp_path):
         src = tmp_path / "poly.txt"
         src.write_text("x^2 + 4")
@@ -296,6 +304,23 @@ class TestVerify:
         assert run(["verify", "--input", path, "--trials", "1"]) == 4
         assert_error_line(capsys)
 
+    def test_total_trial_work_cap_stops_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        """At about 0.5 ms a trial, 10^8 trials of the improved 128 pair
+        would run for hours; their total work is refused at once."""
+        def never(p, point):
+            raise AssertionError("a trial started")
+
+        srp = SummandReducedPoly.from_strings(NO_MONOMIAL["terms"], NO_MONOMIAL["products"])
+        path = write_json(tmp_path, "mf.json", run_improved(srp, verify="skip").to_dict())
+        assert run(["verify", "--input", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(Polynomial, "evaluate", never)
+        start = time.perf_counter()
+        code = run(["verify", "--input", path, "--trials", "100000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert_error_line(capsys)
+
     def test_trials_must_be_positive(self, tmp_path):
         path = write_json(tmp_path, "mf.json", fixtures.pair_m().to_dict())
         with pytest.raises(SystemExit) as exc:
@@ -348,6 +373,17 @@ class TestPredict:
         src = tmp_path / "poly.txt"
         src.write_text("x^2 + 4")
         assert run(["predict", "--input", str(src)]) == 2
+
+    @pytest.mark.parametrize(
+        "doc", [{"terms": [], "products": []}, {"terms": ["x"], "products": []}], ids=["empty", "terms_only"]
+    )
+    def test_needs_a_product_group(self, tmp_path, capsys, doc):
+        path = write_json(tmp_path, "doc.json", doc)
+        assert run(["predict", "--input", path]) == 2
+        assert_error_line(capsys)
+        assert run(["predict", "--input", path, "--format", "structured"]) == 2
+        assert_error_line(capsys)
+        assert run(["factorize", "--input", path]) == 2
 
 
 class TestDemo:

@@ -33,7 +33,7 @@ from polymf import (
     verify_randomized,
 )
 from polymf import factorization, fixtures
-from polymf.factorization import COORDINATE_BOUND, EVALUATION_BIT_CAP, TRIAL_WORK_CAP
+from polymf.factorization import COORDINATE_BOUND, DEFAULT_TRIALS, EVALUATION_BIT_CAP, TRIAL_WORK_CAP
 
 from conftest import factorizations, nonzero_polynomials, scaled_two_product_pair
 
@@ -263,6 +263,22 @@ class TestEvaluationCap:
                 verify_randomized(mf, trials=1)
         assert len(work) == 8
         assert max(work) * 100 <= TRIAL_WORK_CAP
+
+
+    def test_all_trials_together_are_capped(self, monkeypatch):
+        """A run may take DEFAULT_TRIALS trials at the one-trial cap, and
+        no more work than that in all: more trials are refused before
+        any runs."""
+        monkeypatch.setattr(factorization, "_trial_work", lambda *args: TRIAL_WORK_CAP)
+        mf = fixtures.pair_m()
+        assert verify_randomized(mf, trials=DEFAULT_TRIALS)
+
+        def never(p, point):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(Polynomial, "evaluate", never)
+        with pytest.raises(EvaluationCapError, match=f"{DEFAULT_TRIALS + 1} trials"):
+            verify_randomized(mf, trials=DEFAULT_TRIALS + 1)
 
 
 class StopTrial(Exception):

@@ -281,11 +281,12 @@ class TestKronecker:
 
 
 @st.composite
-def shared_matrices(draw) -> PolyMatrix:
+def shared_matrices(draw, entries=None, rows=None, cols=None) -> PolyMatrix:
     """A matrix of 1-3 x 1-3 whose slots hold objects of a pool of 1-3
     polynomials, so that entries share objects as a pipeline's do."""
-    pool = draw(st.lists(polynomials(max_terms=2), min_size=1, max_size=3))
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pool = draw(st.lists(polynomials(max_terms=2) if entries is None else entries, min_size=1, max_size=3))
+    rows = draw(st.integers(1, 3)) if rows is None else rows
+    cols = draw(st.integers(1, 3)) if cols is None else cols
     return PolyMatrix([[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)], rows, cols)
 
 
@@ -362,3 +363,126 @@ class TestBlocksAndEvaluation:
             [Fraction(3, 2), Fraction(1, 3)],
             [Fraction(0), Fraction(10, 3)],
         ]
+
+
+SCALES = {
+    "integer": (polynomials(max_terms=2), polynomials(max_terms=2)),
+    "rational": (rational_polynomials(max_terms=2), rational_polynomials(max_terms=2)),
+    "mixed": (polynomials(max_terms=2), rational_polynomials(max_terms=2)),
+}
+
+
+@st.composite
+def shared_factor(draw, entries, rows, cols) -> PolyMatrix:
+    """A rows x cols matrix whose slots share entry objects, as a
+    pipeline's do: drawn from a small pool, or a Kronecker product of
+    such a matrix with an identity (either side) or with a small pooled
+    block; negated or not."""
+    k = draw(st.sampled_from([d for d in (1, 2, 3) if rows % d == 0 and cols % d == 0]))
+    base = draw(shared_matrices(entries, rows // k, cols // k))
+    kind = draw(st.sampled_from(["pool", "kron-identity", "identity-kron", "kron"]))
+    if kind == "kron-identity":
+        base = kron(base, identity(k))
+    elif kind == "identity-kron":
+        base = kron(identity(k), base)
+    elif kind == "kron":
+        base = kron(base, draw(shared_matrices(entries, k, k)))
+    else:
+        base = draw(shared_matrices(entries, rows, cols))
+    return -base if draw(st.booleans()) else base
+
+
+class TestProductOfSharedEntries:
+    """mat_mul packs each distinct entry object once per call; the result
+    must not depend on how the slots share objects."""
+
+    @pytest.mark.parametrize("scale", sorted(SCALES))
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_entrywise_reference(self, scale, data):
+        left, right = SCALES[scale]
+        rows, inner, cols = (data.draw(st.sampled_from([1, 2, 3, 4, 6])) for _ in range(3))
+        a = data.draw(shared_factor(left, rows, inner))
+        b = data.draw(shared_factor(right, inner, cols))
+        for x, y in ((a, b), (b.transpose(), a.transpose())):
+            c = mat_mul(x, y)
+            assert c == entrywise_product(x, y)
+            assert_sparse(c)
+            assert_integer_first(c)
+
+    def test_each_distinct_object_is_packed_once(self, monkeypatch):
+        """The packing and the profile see the distinct entry objects of
+        each factor, not its stored nonzeros."""
+        x, y = m([["x + 1/2 y", "z"], ["0", "x + 1/2 y"]]), m([["y", "2"], ["2", "y"]])
+        a, b = kron(x, identity(3)), kron(identity(3), y)
+        assert entry_objects(a) == 2 and entry_objects(b) == 2
+        assert sum(1 for _ in a.nonzeros()) == 9 and sum(1 for _ in b.nonzeros()) == 12
+        packed, profiled = [], []
+        real_packed, real_profile = matrix._packed, matrix._profile
+
+        def profile(entries):
+            entries = list(entries)
+            profiled.append(len(entries))
+            return real_profile(entries)
+
+        monkeypatch.setattr(matrix, "_packed", lambda p, *args: packed.append(p) or real_packed(p, *args))
+        monkeypatch.setattr(matrix, "_profile", profile)
+        assert mat_mul(a, b) == entrywise_product(a, b)
+        assert profiled == [2, 2]
+        assert len(packed) == len({id(p) for p in packed}) == 4
+
+    def test_each_distinct_sum_is_converted_once(self, monkeypatch):
+        """A rational product turns each distinct scaled sum into its
+        coefficient once per call: here 12 terms share one sum."""
+        calls = []
+        real = matrix._coeff
+        monkeypatch.setattr(matrix, "_coeff", lambda c: calls.append(c) or real(c))
+        half = scalar_matrix(parse_polynomial("1/2"), 4)
+        c = mat_mul(half, scalar_matrix(parse_polynomial("x + y + z"), 4))
+        assert c == scalar_matrix(parse_polynomial("1/2 x + 1/2 y + 1/2 z"), 4)
+        assert len(calls) == 1
+
+    def test_integral_rational_products_are_ints(self):
+        a = m([["1/2 x", "1/3 y"], ["1/2 x", "0"]])
+        b = m([["2", "1/6"], ["3", "1/6"]])
+        c = mat_mul(a, b)
+        assert c == m([["x + y", "1/12 x + 1/18 y"], ["x", "1/12 x"]])
+        assert [type(t.coeff) for t in c[0, 0].terms] == [int, int]
+        assert [type(t.coeff) for t in c[1, 0].terms] == [int]
+        assert_integer_first(c)
+
+
+class TestKroneckerWithOne:
+    """A Kronecker product with the constant one reuses the other entry
+    object: no polynomial is multiplied and no entry is copied."""
+
+    @given(shared_matrices(rational_polynomials(max_terms=2)), st.integers(1, 3))
+    @settings(max_examples=60)
+    def test_identity_blocks_hold_the_input_objects(self, a, n):
+        """Each slot holds a's entry object itself (where that entry is one
+        too, it may hold the identity's one instead), and no polynomial is
+        multiplied."""
+        def never(p, q):
+            raise AssertionError("a polynomial was multiplied")
+
+        one = identity(1)[0, 0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Polynomial, "__mul__", never)
+            right, left = kron(a, identity(n)), kron(identity(n), a)
+            assert kron(identity(n), identity(2)) == identity(2 * n)
+        for i, j, e in a.nonzeros():
+            for p in range(n):
+                for held in (right[i * n + p, j * n + p], left[p * a.rows + i, p * a.cols + j]):
+                    assert held is e or (e.is_one() and held is one)
+        nonzeros = sum(1 for _ in a.nonzeros())
+        assert sum(1 for _ in right.nonzeros()) == sum(1 for _ in left.nonzeros()) == n * nonzeros
+
+    def test_ones_inside_a_factor_are_reused(self):
+        a = m([["1", "x"], ["y", "1"]])
+        b = m([["z", "1"], ["1", "2"]])
+        k = kron(a, b)
+        assert k == PolyMatrix(
+            [[a[i, j] * b[p, q] for j in range(2) for q in range(2)] for i in range(2) for p in range(2)]
+        )
+        assert k[0, 1] is b[0, 1]  # 1 * 1
+        assert k[0, 0] is b[0, 0] and k[0, 3] is a[0, 1]

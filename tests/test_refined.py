@@ -120,6 +120,11 @@ class TestPredictSizes:
         assert (sizes.standard_size, sizes.improved_size, sizes.refined_size) == (512, 64, 32)
         assert sizes.ratio_refined_vs_standard == 16
 
+    @pytest.mark.parametrize("terms", [[], ["x"], ["x^7", "-y^5"]])
+    def test_needs_a_product_group(self, terms):
+        with pytest.raises(ValidationFailure, match="at least one product group"):
+            predict_sizes(srp(terms, []))
+
     def test_all_single_factor_groups_mean_no_gain(self):
         sizes = predict_sizes(srp(["zx"], [["x + y"], ["y + z"]]))
         assert sizes.ratio_refined_vs_improved == 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from polymf import (
     YOSHINO_VARIANTS,
     PolyMatrix,
+    Polynomial,
     commutativity_morphism,
     compose,
     direct_sum_factorizations,
@@ -46,6 +47,24 @@ class TestYoshino:
         monkeypatch.setattr(PolyMatrix, "__neg__", lambda m: negated.append(m) or real(m))
         yoshino(fixtures.pair_m(), fixtures.pair_p(), variant, verify="skip")
         assert len(negated) == 2
+
+    @pytest.mark.parametrize("variant", YOSHINO_VARIANTS)
+    def test_blocks_reuse_the_input_objects(self, variant, monkeypatch):
+        """The identity Kronecker blocks hold the input pairs' entry
+        objects, so a step multiplies no polynomial, and each entry of the
+        result is an input object or the negation of one."""
+        x, y = fixtures.pair_m(), fixtures.pair_p()
+        entries = [e for mf in (x, y) for m in (mf.phi, mf.psi) for _, _, e in m.nonzeros()]
+        inputs, values = {id(e) for e in entries}, set(entries)
+
+        def never(p, q):
+            raise AssertionError("a polynomial was multiplied")
+
+        monkeypatch.setattr(Polynomial, "__mul__", never)
+        t = yoshino(x, y, variant, verify="skip")
+        result = [e for m in (t.phi, t.psi) for _, _, e in m.nonzeros()]
+        assert all(id(e) in inputs or -e in values for e in result)
+        assert inputs & {id(e) for e in result}
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
