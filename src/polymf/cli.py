@@ -105,10 +105,18 @@ def _parse_problem(text: str) -> SummandReducedPoly | Polynomial:
     return SummandReducedPoly.from_strings(terms, products)
 
 
-def _over_cap(size: int, max_monomials: int) -> bool:
-    """True if a predicted size 2^e exceeds 2^(max_monomials - 1), the
-    size the standard method reaches with max_monomials summands."""
-    return size.bit_length() > max_monomials
+def _refuse_over_cap(method: str, size: int, max_monomials: int) -> bool:
+    """If a predicted size 2^e exceeds 2^(max_monomials - 1), the size the
+    standard method reaches with max_monomials summands, print the error
+    line and return True."""
+    if size.bit_length() <= max_monomials:
+        return False
+    print(
+        f"error: {method} construction skipped: predicted size {size} "
+        f"exceeds 2^{max_monomials - 1} (raise --max-standard-monomials to allow it)",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _render_factorization(
@@ -153,6 +161,10 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_PARSE
+            # the standard method's size is 2^(canonical terms - 1)
+            size = 1 << max(problem.num_terms() - 1, 0)
+            if _refuse_over_cap(cfg.method, size, cfg.max_standard_monomials):
+                return EXIT_CAP
             mf = standard_factorize_polynomial(problem, cfg.standard_variant, verify="skip")
         else:
             # predict_sizes refuses a document with no product group; the
@@ -160,13 +172,7 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
             if problem.l or cfg.method != "standard":
                 predicted = predict_sizes(problem).to_dict()
                 size = predicted[f"{cfg.method}_size"]
-                if _over_cap(size, cfg.max_standard_monomials):
-                    print(
-                        f"error: {cfg.method} construction skipped: predicted size {size} "
-                        f"exceeds 2^{cfg.max_standard_monomials - 1} "
-                        "(raise --max-standard-monomials to allow it)",
-                        file=sys.stderr,
-                    )
+                if _refuse_over_cap(cfg.method, size, cfg.max_standard_monomials):
                     return EXIT_CAP
             if cfg.method == "refined":
                 mf = run_refined(

@@ -41,13 +41,21 @@ EVALUATION_BIT_CAP = 2**16
 # Xeon, and a run whose trials together may take more than DEFAULT_TRIALS
 # times as many; the paper's pairs stay about 1000 times below the first.
 TRIAL_WORK_CAP = 2**28
+# verify_exact refuses, before any product, a pair whose products may
+# take more than this many term products (see _product_work).  A 1x1
+# pair whose entries have 1200 terms each (1.44e6) is refused; the
+# paper's pairs peak at 524,288 (the improved 2048 pair).
+EXACT_WORK_CAP = 2**20
+# A failing exact check quotes at most this many characters of an entry.
+DIAGNOSTIC_CHARS = 200
 
 
 class EvaluationCapError(ValueError):
     """verify_randomized refused a pair whose values at a random point
     may exceed EVALUATION_BIT_CAP bits, whose one trial may exceed
     TRIAL_WORK_CAP, or whose trials together may exceed DEFAULT_TRIALS *
-    TRIAL_WORK_CAP; no trial ran."""
+    TRIAL_WORK_CAP, and no trial ran; or verify_exact refused a pair whose
+    products may exceed EXACT_WORK_CAP, and no product ran."""
 
 
 class VerificationError(ValueError):
@@ -165,11 +173,21 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
 
     Computes phi*psi, and psi*phi only when f = 0 (see the module
     docstring for why one order suffices otherwise).  Returns (True, "ok")
-    or (False, diagnostics naming the first offending entry and its value).
+    or (False, diagnostics naming the first offending entry and its value,
+    quoted to at most DIAGNOSTIC_CHARS characters).
+
+    Raises EvaluationCapError, before any product, if the products may
+    take more than EXACT_WORK_CAP term products (see _product_work).
     """
     orders = [("phi*psi", mf.phi, mf.psi)]
     if mf.f.is_zero():
         orders.append(("psi*phi", mf.psi, mf.phi))
+    work = sum(_product_work(a, b) for _, a, b in orders)
+    if work > EXACT_WORK_CAP:
+        raise EvaluationCapError(
+            f"exact verification skipped: the products may take {work} term "
+            f"products, over the cap of {EXACT_WORK_CAP}"
+        )
     for name, a, b in orders:
         product = mat_mul(a, b)
         for i, row in enumerate(product.row_maps):
@@ -177,8 +195,28 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
             if row != want:
                 j = min(j for j in row.keys() | want.keys() if row.get(j) != want.get(j))
                 expected = mf.f if i == j else Polynomial.zero()
-                return False, f"{name} entry ({i},{j}) is {product[i, j]}, expected {expected}"
+                return False, (
+                    f"{name} entry ({i},{j}) is {_quote(product[i, j])}, "
+                    f"expected {_quote(expected)}"
+                )
     return True, "ok"
+
+
+def _product_work(a: PolyMatrix, b: PolyMatrix) -> int:
+    """The term products mat_mul(a, b) makes: for each stored a[i,k], its
+    terms times all the terms of row k of b.  O(nnz) to compute; it reads
+    the term dicts directly, since it runs once per stored nonzero."""
+    row_terms = [sum([len(e._terms) for e in row.values()]) for row in b.row_maps]
+    return sum([len(e._terms) * row_terms[k] for row in a.row_maps for k, e in row.items()])
+
+
+def _quote(p: Polynomial) -> str:
+    """The text of p, cut after DIAGNOSTIC_CHARS characters and then
+    followed by its term count."""
+    text = str(p)
+    if len(text) <= DIAGNOSTIC_CHARS:
+        return text
+    return f"{text[:DIAGNOSTIC_CHARS]}... ({p.num_terms()} terms)"
 
 
 def verify_randomized(

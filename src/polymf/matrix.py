@@ -21,6 +21,9 @@ entries work once per distinct object, through a memo keyed by id and
 local to the call: `mat_mul` packs each entry object once, `kron`
 multiplies each pair of objects once and reuses an object multiplied by
 the constant one, and negation and `texts` treat each object once.
+The identity Kronecker blocks of the additive tensor product, a (x) 1_m
+and 1_n (x) b, need no product at all: `_spread` and `_tile` build them
+by re-indexing the stored nonzeros, holding the input's entry objects.
 """
 
 from __future__ import annotations
@@ -108,8 +111,10 @@ class PolyMatrix:
     def __neg__(self) -> "PolyMatrix":
         """Negates each distinct entry object once; the slots that shared
         it share its negation."""
-        negated = _once_per_object(Polynomial.__neg__)
-        return _sparse([{j: negated(e) for j, e in row.items()} for row in self.row_maps], self.rows, self.cols)
+        negated = {i: -e for i, e in _objects(self).items()}
+        return _sparse(
+            [{j: negated[id(e)] for j, e in row.items()} for row in self.row_maps], self.rows, self.cols
+        )
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -377,6 +382,27 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     )
 
 
+def _spread(a: PolyMatrix, m: int) -> PolyMatrix:
+    """a (x) 1_m by re-indexing: slot (i, j) of a goes to the m slots
+    (i*m + p, j*m + p), p < m, and they hold a's own entry object."""
+    return _sparse(
+        ({j * m + p: e for j, e in row.items()} for row in a.row_maps for p in range(m)),
+        a.rows * m,
+        a.cols * m,
+    )
+
+
+def _tile(n: int, b: PolyMatrix) -> PolyMatrix:
+    """1_n (x) b by re-indexing: n copies of b down the block diagonal,
+    holding b's own entry objects."""
+    offsets = [i * b.cols for i in range(n)]
+    return _sparse(
+        ({q + offset: e for q, e in row.items()} for offset in offsets for row in b.row_maps),
+        n * b.rows,
+        n * b.cols,
+    )
+
+
 def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Block diagonal [[a, 0], [0, b]]; empty blocks are dropped."""
     return _sparse(
@@ -390,9 +416,10 @@ def block2x2(a: PolyMatrix, b: PolyMatrix, c: PolyMatrix, d: PolyMatrix) -> Poly
     """Assemble [[a, b], [c, d]] from conformable blocks."""
     if a.rows != b.rows or c.rows != d.rows or a.cols != c.cols or b.cols != d.cols:
         raise MatrixError("non-conformable blocks")
+    offset = a.cols
     return _sparse(
         (
-            {**left, **_shift(right, a.cols)}
+            {**left, **{j + offset: e for j, e in right.items()}}
             for left, right in zip(a.row_maps + c.row_maps, b.row_maps + d.row_maps)
         ),
         a.rows + c.rows,

@@ -30,15 +30,13 @@ class SummandList:
         if not self.pairs:
             raise PolyError("summand list must be nonempty")
         for g, h in self.pairs:
-            if (g * h).is_zero():
+            # Q[x] is a domain: g*h is zero exactly when g or h is
+            if g.is_zero() or h.is_zero():
                 raise PolyError("summand with zero product")
 
     @property
     def target(self) -> Polynomial:
-        total = Polynomial.zero()
-        for g, h in self.pairs:
-            total = total + g * h
-        return total
+        return Polynomial.dot(self.pairs)
 
 
 def double(
@@ -46,20 +44,18 @@ def double(
     d: PolyMatrix,
     g: PolyMatrix,
     h: PolyMatrix,
+    ng: PolyMatrix,
+    nh: PolyMatrix,
     variant: str = "standard",
-    *,
-    negate: bool = False,
 ) -> tuple[PolyMatrix, PolyMatrix]:
     """The doubled pair ([[C, -G], [H, D]], [[D, G], [-H, C]]), or its
     variant v1 (rows of the first matrix and columns of the second
-    interchanged) or v2 (the other way around).
+    interchanged) or v2 (the other way around), assembled by block2x2.
 
-    negate=True doubles (C, D, -G, -H) instead; either way each of G and
-    H is negated exactly once.
+    The caller passes ng = -G and nh = -H, so it can negate whatever is
+    cheapest: a polynomial for a scalar block, a small matrix before it
+    is spread into a Kronecker block.  Nothing is negated here.
     """
-    ng, nh = -g, -h
-    if negate:
-        g, ng, h, nh = ng, g, nh, h
     if variant == "standard":
         return block2x2(c, ng, h, d), block2x2(d, g, nh, c)
     if variant == "v1":
@@ -77,8 +73,21 @@ def standard_step(
     *,
     verify: str = "auto",
 ) -> MatrixFactorization:
-    """One doubling step: a factorization of mf.f + g*h of size 2n."""
-    p, q = double(mf.phi, mf.psi, scalar_matrix(g, mf.size), scalar_matrix(h, mf.size), variant)
+    """One doubling step: a factorization of mf.f + g*h of size 2n.
+
+    The blocks G = g*I and H = h*I are scalar matrices, so -G and -H are
+    the scalar matrices of -g and -h: two polynomials are negated, not
+    two matrices."""
+    n = mf.size
+    p, q = double(
+        mf.phi,
+        mf.psi,
+        scalar_matrix(g, n),
+        scalar_matrix(h, n),
+        scalar_matrix(-g, n),
+        scalar_matrix(-h, n),
+        variant,
+    )
     return make_factorization(mf.f + g * h, p, q, verify=verify)
 
 
@@ -90,7 +99,7 @@ def standard_factorize(
     Size of the result is 2^(k-1) for k summands.
     """
     (g1, h1), *rest = sl.pairs
-    mf = make_factorization(g1 * h1, PolyMatrix([[g1]]), PolyMatrix([[h1]]), verify="skip")
+    mf = make_factorization(g1 * h1, scalar_matrix(g1, 1), scalar_matrix(h1, 1), verify="skip")
     for g, h in rest:
         mf = standard_step(mf, g, h, variant, verify="skip")
     # only the returned pair is certified; the steps are proven

@@ -23,9 +23,10 @@ from .factorization import (
     mat_mul,
 )
 from .matrix import (
+    _spread,
+    _tile,
     block2x2,
     direct_sum,
-    identity,
     kron,
     shuffle_matrix,
     zeros,
@@ -43,24 +44,29 @@ def yoshino(
     *,
     verify: str = "auto",
 ) -> MatrixFactorization:
-    """Additive tensor product: a factorization of f + g of size 2nm."""
+    """Additive tensor product: a factorization of f + g of size 2nm.
+
+    Each variant is a doubling (C, D, G, H) of the standard method (see
+    `double`) of the Kronecker blocks phi (x) 1_m, psi (x) 1_m,
+    1_n (x) phi' and 1_n (x) psi'.  The blocks are built by re-indexing,
+    not by kron with an identity, and hold the inputs' entry objects; the
+    negated blocks are spread from -phi' and -psi', so only the two m x m
+    inputs are negated.  No polynomial is multiplied.
+    """
     if variant not in YOSHINO_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {YOSHINO_VARIANTS}")
-    phi, psi, phi2, psi2 = x.phi, x.psi, y.phi, y.psi
     n, m = x.size, y.size
-    pk = kron(phi, identity(m))   # phi (x) 1_m
-    sk = kron(psi, identity(m))   # psi (x) 1_m
-    kp = kron(identity(n), phi2)  # 1_n (x) phi'
-    ks = kron(identity(n), psi2)  # 1_n (x) psi'
-    # Each variant is a doubling (C, D, G, H) of the standard method; the
-    # standard variant doubles (pk, sk, -kp, -ks), negated inside `double`.
-    c, d, g, h, doubling, negate = {
-        "standard": (pk, sk, kp, ks, "standard", True),
-        "v1": (pk, sk, ks, kp, "v1", False),
-        "v2": (sk, pk, ks, kp, "standard", False),
-        "v3": (pk, sk, ks, kp, "v2", False),
-    }[variant]
-    a, b = double(c, d, g, h, doubling, negate=negate)
+    pk, sk = _spread(x.phi, m), _spread(x.psi, m)  # phi (x) 1_m, psi (x) 1_m
+    kp, ks = _tile(n, y.phi), _tile(n, y.psi)  # 1_n (x) phi', 1_n (x) psi'
+    nkp, nks = _tile(n, -y.phi), _tile(n, -y.psi)
+    # Arguments (C, D, G, H, -G, -H, doubling) of `double`; the standard
+    # variant doubles (pk, sk, -kp, -ks), whose negations are kp and ks.
+    a, b = double(*{
+        "standard": (pk, sk, nkp, nks, kp, ks, "standard"),
+        "v1": (pk, sk, ks, kp, nks, nkp, "v1"),
+        "v2": (sk, pk, ks, kp, nks, nkp, "standard"),
+        "v3": (pk, sk, ks, kp, nks, nkp, "v2"),
+    }[variant])
     return make_factorization(x.f + y.f, a, b, verify=verify)
 
 

@@ -140,6 +140,48 @@ class TestFactorize:
         assert code == 4
         assert_error_line(capsys)
 
+    def test_plain_text_gate_stops_before_construction(self, tmp_path, capsys, monkeypatch):
+        """The 14-term text x1 + ... + x14 predicts size 2^13 by the
+        standard method, over the default 2^12."""
+        def never(*args, **kwargs):
+            raise AssertionError("construction started")
+
+        src = tmp_path / "poly.txt"
+        src.write_text(" + ".join(f"x{i}" for i in range(1, 15)))
+        monkeypatch.setattr(cli, "standard_factorize_polynomial", never)
+        start = time.perf_counter()
+        code = run(["factorize", "--input", str(src), "--method", "standard"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: standard construction skipped: predicted size 8192 exceeds 2^12")
+
+    @pytest.mark.parametrize("terms, extra", [(13, []), (14, ["--max-standard-monomials", "14"])])
+    def test_plain_text_within_the_gate_is_built(self, tmp_path, monkeypatch, terms, extra):
+        """The gate lets the text through; a stand-in construction keeps
+        the run small."""
+        built = []
+
+        def stand_in(p, variant, verify):
+            built.append(p.num_terms())
+            return fixtures.pair_m()
+
+        src = tmp_path / "poly.txt"
+        src.write_text(" + ".join(f"x{i}" for i in range(1, terms + 1)))
+        monkeypatch.setattr(cli, "standard_factorize_polynomial", stand_in)
+        assert run(["factorize", "--input", str(src), "--method", "standard", *extra]) == 0
+        assert built == [terms]
+
+    def test_exact_work_cap_exit_code(self, tmp_path, capsys):
+        """Size 8192 at 14 summands per row: a forced exact check would
+        take 1.6e6 term products, over the cap."""
+        src = tmp_path / "poly.txt"
+        src.write_text(" + ".join(f"x{i}" for i in range(1, 15)))
+        code = run(["factorize", "--input", str(src), "--method", "standard",
+                    "--max-standard-monomials", "14", "--verify", "exact"])
+        assert code == 4
+        assert "exact verification skipped" in capsys.readouterr().err
+
     def test_cap_exceeded_exit_code(self, tmp_path):
         src = tmp_path / "part2.json"
         src.write_text(json.dumps(PART2))
@@ -317,6 +359,22 @@ class TestVerify:
         monkeypatch.setattr(Polynomial, "evaluate", never)
         start = time.perf_counter()
         code = run(["verify", "--input", path, "--trials", "100000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert_error_line(capsys)
+
+    def test_exact_work_cap_stops_before_any_product(self, tmp_path, capsys, monkeypatch):
+        """A 1x1 pair of two 1200-term entries is refused at once, whatever
+        its f."""
+        def never(a, b):
+            raise AssertionError("a product started")
+
+        a = " + ".join(f"x^{i}" for i in range(1200))
+        b = " + ".join(f"x^{i}y" for i in range(1200))
+        path = write_json(tmp_path, "mf.json", {"f": "x", "size": 1, "phi": [[a]], "psi": [[b]]})
+        monkeypatch.setattr(factorization, "mat_mul", never)
+        start = time.perf_counter()
+        code = run(["verify", "--input", path])
         assert time.perf_counter() - start < 1.0
         assert code == 4
         assert_error_line(capsys)

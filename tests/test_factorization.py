@@ -33,9 +33,15 @@ from polymf import (
     verify_randomized,
 )
 from polymf import factorization, fixtures
-from polymf.factorization import COORDINATE_BOUND, DEFAULT_TRIALS, EVALUATION_BIT_CAP, TRIAL_WORK_CAP
+from polymf.factorization import (
+    COORDINATE_BOUND,
+    DEFAULT_TRIALS,
+    EVALUATION_BIT_CAP,
+    EXACT_WORK_CAP,
+    TRIAL_WORK_CAP,
+)
 
-from conftest import factorizations, nonzero_polynomials, scaled_two_product_pair
+from conftest import factorizations, nonzero_polynomials, poly_matrices, polynomials, scaled_two_product_pair
 
 
 def with_phi_entry(mf, i, j, value):
@@ -279,6 +285,60 @@ class TestEvaluationCap:
         monkeypatch.setattr(Polynomial, "evaluate", never)
         with pytest.raises(EvaluationCapError, match=f"{DEFAULT_TRIALS + 1} trials"):
             verify_randomized(mf, trials=DEFAULT_TRIALS + 1)
+
+
+def long_pair(terms: int, f: Polynomial | None = None) -> MatrixFactorization:
+    """The 1x1 pair ([a], [b]) of two `terms`-term entries, a factorization
+    of f, by default of a*b (2 * terms - 1 terms)."""
+    a = parse_polynomial(" + ".join(f"x^{i}" for i in range(terms)))
+    b = parse_polynomial(" + ".join(f"x^{i}y" for i in range(terms)))
+    return MatrixFactorization(a * b if f is None else f, PolyMatrix([[a]]), PolyMatrix([[b]]))
+
+
+class TestExactWorkCap:
+    def test_refused_before_any_product(self, monkeypatch):
+        def never(a, b):
+            raise AssertionError("a product started")
+
+        # the cap comes before any check, so f need not be a*b
+        mf = long_pair(1200, parse_polynomial("x"))
+        monkeypatch.setattr(factorization, "mat_mul", never)
+        with pytest.raises(EvaluationCapError, match="1440000 term products"):
+            verify_exact(mf)
+        with pytest.raises(EvaluationCapError):
+            certify(mf, "exact")
+
+    def test_both_orders_count_when_f_is_zero(self, monkeypatch):
+        x, y = parse_polynomial("x + 1"), parse_polynomial("y + 1")
+        monkeypatch.setattr(factorization, "EXACT_WORK_CAP", 4)
+        assert verify_exact(MatrixFactorization(x * y, PolyMatrix([[x]]), PolyMatrix([[y]])))[0]
+        with pytest.raises(EvaluationCapError, match="8 term products"):
+            verify_exact(MatrixFactorization(Polynomial.zero(), PolyMatrix([[x]]), PolyMatrix([[y]])))
+
+    @given(poly_matrices(2, 3, polynomials()), poly_matrices(3, 2, polynomials()))
+    @settings(max_examples=50)
+    def test_estimate_counts_the_term_products(self, a, b):
+        products = sum(
+            a[i, k].num_terms() * b[k, j].num_terms()
+            for i in range(2) for k in range(3) for j in range(2)
+        )
+        assert factorization._product_work(a, b) == products
+
+    def test_paper_pipelines_are_below_the_cap(self):
+        """The improved 2048 pair peaks at half the cap, and is still
+        checked exactly when asked."""
+        work = {mf.size: factorization._product_work(mf.phi, mf.psi) for mf in paper_pairs()}
+        assert max(work.values()) == work[2048] == EXACT_WORK_CAP // 2
+        improved = run_improved(SummandReducedPoly.from_strings(*TWO_PRODUCT), verify="skip")
+        assert certify(improved, "exact") == {"mode": "exact"}
+
+    def test_failure_diagnostic_is_bounded(self):
+        good = long_pair(300)
+        mf = MatrixFactorization(good.f + parse_polynomial("1"), good.phi, good.psi)
+        ok, diag = verify_exact(mf)
+        assert not ok and diag.startswith("phi*psi entry (0,0) is ")
+        assert len(diag) < 600
+        assert f"({good.f.num_terms()} terms)" in diag and f"({mf.f.num_terms()} terms)" in diag
 
 
 class StopTrial(Exception):

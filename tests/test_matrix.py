@@ -486,3 +486,32 @@ class TestKroneckerWithOne:
         )
         assert k[0, 1] is b[0, 1]  # 1 * 1
         assert k[0, 0] is b[0, 0] and k[0, 3] is a[0, 1]
+
+
+class TestIdentityKroneckerByReindexing:
+    """matrix._spread(a, m) is a (x) 1_m and matrix._tile(n, b) is
+    1_n (x) b, built by re-indexing: they equal kron with an identity and
+    hold the input's own entry objects."""
+
+    @given(shared_matrices(rational_polynomials(max_terms=2)), st.integers(1, 3))
+    @settings(max_examples=60)
+    def test_equal_kron_with_an_identity(self, a, n):
+        spread, tile = matrix._spread(a, n), matrix._tile(n, a)
+        assert spread == kron(a, identity(n))
+        assert tile == kron(identity(n), a)
+        assert_sparse(spread)
+        assert_sparse(tile)
+
+    @given(shared_matrices(rational_polynomials(max_terms=2)), st.integers(1, 3))
+    @settings(max_examples=60)
+    def test_hold_only_the_input_objects(self, a, n):
+        inputs = {id(e) for _, _, e in a.nonzeros()}
+        for held in (matrix._spread(a, n), matrix._tile(n, a)):
+            assert {id(e) for _, _, e in held.nonzeros()} == inputs
+
+    def test_non_square_and_empty_inputs(self):
+        a = m([["x", "0", "y"]])
+        assert matrix._spread(a, 2) == kron(a, identity(2))
+        assert matrix._tile(2, a) == kron(identity(2), a)
+        empty = zeros(2, 3)
+        assert matrix._spread(empty, 2) == zeros(4, 6) == matrix._tile(2, empty)

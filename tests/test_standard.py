@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymf import (
     PolyError,
@@ -9,9 +10,11 @@ from polymf import (
     PolyMatrix,
     STANDARD_VARIANTS,
     SummandList,
+    block2x2,
     make_factorization,
     monomial_pairs,
     parse_polynomial,
+    scalar_matrix,
     standard_factorize,
     standard_factorize_polynomial,
     standard_step,
@@ -37,6 +40,24 @@ class TestSummandList:
     def test_rejects_zero_products(self):
         with pytest.raises(PolyError):
             SummandList(((p("x"), Polynomial.zero()),))
+        with pytest.raises(PolyError):
+            SummandList(((p("x"), p("y")), (Polynomial.zero(), p("x"))))
+
+    @given(st.lists(st.tuples(nonzero_polynomials(), nonzero_polynomials()), min_size=1, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_target_is_the_sum_of_the_products(self, pairs):
+        sl = SummandList(tuple(pairs))
+        total = Polynomial.zero()
+        for g, h in pairs:
+            total = total + g * h
+        assert sl.target == total
+
+    def test_construction_multiplies_nothing(self, monkeypatch):
+        def never(a, b):
+            raise AssertionError("a polynomial was multiplied")
+
+        monkeypatch.setattr(Polynomial, "__mul__", never)
+        SummandList(((p("x"), p("y")), (p("z"), p("z"))))
 
 
 class TestStandardStep:
@@ -56,6 +77,33 @@ class TestStandardStep:
         seed = make_factorization(p("xy"), PolyMatrix([[p("x")]]), PolyMatrix([[p("y")]]))
         with pytest.raises(ValueError):
             standard_step(seed, p("z"), p("z"), "v3")
+
+    @given(factorizations(max_steps=1), nonzero_polynomials(), nonzero_polynomials())
+    @settings(max_examples=50, deadline=None)
+    def test_each_variant_is_the_paper_block_formula(self, mf, g, h):
+        """Every variant equals its block formula, built the slow way from
+        scalar matrices, their negations and block2x2."""
+        c, d = mf.phi, mf.psi
+        big_g, big_h = scalar_matrix(g, mf.size), scalar_matrix(h, mf.size)
+        formulas = {
+            "standard": ((c, -big_g, big_h, d), (d, big_g, -big_h, c)),
+            "v1": ((big_h, d, c, -big_g), (big_g, d, c, -big_h)),
+            "v2": ((-big_g, c, d, big_h), (-big_h, c, d, big_g)),
+        }
+        assert formulas.keys() == set(STANDARD_VARIANTS)
+        for variant, (phi_blocks, psi_blocks) in formulas.items():
+            stepped = standard_step(mf, g, h, variant, verify="skip")
+            assert stepped.phi == block2x2(*phi_blocks), variant
+            assert stepped.psi == block2x2(*psi_blocks), variant
+
+    def test_negates_polynomials_not_matrices(self, monkeypatch):
+        def never(m):
+            raise AssertionError("a matrix was negated")
+
+        seed = make_factorization(p("xy"), PolyMatrix([[p("x")]]), PolyMatrix([[p("y")]]))
+        monkeypatch.setattr(PolyMatrix, "__neg__", never)
+        for variant in STANDARD_VARIANTS:
+            standard_step(seed, p("z"), p("z"), variant, verify="skip")
 
     @given(factorizations(max_steps=1), nonzero_polynomials(), nonzero_polynomials())
     @settings(max_examples=100, deadline=None)

@@ -7,11 +7,14 @@ from polymf import (
     YOSHINO_VARIANTS,
     PolyMatrix,
     Polynomial,
+    block2x2,
     commutativity_morphism,
     compose,
     direct_sum_factorizations,
+    identity,
     identity_morphism,
     is_morphism,
+    kron,
     mult_tensor,
     mult_tensor_variant,
     parse_polynomial,
@@ -22,7 +25,7 @@ from polymf import (
     verify_exact,
     yoshino,
 )
-from polymf import fixtures
+from polymf import fixtures, matrix, tensor
 
 from conftest import factorizations, nonzero_polynomials
 
@@ -69,6 +72,39 @@ class TestYoshino:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             yoshino(fixtures.pair_m(), fixtures.pair_q(), "v4")
+
+    @given(factorizations(max_steps=1), factorizations(max_steps=1))
+    @settings(max_examples=50, deadline=None)
+    def test_each_variant_is_the_paper_block_formula(self, x, y):
+        """Every variant equals its block formula, built the slow way from
+        kron with identities, negation and block2x2."""
+        n, m = x.size, y.size
+        pk, sk = kron(x.phi, identity(m)), kron(x.psi, identity(m))
+        kp, ks = kron(identity(n), y.phi), kron(identity(n), y.psi)
+        formulas = {
+            "standard": ((pk, kp, -ks, sk), (sk, -kp, ks, pk)),
+            "v1": ((kp, sk, pk, -ks), (ks, sk, pk, -kp)),
+            "v2": ((sk, -ks, kp, pk), (pk, ks, -kp, sk)),
+            "v3": ((-ks, pk, sk, kp), (-kp, pk, sk, ks)),
+        }
+        assert formulas.keys() == set(YOSHINO_VARIANTS)
+        for variant, (phi_blocks, psi_blocks) in formulas.items():
+            t = yoshino(x, y, variant, verify="skip")
+            assert t.f == x.f + y.f
+            assert t.phi == block2x2(*phi_blocks), variant
+            assert t.psi == block2x2(*psi_blocks), variant
+
+    @pytest.mark.parametrize("variant", YOSHINO_VARIANTS)
+    def test_builds_no_kron_and_no_identity(self, variant, monkeypatch):
+        def never(*args):
+            raise AssertionError("kron or identity was called")
+
+        for module, name in ((tensor, "kron"), (matrix, "kron"), (matrix, "identity")):
+            monkeypatch.setattr(module, name, never)
+        monkeypatch.setattr(tensor, "identity", never, raising=False)
+        t = yoshino(fixtures.pair_m(), fixtures.pair_p(), variant, verify="skip")
+        monkeypatch.undo()
+        assert verify_exact(t)[0]
 
     @given(factorizations(max_steps=1), factorizations(max_steps=1))
     @settings(max_examples=100, deadline=None)
