@@ -1,8 +1,8 @@
 """Command-line surface: factorize, verify, predict, demo.
 
 Exit codes: 0 success, 1 demo fixture failure, 2 parse/validation
-failure, 3 verification failure, 4 construction or evaluation cap
-exceeded.
+failure or unwritable output, 3 verification failure, 4 construction or
+evaluation cap exceeded.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -72,15 +74,46 @@ def _read_input(path: str | None) -> str:
 
 
 def _write_output(path: str | None, text: str) -> None:
+    """Write text, ending in a newline, to stdout ('-' or None) or to path.
+
+    A file is overwritten in place, never truncated to zero first: it is
+    opened without O_TRUNC, given the UTF-8 bytes, and then cut to their
+    length.  ext4 (with its default auto_da_alloc) starts writeback of a
+    file's new data when a file truncated to zero is closed, which made
+    every rewrite of an existing --output file wait on the disk.  The bytes, the inode, an existing file's mode, the
+    creation mode (0o666 less the umask) and writing through a symlink
+    are all as with open(path, "w").  A target that is not a regular
+    file (/dev/null, a FIFO, /dev/stdout) is written and not truncated.
+
+    The trade-off: a write interrupted part way leaves the start of the
+    new text followed by the end of the old file, where open(path, "w")
+    would leave a prefix of the new text.  Either file is broken.
+
+    Raises OSError when the file cannot be opened or written.
+    """
     if path is None or path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        return
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if not data.endswith(b"\n"):
+            fh.write(b"\n")
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()  # at the end of what was written
+
+
+def _emit(path: str | None, text: str, code: int = EXIT_OK) -> int:
+    """Write a command's output and return its exit code, or print one
+    error line and return EXIT_PARSE when the output cannot be written."""
+    try:
+        _write_output(path, text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return code
 
 
 def _is_string_list(value: object) -> bool:
@@ -205,8 +238,7 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    _write_output(args.output, _render_factorization(mf, cfg, predicted, record))
-    return EXIT_OK
+    return _emit(args.output, _render_factorization(mf, cfg, predicted, record))
 
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -226,13 +258,10 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     if cfg.output_format == "structured":
-        _write_output(
-            args.output,
-            json.dumps({"f": str(mf.f), "size": mf.size, "pass": ok, **record, "diagnostics": diag}),
-        )
+        text = json.dumps({"f": str(mf.f), "size": mf.size, "pass": ok, **record, "diagnostics": diag})
     else:
-        _write_output(args.output, f"{'pass' if ok else 'FAIL'}: {diag}")
-    return EXIT_OK if ok else EXIT_VERIFY
+        text = f"{'pass' if ok else 'FAIL'}: {diag}"
+    return _emit(args.output, text, EXIT_OK if ok else EXIT_VERIFY)
 
 
 def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -254,13 +283,10 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if cfg.output_format == "structured":
-        _write_output(args.output, json.dumps(sizes.to_dict()))
+        text = json.dumps(sizes.to_dict())
     else:
-        _write_output(
-            args.output,
-            "\n".join(f"{key} = {value}" for key, value in sizes.to_dict().items()),
-        )
-    return EXIT_OK
+        text = "\n".join(f"{key} = {value}" for key, value in sizes.to_dict().items())
+    return _emit(args.output, text)
 
 
 def _demo_cases() -> list[tuple[str, Callable[[], None]]]:
@@ -363,8 +389,7 @@ def cmd_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
             failures += 1
             lines.append(f"FAIL  {name}: {exc}")
     lines.append(f"{len(cases) - failures}/{len(cases)} demo cases passed")
-    _write_output(args.output, "\n".join(lines))
-    return EXIT_OK if failures == 0 else EXIT_DEMO_FAILURE
+    return _emit(args.output, "\n".join(lines), EXIT_OK if failures == 0 else EXIT_DEMO_FAILURE)
 
 
 def _positive_int(text: str) -> int:

@@ -136,23 +136,26 @@ class Monomial:
 def split_monomial(m: Monomial) -> tuple[Monomial, Monomial]:
     """Split m = h1 * h2 by the deterministic degree-halving rule.
 
-    The variable powers of m are flattened into single-variable factors in
-    the fixed variable order; h1 takes the first ceil(d/2) of them and the
-    coefficient (sign included), h2 takes the rest with coefficient 1.
+    The variable powers of m, taken in the fixed variable order, are read
+    as single-variable factors; h1 takes the first ceil(d/2) of them and
+    the coefficient (sign included), h2 takes the rest with coefficient 1.
     A degree-0 monomial c splits as (c, 1).
     """
-    flat = [v for v, e in m.exponents for _ in range(e)]
-    cut = (len(flat) + 1) // 2
-    h1 = _from_flat(m.coeff, flat[:cut])
-    h2 = _from_flat(1, flat[cut:])
-    return h1, h2
+    k1, k2 = _split_key(m.exponents)
+    return Monomial(m.coeff, k1), Monomial(1, k2)
 
 
-def _from_flat(coeff: Coeff, flat: list[str]) -> Monomial:
-    exps: dict[str, int] = {}
-    for v in flat:
-        exps[v] = exps.get(v, 0) + 1
-    return Monomial(coeff, tuple(sorted(exps.items())))
+def _split_key(exps: ExpKey) -> tuple[ExpKey, ExpKey]:
+    """The exponent keys of the two halves of split_monomial, cut from
+    exps directly: at most one variable's power is shared by both."""
+    left = (_degree(exps) + 1) // 2
+    for i, (v, e) in enumerate(exps):
+        if e >= left:
+            head = exps[:i] + ((v, left),)
+            tail = ((v, e - left),) + exps[i + 1:] if e > left else exps[i + 1:]
+            return head, tail
+        left -= e
+    return exps, ()
 
 
 class Polynomial:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .factorization import MatrixFactorization, make_factorization
 from .matrix import PolyMatrix, block2x2, scalar_matrix
-from .poly import Monomial, Polynomial, PolyError, split_monomial
+from .poly import Monomial, Polynomial, PolyError, _coeff, _split_key, _wrap
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,13 @@ def standard_factorize(
 
 
 def monomial_pairs(monomials: list[Monomial]) -> SummandList:
-    """Split each monomial into a (g, h) pair; sign travels with g."""
+    """Split each monomial into a (g, h) pair by the rule of
+    split_monomial; sign travels with g.  Each half is one term cut from
+    the monomial's exponent key, so it is wrapped as it stands."""
     pairs = []
     for m in monomials:
-        h1, h2 = split_monomial(m)
-        pairs.append((h1.as_polynomial(), h2.as_polynomial()))
+        k1, k2 = _split_key(m.exponents)
+        pairs.append((_wrap({k1: _coeff(m.coeff)}), _wrap({k2: 1})))
     return SummandList(tuple(pairs))
 
 

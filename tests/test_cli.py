@@ -393,6 +393,99 @@ class TestVerify:
         assert doc["pass"] is True and doc["mode"] == "exact"
 
 
+def write_with_open_w(path: str, text: str) -> None:
+    """The output writer before files were rewritten in place: the
+    reference for the bytes a file output must hold."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if not text.endswith("\n"):
+            fh.write("\n")
+
+
+class TestOutputFile:
+    """--output rewrites a file in place, with the bytes, inode, mode
+    and links that open(path, "w") would leave."""
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_overwriting_a_longer_file_leaves_exactly_the_new_bytes(
+        self, part1_file, tmp_path, monkeypatch, fmt
+    ):
+        argv = ["factorize", "--input", part1_file, "--format", fmt, "--output"]
+        out = tmp_path / "out"
+        out.write_bytes(b"#" * 300_000)
+        assert run([*argv, str(out)]) == 0
+        reference = tmp_path / "reference"
+        monkeypatch.setattr(cli, "_write_output", write_with_open_w)
+        assert run([*argv, str(reference)]) == 0
+        assert out.read_bytes() == reference.read_bytes()
+        assert out.read_bytes().endswith(b"\n") and b"#" not in out.read_bytes()
+
+    def test_new_file_mode_follows_the_umask(self, part1_file, tmp_path):
+        out = tmp_path / "new.txt"
+        old = os.umask(0o027)
+        try:
+            assert run(["predict", "--input", part1_file, "--output", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_existing_file_keeps_its_mode_inode_and_links(self, part1_file, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_text("x" * 10_000)
+        out.chmod(0o600)
+        alias = tmp_path / "hardlink.txt"
+        os.link(out, alias)
+        inode = out.stat().st_ino
+        assert run(["predict", "--input", part1_file, "--output", str(out)]) == 0
+        assert out.stat().st_ino == inode and out.stat().st_mode & 0o777 == 0o600
+        assert alias.read_bytes() == out.read_bytes()
+        assert out.read_text().startswith("standard_size = ")
+
+    def test_symlinked_output_writes_through_to_its_target(self, part1_file, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("x" * 10_000)
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        assert run(["predict", "--input", part1_file, "--output", str(link)]) == 0
+        assert link.is_symlink()
+        reference = tmp_path / "reference.txt"
+        assert run(["predict", "--input", part1_file, "--output", str(reference)]) == 0
+        assert target.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("command", ["factorize", "predict"])
+    def test_device_output(self, part1_file, command):
+        assert run([command, "--input", part1_file, "--output", os.devnull]) == 0
+
+    def test_never_opened_with_truncation(self, part1_file, tmp_path, monkeypatch):
+        flags_seen = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            flags_seen.append(flags)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        out = tmp_path / "out.json"
+        out.write_text("x" * 10_000)
+        for fmt in ("text", "structured"):
+            assert run(["factorize", "--input", part1_file, "--format", fmt,
+                        "--output", str(out)]) == 0
+        assert len(flags_seen) == 2
+        assert all(f & os.O_CREAT and not f & os.O_TRUNC for f in flags_seen)
+
+    @pytest.mark.parametrize("command", ["factorize", "verify", "predict", "demo"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_output_is_an_error_line(self, part1_file, tmp_path, command, where):
+        source = part1_file
+        if command == "verify":
+            source = write_json(tmp_path, "pair.json", fixtures.pair_m().to_dict())
+        out = tmp_path / "missing" / "out.json" if where == "missing_dir" else tmp_path
+        code, _, err = run_captured([command, "--input", source, "--output", str(out)])
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestParser:
     def test_built_once_per_process(self, tmp_path, monkeypatch, capsys):
         built = []

@@ -14,6 +14,7 @@ from polymf import (
     PolyError,
     Polynomial,
     count_expanded_monomials,
+    monomial_pairs,
     parse_polynomial,
     split_monomial,
 )
@@ -217,6 +218,50 @@ class TestMonomialSplit:
             h1, h2 = split_monomial(m)
             assert h1.as_polynomial() * h2.as_polynomial() == m.as_polynomial()
             assert h1.degree >= h2.degree >= 0
+
+
+def split_by_flat_list(m: Monomial) -> tuple[Monomial, Monomial]:
+    """The degree-halving rule as first written: flatten the powers into
+    a list of names and rebuild each half from its slice (reference)."""
+    flat = [v for v, e in m.exponents for _ in range(e)]
+    cut = (len(flat) + 1) // 2
+
+    def rebuild(coeff, names):
+        exps = {}
+        for v in names:
+            exps[v] = exps.get(v, 0) + 1
+        return Monomial(coeff, tuple(sorted(exps.items())))
+
+    return rebuild(m.coeff, flat[:cut]), rebuild(1, flat[cut:])
+
+
+SPLIT_COEFFICIENTS = st.integers(-9, 9).filter(bool) | st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)
+)
+
+
+@st.composite
+def monomials(draw) -> Monomial:
+    powers = draw(st.dictionaries(st.sampled_from(["x", "x1", "x10", "y"]), st.integers(1, 6)))
+    return Monomial(draw(SPLIT_COEFFICIENTS), tuple(sorted(powers.items())))
+
+
+class TestMonomialSplitReference:
+    @given(monomials())
+    @settings(max_examples=200)
+    def test_split_matches_the_flat_list_rule(self, m):
+        assert split_monomial(m) == split_by_flat_list(m)
+
+    @given(st.lists(monomials(), min_size=1, max_size=4))
+    @settings(max_examples=100)
+    def test_monomial_pairs_wrap_the_same_halves(self, ms):
+        pairs = monomial_pairs(ms).pairs
+        for m, (g, h) in zip(ms, pairs):
+            h1, h2 = split_by_flat_list(m)
+            assert (g, h) == (h1.as_polynomial(), h2.as_polynomial())
+            # coefficients are canonical: an integral Fraction is an int
+            assert type(g.terms[0].coeff) is type(h1.as_polynomial().terms[0].coeff)
+            assert str(g) == str(h1.as_polynomial()) and str(h) == str(h2.as_polynomial())
 
 
 class TestCounting:
