@@ -287,12 +287,14 @@ def verify_randomized(
             f"({DEFAULT_TRIALS} trials of {TRIAL_WORK_CAP})"
         )
     variables = sorted(mf.f.variables().union(*(e.variables() for e in distinct)))
-    rng = random.Random(seed)
+    # randrange(2B + 1) - B is the integer rng.randint(-B, B) draws from
+    # the same stream, without its two extra Python frames per draw.
+    draw, span, bound = random.Random(seed).randrange, 2 * COORDINATE_BOUND + 1, COORDINATE_BOUND
     for _ in range(trials):
-        point = {v: rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for v in variables}
+        point = {v: draw(span) - bound for v in variables}
         values = [e.evaluate(point) for e in distinct]
         fval = mf.f.evaluate(point)
-        r = [rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for _ in range(mf.size)]
+        r = [draw(span) - bound for _ in range(mf.size)]
         scale = lcm(fval.denominator, *(x.denominator for x in values))
         if scale != 1:
             values = [x.numerator * (scale // x.denominator) for x in values]

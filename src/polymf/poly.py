@@ -406,7 +406,8 @@ def evaluate(p: Polynomial, point: EvalPoint) -> Coeff:
 
 
 # ---------------------------------------------------------------------------
-# Parser.  Grammar (ASCII, whitespace ignored):
+# Parser.  Grammar (ASCII only: the digits 0-9, the letters A-Z and a-z,
+# and the whitespace " \t\n\r\f\v", which is ignored):
 #   expr     := ('+'|'-')? term (('+'|'-') term)*
 #   term     := factor ('*'? factor)*
 #   factor   := rational | var ('^' uint)?
@@ -415,116 +416,101 @@ def evaluate(p: Polynomial, point: EvalPoint) -> Coeff:
 # Juxtaposition is multiplication (xy = x*y for single-letter variables).
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<num>\d+)
-      | (?P<name>[A-Za-z][0-9]*)
-      | (?P<op>[+\-*/^])
-    """,
-    re.VERBOSE,
-)
+# One token per match: whitespace (no group), a numeral, a name, an
+# operator, or any other single character, which is an unknown token.
+_TOKENS = re.compile(r"\s+|(\d+)|([A-Za-z][0-9]*)|([-+*/^])|(.)", re.ASCII | re.DOTALL)
+_NUM, _NAME, _OP, _UNKNOWN = 1, 2, 3, 4
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unknown token {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.i += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        result = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-        return result
-
-    def expr(self) -> Polynomial:
-        sign = 1
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            self.next()
-            sign = -1 if tok[1] == "-" else 1
-        total = self.term().scale(sign)
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                break
-            self.next()
-            t = self.term()
-            total = total + (t if tok[1] == "+" else -t)
-        return total
-
-    def term(self) -> Polynomial:
-        product = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok[0] == "op" and tok[1] == "*":
-                self.next()
-                product = product * self.factor()
-            elif tok[0] in ("num", "name"):
-                product = product * self.factor()
-            else:
-                break
-        return product
-
-    def factor(self) -> Polynomial:
-        kind, text, offset = self.next()
-        if kind == "num":
-            value: Coeff = _int_of(text)
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "/":
-                self.next()
-                dkind, dtext, doffset = self.next()
-                if dkind != "num":
-                    raise ParseError("expected denominator", doffset)
-                denominator = _int_of(dtext)
-                if denominator == 0:
-                    raise ParseError("zero denominator", doffset)
-                value = Fraction(value, denominator)
-            return Polynomial.const(value)
-        if kind == "name":
-            exp = 1
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "^":
-                self.next()
-                ekind, etext, eoffset = self.next()
-                if ekind == "op" and etext == "-":
-                    raise ParseError("negative exponent", eoffset)
-                if ekind != "num":
-                    raise ParseError("expected exponent", eoffset)
-                exp = _int_of(etext)
-            return Polynomial.variable(text, exp)
-        raise ParseError(f"unexpected token {text!r}", offset)
+# What the parser has just read.  From _AFTER_NUM on, a factor has been
+# read and the open term may go on or close.
+_START, _FACTOR, _DENOMINATOR, _EXPONENT, _AFTER_NUM, _AFTER_NAME, _AFTER_FACTOR = range(7)
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse polynomial text into canonical form.
 
-    parse(print(p)) == p for every polynomial p.
+    One pass over the tokens: the open term is kept as its coefficient
+    and its {var: exp} map, and is added into one term dict at each
+    top-level '+' or '-' and at the end.  parse(print(p)) == p for every
+    polynomial p.
+
+    Raises ParseError at the first unknown character anywhere in the
+    text, else at the first token the grammar refuses.
     """
-    return _Parser(text).parse()
+    acc: dict[ExpKey, Coeff] = {}
+    coeff: Coeff = 1  # of the open term, its sign included
+    powers: dict[str, int] = {}  # of the open term
+    var = ""  # the last variable read, which a '^' raises to a power
+    state = _START
+    for m in _TOKENS.finditer(text):
+        kind = m.lastindex
+        if kind is None:
+            continue
+        tok = m[0]
+        if kind == _NUM:
+            if state == _DENOMINATOR:
+                denominator = _int_of(tok)
+                if not denominator:
+                    raise _syntax_error(text, "zero denominator", m.start())
+                coeff = Fraction(coeff, denominator)
+                state = _AFTER_FACTOR
+            elif state == _EXPONENT:
+                exp = powers.pop(var) + _int_of(tok) - 1
+                if exp:
+                    powers[var] = exp
+                state = _AFTER_FACTOR
+            else:
+                coeff *= _int_of(tok)
+                state = _AFTER_NUM
+            continue
+        if kind == _NAME and state != _DENOMINATOR and state != _EXPONENT:
+            powers[tok] = powers.get(tok, 0) + 1
+            var = tok
+            state = _AFTER_NAME
+            continue
+        if kind == _OP:
+            if state >= _AFTER_NUM:
+                if tok == "*":
+                    state = _FACTOR
+                    continue
+                if tok == "+" or tok == "-":
+                    key = tuple(sorted(powers.items()))
+                    acc[key] = acc.get(key, 0) + coeff
+                    coeff = 1 if tok == "+" else -1
+                    powers = {}
+                    state = _FACTOR
+                    continue
+                if tok == "/" and state == _AFTER_NUM:
+                    state = _DENOMINATOR
+                    continue
+                if tok == "^" and state == _AFTER_NAME:
+                    state = _EXPONENT
+                    continue
+            elif state == _START and (tok == "+" or tok == "-"):
+                coeff = 1 if tok == "+" else -1
+                state = _FACTOR
+                continue
+        if kind == _UNKNOWN:
+            raise ParseError(f"unknown token {tok!r}", m.start())
+        if state == _DENOMINATOR:
+            message = "expected denominator"
+        elif state == _EXPONENT:
+            message = "negative exponent" if tok == "-" else "expected exponent"
+        else:
+            message = f"unexpected token {tok!r}"
+        raise _syntax_error(text, message, m.start())
+    if state < _AFTER_NUM:
+        raise ParseError("unexpected end of input", len(text))
+    key = tuple(sorted(powers.items()))
+    acc[key] = acc.get(key, 0) + coeff
+    return _wrap(_settle(acc))
+
+
+def _syntax_error(text: str, message: str, offset: int) -> ParseError:
+    """The error for a token refused at offset, unless an unknown
+    character follows it: unknown characters are reported first, wherever
+    they are, as by a parser that tokenizes all of the text up front."""
+    for m in _TOKENS.finditer(text, offset):
+        if m.lastindex == _UNKNOWN:
+            return ParseError(f"unknown token {m[0]!r}", m.start())
+    return ParseError(message, offset)

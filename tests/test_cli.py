@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour: verbs, formats, exit codes, round trips."""
 
+import hashlib
 import io
 import json
 import os
+import string
 import subprocess
 import sys
 import time
@@ -26,7 +28,8 @@ from polymf import (
 )
 from polymf.cli import main
 
-from conftest import scaled_two_product_pair
+from conftest import factorizations, scaled_two_product_pair
+from test_golden import DIGESTS, DOCUMENTS
 
 PART1 = {"terms": ["z*y"], "products": [["x*y^2+x^2*z+y*z^2", "x*y+z^2"]]}
 PART2 = {"terms": ["x^5y^2"], "products": [["xy^2+x^2z+yz^2", "x^2z+y^2+y^2z"]]}
@@ -238,6 +241,46 @@ class TestFactorize:
         run(["factorize", "--input", part1_file, "--format", "structured",
              "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+
+# What Polynomial.__str__ writes: none of it needs JSON escaping.
+ENTRY_TEXT = st.text(alphabet=string.ascii_letters + string.digits + "^*/+- ", min_size=1, max_size=12)
+PIPELINE_METHODS = {"run_refined": "refined", "run_improved": "improved", "run_standard": "standard"}
+
+
+class TestStructuredWriter:
+    """Structured factorize output is json.dumps of its document, byte for
+    byte, though its phi and psi grids are joined row by row."""
+
+    @given(st.lists(st.lists(ENTRY_TEXT, min_size=1, max_size=5), max_size=5))
+    @settings(max_examples=200)
+    def test_grid_is_its_json(self, rows):
+        assert cli._json_grid(rows) == json.dumps(rows)
+
+    @given(factorizations(), st.sampled_from(["refined", "improved", "standard"]), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_random_pair_document(self, mf, method, with_sizes):
+        cfg = cli.RunConfig(method=method, output_format="structured")
+        predicted = {"refined_size": 4, "improved_size": 8} if with_sizes else None
+        record = factorization.certify(mf, "auto", 2, 0)
+        doc = {**mf.to_dict(), "method": method, "predicted_sizes": predicted, "verification": record}
+        assert cli._render_factorization(mf, cfg, predicted, record) == json.dumps(doc)
+
+    @pytest.mark.parametrize("run_name,doc,variant", sorted(DIGESTS), ids=["-".join(k) for k in sorted(DIGESTS)])
+    def test_pipeline_pair_document(self, tmp_path, run_name, doc, variant):
+        terms, products = DOCUMENTS[doc]
+        method = PIPELINE_METHODS[run_name]
+        variant_flag = "--standard-variant" if method == "standard" else "--yoshino-variant"
+        out = tmp_path / "pair.json"
+        code = run(["factorize", "--input", write_json(tmp_path, "doc.json", {"terms": terms, "products": products}),
+                    "--format", "structured", "--method", method, variant_flag, variant, "--output", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
+        # it opens with json.dumps(mf.to_dict()), the golden pair
+        pair = text[: text.index(', "method": ')] + "}"
+        assert hashlib.sha256(pair.encode()).hexdigest() == DIGESTS[run_name, doc, variant]
 
 
 class TestVerify:

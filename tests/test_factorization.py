@@ -1,6 +1,7 @@
 """Factorization verification (exact and randomized) and morphisms."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,29 @@ class TestVerifyRandomized:
         monkeypatch.setattr(Polynomial, "evaluate", counting)
         assert verify_randomized(good, trials=trials)
         assert len(calls) == trials * (len(distinct) + 1)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_points_are_the_randint_draws(self, monkeypatch, seed):
+        mf = fixtures.part2_pair()
+        evaluate = Polynomial.evaluate
+        points = []
+
+        def recording(p, point):
+            if not points or points[-1] is not point:
+                points.append(point)
+            return evaluate(p, point)
+
+        monkeypatch.setattr(Polynomial, "evaluate", recording)
+        assert verify_randomized(mf, trials=3, seed=seed)
+        # the reference draws x, then r, trial by trial, with randint
+        rng, b = random.Random(seed), COORDINATE_BOUND
+        entries = [e for m in (mf.phi, mf.psi) for _, _, e in m.nonzeros()]
+        variables = sorted(mf.f.variables().union(*(e.variables() for e in entries)))
+        want = []
+        for _ in range(3):
+            want.append({v: rng.randint(-b, b) for v in variables})
+            [rng.randint(-b, b) for _ in range(mf.size)]
+        assert [dict(point) for point in points] == want
 
     def test_deterministic_given_seed(self):
         mf = fixtures.pair_n()
