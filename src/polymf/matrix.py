@@ -21,9 +21,9 @@ entries work once per distinct object, through a memo keyed by id and
 local to the call: `mat_mul` packs each entry object once, `kron`
 multiplies each pair of objects once and reuses an object multiplied by
 the constant one, and negation and `texts` treat each object once.
-The identity Kronecker blocks of the additive tensor product, a (x) 1_m
-and 1_n (x) b, need no product at all: `_spread` and `_tile` build them
-by re-indexing the stored nonzeros, holding the input's entry objects.
+`block2x2` writes each output row once, from one row of each block in
+its block row; a block may be a polynomial p standing for p times the
+identity, so a standard step builds no scalar matrix.
 """
 
 from __future__ import annotations
@@ -382,27 +382,6 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     )
 
 
-def _spread(a: PolyMatrix, m: int) -> PolyMatrix:
-    """a (x) 1_m by re-indexing: slot (i, j) of a goes to the m slots
-    (i*m + p, j*m + p), p < m, and they hold a's own entry object."""
-    return _sparse(
-        ({j * m + p: e for j, e in row.items()} for row in a.row_maps for p in range(m)),
-        a.rows * m,
-        a.cols * m,
-    )
-
-
-def _tile(n: int, b: PolyMatrix) -> PolyMatrix:
-    """1_n (x) b by re-indexing: n copies of b down the block diagonal,
-    holding b's own entry objects."""
-    offsets = [i * b.cols for i in range(n)]
-    return _sparse(
-        ({q + offset: e for q, e in row.items()} for offset in offsets for row in b.row_maps),
-        n * b.rows,
-        n * b.cols,
-    )
-
-
 def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Block diagonal [[a, 0], [0, b]]; empty blocks are dropped."""
     return _sparse(
@@ -412,19 +391,55 @@ def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     )
 
 
-def block2x2(a: PolyMatrix, b: PolyMatrix, c: PolyMatrix, d: PolyMatrix) -> PolyMatrix:
-    """Assemble [[a, b], [c, d]] from conformable blocks."""
-    if a.rows != b.rows or c.rows != d.rows or a.cols != c.cols or b.cols != d.cols:
-        raise MatrixError("non-conformable blocks")
-    offset = a.cols
-    return _sparse(
-        (
-            {**left, **{j + offset: e for j, e in right.items()}}
-            for left, right in zip(a.row_maps + c.row_maps, b.row_maps + d.row_maps)
-        ),
-        a.rows + c.rows,
-        a.cols + b.cols,
-    )
+def block2x2(
+    a: PolyMatrix | Polynomial,
+    b: PolyMatrix | Polynomial,
+    c: PolyMatrix | Polynomial,
+    d: PolyMatrix | Polynomial,
+) -> PolyMatrix:
+    """Assemble [[a, b], [c, d]] from conformable blocks.
+
+    A block may be a Polynomial p, standing for p times the identity: it
+    is sized by the matrices beside it, so the other block of its block
+    row and of its block column must be matrices, and the slot must be
+    square.  Each output row is one dict, the left block's row copied
+    and then updated with the right block's row at shifted columns; a
+    scalar block adds its one diagonal entry (none when p is zero).
+    """
+    sa, sb, sc, sd = (isinstance(x, Polynomial) for x in (a, b, c, d))
+    # scalars on one diagonal only: each has a matrix beside it both ways
+    if (sa or sd) and (sb or sc):
+        raise MatrixError("a block row or block column of two scalar blocks has no size")
+    top, bottom = (b if sa else a).rows, (d if sc else c).rows
+    left, right = (c if sa else a).cols, (d if sb else b).cols
+    slots = ((a, sa, top, left), (b, sb, top, right), (c, sc, bottom, left), (d, sd, bottom, right))
+    for block, scalar, rows, cols in slots:
+        # a scalar block fits a square slot
+        if ((rows, rows) if scalar else (block.rows, block.cols)) != (rows, cols):
+            raise MatrixError("non-conformable blocks")
+    return _sparse(_block_rows(a, b, top, left) + _block_rows(c, d, bottom, left), top + bottom, left + right)
+
+
+def _block_rows(
+    left: PolyMatrix | Polynomial, right: PolyMatrix | Polynomial, n: int, offset: int
+) -> list[RowMap]:
+    """The n rows of the block row [left, right], right's columns shifted
+    by offset."""
+    if isinstance(left, Polynomial):
+        out = [{i: left} for i in range(n)] if left else [{} for _ in range(n)]
+    else:
+        out = [row.copy() for row in left.row_maps]
+    if isinstance(right, Polynomial):
+        if right:
+            for i, row in enumerate(out, offset):
+                row[i] = right
+    else:
+        # a loop of stores beats building a shifted dict or a zip/map
+        # pass for the few entries of a pair's row
+        for row, r in zip(out, right.row_maps):
+            for j, e in r.items():
+                row[j + offset] = e
+    return out
 
 
 def shuffle_matrix(m: int, n: int) -> PolyMatrix:

@@ -60,7 +60,7 @@ def _coeff(c) -> Coeff:
 
 
 def check_var_name(name: str) -> str:
-    if not _VAR_RE.match(name):
+    if type(name) is not str or not _VAR_RE.match(name):
         raise PolyError(f"invalid variable name: {name!r}")
     return name
 
@@ -165,7 +165,16 @@ class Polynomial:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[ExpKey, Coeff] | None = None):
-        self._terms = {k: _coeff(c) for k, c in (terms or {}).items() if c != 0}
+        """The polynomial of a {exponent key: coefficient} map; zero
+        coefficients are dropped.  Each key must be canonical, so that
+        the text it prints parses back to it: variable names that pass
+        check_var_name, in strictly increasing order, each with an int
+        exponent of at least 1 (not a bool).  Raises PolyError otherwise.
+        """
+        terms = terms or {}
+        for k in terms:
+            _check_key(k)
+        self._terms = {k: _coeff(c) for k, c in terms.items() if c != 0}
         self._hash = None
 
     # -- constructors ----------------------------------------------------
@@ -330,6 +339,22 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
+
+
+def _check_key(k: ExpKey) -> None:
+    if type(k) is not tuple:
+        raise PolyError(f"exponent key must be a tuple of (name, exponent) pairs, got {k!r}")
+    previous = ""
+    for item in k:
+        if type(item) is not tuple or len(item) != 2:
+            raise PolyError(f"exponent key must be a tuple of (name, exponent) pairs, got {k!r}")
+        v, e = item
+        check_var_name(v)
+        if v <= previous:
+            raise PolyError(f"variables of exponent key {k!r} are not in strictly increasing order")
+        if type(e) is not int or e < 1:
+            raise PolyError(f"exponent of {v} must be an int of at least 1, got {e!r}")
+        previous = v
 
 
 def _wrap(terms: dict[ExpKey, Coeff]) -> Polynomial:

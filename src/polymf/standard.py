@@ -14,6 +14,7 @@ the columns of the second, v2 the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .factorization import MatrixFactorization, make_factorization
 from .matrix import PolyMatrix, block2x2, scalar_matrix
@@ -40,28 +41,26 @@ class SummandList:
 
 
 def double(
-    c: PolyMatrix,
-    d: PolyMatrix,
-    g: PolyMatrix,
-    h: PolyMatrix,
-    ng: PolyMatrix,
-    nh: PolyMatrix,
-    variant: str = "standard",
+    c, d, g, h, ng, nh, variant: str, assemble: Callable[..., PolyMatrix]
 ) -> tuple[PolyMatrix, PolyMatrix]:
     """The doubled pair ([[C, -G], [H, D]], [[D, G], [-H, C]]), or its
     variant v1 (rows of the first matrix and columns of the second
-    interchanged) or v2 (the other way around), assembled by block2x2.
+    interchanged) or v2 (the other way around).
 
-    The caller passes ng = -G and nh = -H, so it can negate whatever is
-    cheapest: a polynomial for a scalar block, a small matrix before it
-    is spread into a Kronecker block.  Nothing is negated here.
+    This is the one table of block layouts, for both doublings: each
+    factor is assemble(top_left, top_right, bottom_left, bottom_right),
+    with block2x2 for a standard step and the row builder of `yoshino`
+    for the additive tensor product, and the blocks are whatever that
+    assembler takes.  The caller passes ng = -G and nh = -H, so it can
+    negate whatever is cheapest: a polynomial for a scalar block, a small
+    matrix for a Kronecker block.  Nothing is negated here.
     """
     if variant == "standard":
-        return block2x2(c, ng, h, d), block2x2(d, g, nh, c)
+        return assemble(c, ng, h, d), assemble(d, g, nh, c)
     if variant == "v1":
-        return block2x2(h, d, c, ng), block2x2(g, d, c, nh)
+        return assemble(h, d, c, ng), assemble(g, d, c, nh)
     if variant == "v2":
-        return block2x2(ng, c, d, h), block2x2(nh, c, d, g)
+        return assemble(ng, c, d, h), assemble(nh, c, d, g)
     raise ValueError(f"unknown standard-method variant {variant!r}")
 
 
@@ -75,19 +74,11 @@ def standard_step(
 ) -> MatrixFactorization:
     """One doubling step: a factorization of mf.f + g*h of size 2n.
 
-    The blocks G = g*I and H = h*I are scalar matrices, so -G and -H are
-    the scalar matrices of -g and -h: two polynomials are negated, not
-    two matrices."""
-    n = mf.size
-    p, q = double(
-        mf.phi,
-        mf.psi,
-        scalar_matrix(g, n),
-        scalar_matrix(h, n),
-        scalar_matrix(-g, n),
-        scalar_matrix(-h, n),
-        variant,
-    )
+    The blocks G = g*I and H = h*I go to block2x2 as the polynomials g,
+    h, -g and -h, which it places on the diagonal of their blocks: no
+    scalar matrix is built, and two polynomials are negated, not two
+    matrices."""
+    p, q = double(mf.phi, mf.psi, g, h, -g, -h, variant, block2x2)
     return make_factorization(mf.f + g * h, p, q, verify=verify)
 
 

@@ -23,8 +23,9 @@ from .factorization import (
     mat_mul,
 )
 from .matrix import (
-    _spread,
-    _tile,
+    PolyMatrix,
+    RowMap,
+    _sparse,
     block2x2,
     direct_sum,
     kron,
@@ -48,17 +49,52 @@ def yoshino(
 
     Each variant is a doubling (C, D, G, H) of the standard method (see
     `double`) of the Kronecker blocks phi (x) 1_m, psi (x) 1_m,
-    1_n (x) phi' and 1_n (x) psi'.  The blocks are built by re-indexing,
-    not by kron with an identity, and hold the inputs' entry objects; the
-    negated blocks are spread from -phi' and -psi', so only the two m x m
+    1_n (x) phi' and 1_n (x) psi'.  No block is built: row i*m + p of a
+    factor is written once, from row i of phi or psi at columns j*m + p
+    and row p of an m x m input at columns i*m + q, each shifted by its
+    block's column offset.  The rows hold the inputs' entry objects; the
+    negated blocks come from -phi' and -psi', so only the two m x m
     inputs are negated.  No polynomial is multiplied.
     """
     if variant not in YOSHINO_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {YOSHINO_VARIANTS}")
     n, m = x.size, y.size
-    pk, sk = _spread(x.phi, m), _spread(x.psi, m)  # phi (x) 1_m, psi (x) 1_m
-    kp, ks = _tile(n, y.phi), _tile(n, y.psi)  # 1_n (x) phi', 1_n (x) psi'
-    nkp, nks = _tile(n, -y.phi), _tile(n, -y.psi)
+    nm = n * m
+
+    def spread(a: PolyMatrix):
+        """a (x) 1_m, as a writer of its rows into a block row at column at."""
+
+        def write(rows: list[RowMap], at: int) -> None:
+            for i, arow in enumerate(a.row_maps):
+                items = [(j * m + at, e) for j, e in arow.items()]
+                for p, row in enumerate(rows[i * m : i * m + m]):
+                    for j, e in items:
+                        row[j + p] = e
+
+        return write
+
+    def tile(b: PolyMatrix):
+        """1_n (x) b, as a writer of its rows into a block row at column at."""
+
+        def write(rows: list[RowMap], at: int) -> None:
+            for i in range(n):
+                shift = i * m + at
+                for row, brow in zip(rows[i * m : i * m + m], b.row_maps):
+                    for q, e in brow.items():
+                        row[q + shift] = e
+
+        return write
+
+    def assemble(*blocks) -> PolyMatrix:
+        rows = [{} for _ in range(2 * nm)]
+        top, bottom = rows[:nm], rows[nm:]
+        for write, half, at in zip(blocks, (top, top, bottom, bottom), (0, nm, 0, nm)):
+            write(half, at)
+        return _sparse(rows, 2 * nm, 2 * nm)
+
+    pk, sk = spread(x.phi), spread(x.psi)  # phi (x) 1_m, psi (x) 1_m
+    kp, ks = tile(y.phi), tile(y.psi)  # 1_n (x) phi', 1_n (x) psi'
+    nkp, nks = tile(-y.phi), tile(-y.psi)
     # Arguments (C, D, G, H, -G, -H, doubling) of `double`; the standard
     # variant doubles (pk, sk, -kp, -ks), whose negations are kp and ks.
     a, b = double(*{
@@ -66,7 +102,7 @@ def yoshino(
         "v1": (pk, sk, ks, kp, nks, nkp, "v1"),
         "v2": (sk, pk, ks, kp, nks, nkp, "standard"),
         "v3": (pk, sk, ks, kp, nks, nkp, "v2"),
-    }[variant])
+    }[variant], assemble)
     return make_factorization(x.f + y.f, a, b, verify=verify)
 
 

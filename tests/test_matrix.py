@@ -488,30 +488,44 @@ class TestKroneckerWithOne:
         assert k[0, 0] is b[0, 0] and k[0, 3] is a[0, 1]
 
 
-class TestIdentityKroneckerByReindexing:
-    """matrix._spread(a, m) is a (x) 1_m and matrix._tile(n, b) is
-    1_n (x) b, built by re-indexing: they equal kron with an identity and
-    hold the input's own entry objects."""
+class TestScalarBlocks:
+    """block2x2 takes a Polynomial p as the block p*I, sized by the
+    matrices beside it."""
 
-    @given(shared_matrices(rational_polynomials(max_terms=2)), st.integers(1, 3))
-    @settings(max_examples=60)
-    def test_equal_kron_with_an_identity(self, a, n):
-        spread, tile = matrix._spread(a, n), matrix._tile(n, a)
-        assert spread == kron(a, identity(n))
-        assert tile == kron(identity(n), a)
-        assert_sparse(spread)
-        assert_sparse(tile)
+    @given(st.data(), polynomials(max_terms=2), st.integers(0, 2))
+    @settings(max_examples=100)
+    def test_equals_the_scalar_matrix_in_each_position(self, data, p, n):
+        placements = [(k,) for k in range(4)] + [(0, 3), (1, 2)]
+        for scalars in placements:
+            # block k sits in block row k // 2 and block column k % 2
+            heights = [data.draw(st.integers(0, 2)) for _ in range(2)]
+            widths = [data.draw(st.integers(0, 2)) for _ in range(2)]
+            for k in scalars:
+                heights[k // 2] = widths[k % 2] = n
+            blocks = [
+                p if k in scalars else data.draw(poly_matrices(heights[k // 2], widths[k % 2]))
+                for k in range(4)
+            ]
+            expected = [scalar_matrix(p, n) if k in scalars else blocks[k] for k in range(4)]
+            result = block2x2(*blocks)
+            assert result == block2x2(*expected), scalars
+            assert len(result.row_maps) == result.rows
+            assert all(e and 0 <= j < result.cols for _, j, e in result.nonzeros())
+            # the scalar's slots hold p itself
+            inputs = {id(e) for b in blocks if isinstance(b, PolyMatrix) for _, _, e in b.nonzeros()}
+            assert {id(e) for _, _, e in result.nonzeros()} <= inputs | {id(p)}
 
-    @given(shared_matrices(rational_polynomials(max_terms=2)), st.integers(1, 3))
-    @settings(max_examples=60)
-    def test_hold_only_the_input_objects(self, a, n):
-        inputs = {id(e) for _, _, e in a.nonzeros()}
-        for held in (matrix._spread(a, n), matrix._tile(n, a)):
-            assert {id(e) for _, _, e in held.nonzeros()} == inputs
-
-    def test_non_square_and_empty_inputs(self):
-        a = m([["x", "0", "y"]])
-        assert matrix._spread(a, 2) == kron(a, identity(2))
-        assert matrix._tile(2, a) == kron(identity(2), a)
-        empty = zeros(2, 3)
-        assert matrix._spread(empty, 2) == zeros(4, 6) == matrix._tile(2, empty)
+    def test_non_conformable_placements_raise(self):
+        x, y = parse_polynomial("x"), parse_polynomial("y")
+        square, tall = zeros(2, 2), zeros(3, 2)
+        for blocks in (
+            (x, zeros(2, 1), zeros(3, 3), zeros(3, 1)),  # slot of x is 2 x 3
+            (x, square, square, tall),  # d beside c is 3 rows, c is 2
+            (x, y, square, square),  # two scalars in the top block row
+            (square, square, x, y),  # two scalars in the bottom block row
+            (x, square, y, square),  # two scalars in the left block column
+            (square, x, square, y),  # two scalars in the right block column
+            (x, tall, square, square),  # b beside x is 3 rows, the column is 2 wide
+        ):
+            with pytest.raises(MatrixError):
+                block2x2(*blocks)

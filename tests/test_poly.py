@@ -104,6 +104,28 @@ class TestCanonicalForm:
     def test_str_round_trips(self, q):
         assert parse_polynomial(str(q)) == q
 
+    def test_constructor_refuses_a_name_the_parser_refuses(self):
+        # it would print 3*x"y^2, which does not parse
+        for name in ('x"y', "xy", "1x", "", "x_1"):
+            with pytest.raises(PolyError):
+                Polynomial({((name, 2),): 3})
+        assert str(Polynomial({(("x1", 2),): 3})) == "3*x1^2"
+
+    def test_constructor_refuses_names_out_of_order(self):
+        # it would print y*x and differ from the same monomial built as x*y
+        for key in ((("y", 1), ("x", 1)), (("x", 1), ("x", 2))):
+            with pytest.raises(PolyError):
+                Polynomial({key: 1})
+        assert Polynomial({(("x", 1), ("y", 1)): 1}) == p("x*y")
+
+    def test_constructor_refuses_exponents_below_one_or_not_int(self):
+        # (('x', 0),) would print 5*x and differ from Polynomial.const(5)
+        for exp in (0, -1, True, 1.0, Fraction(2)):
+            with pytest.raises(PolyError):
+                Polynomial({(("x", exp),): 5})
+        assert Polynomial({(): 5}) == Polynomial.const(5)
+        assert Polynomial({(("x", 2),): 5}) == p("5x^2")
+
     @given(polynomials(), polynomials(), polynomials())
     @settings(max_examples=100)
     def test_ring_laws(self, a, b, c):

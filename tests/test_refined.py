@@ -1,7 +1,9 @@
 """Summand-reduced inputs: validation, size prediction, the pipelines."""
 
+from math import prod
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polymf import (
@@ -20,11 +22,28 @@ from polymf import (
     validate_summand_reduced,
     verify_exact,
 )
-from polymf import factorization
+from polymf import STANDARD_VARIANTS, YOSHINO_VARIANTS, Monomial, factorization
+
+from conftest import RATIONAL_COEFFICIENTS, monomials
 
 
 def srp(terms, products):
     return SummandReducedPoly.from_strings(terms, products)
+
+
+@st.composite
+def small_documents(draw) -> SummandReducedPoly:
+    """Documents of 0-2 monomial terms and 1-2 product groups of 1-3
+    factors with rational coefficients, at most size 64 by the improved
+    pipeline and 8 formal monomials."""
+    terms = draw(st.lists(monomials(coefficients=RATIONAL_COEFFICIENTS).map(Monomial.as_polynomial), max_size=2))
+    factors = st.lists(
+        monomials(coefficients=RATIONAL_COEFFICIENTS), min_size=1, max_size=2, unique_by=lambda m: m.exponents
+    ).map(Polynomial.from_monomials)
+    groups = draw(st.lists(st.lists(factors, min_size=1, max_size=3), min_size=1, max_size=2))
+    doc = SummandReducedPoly(tuple(terms), tuple(ProductGroup(tuple(g)) for g in groups))
+    assume(predict_sizes(doc).improved_size <= 64 and len(doc.formal_monomials()) <= 8)
+    return doc
 
 
 class TestModel:
@@ -194,6 +213,19 @@ class TestPipelines:
     def test_pipeline_needs_a_product(self):
         with pytest.raises(ValidationFailure):
             run_refined(srp(["x^2"], []))
+
+    @given(small_documents())
+    @settings(max_examples=40, deadline=None)
+    def test_every_row_stores_the_formal_monomial_count(self, doc):
+        """Every row of phi and psi of every method and variant stores
+        exactly N = s + sum_j prod_i p_ji nonzeros."""
+        n = doc.s + sum(prod(g.monomial_counts) for g in doc.products)
+        pairs = [run(doc, v, verify="skip") for run in (run_refined, run_improved) for v in YOSHINO_VARIANTS]
+        pairs += [run_standard(doc, v, verify="skip") for v in STANDARD_VARIANTS]
+        for mf in pairs:
+            for m in (mf.phi, mf.psi):
+                assert m.rows == mf.size
+                assert [len(row) for row in m.row_maps] == [n] * mf.size
 
 
 @pytest.fixture
