@@ -13,7 +13,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from . import fixtures
@@ -27,11 +26,13 @@ from .factorization import (
     verify_exact,
 )
 from .matrix import MatrixError
-from .poly import ParseError, PolyError, Polynomial, parse_polynomial
+from .poly import ParseError, PolyError, Polynomial, _decimal, parse_polynomial
 from .refined import (
     CapExceededError,
     SummandReducedPoly,
     ValidationFailure,
+    _check_valid,
+    _power_text,
     predict_sizes,
     run_improved,
     run_refined,
@@ -53,19 +54,6 @@ EXIT_CAP = 4
 _INPUT_ERRORS = (ValueError, KeyError, OSError, RecursionError)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    method: str = "refined"
-    yoshino_variant: str = "standard"
-    standard_variant: str = "standard"
-    verify_mode: str = "auto"
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
-    output_format: str = "text"
-    strict_validate: bool = False
-    max_standard_monomials: int = 13
-
-
 def _read_input(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
@@ -80,10 +68,11 @@ def _write_output(path: str | None, text: str) -> None:
     opened without O_TRUNC, given the UTF-8 bytes, and then cut to their
     length.  ext4 (with its default auto_da_alloc) starts writeback of a
     file's new data when a file truncated to zero is closed, which made
-    every rewrite of an existing --output file wait on the disk.  The bytes, the inode, an existing file's mode, the
-    creation mode (0o666 less the umask) and writing through a symlink
-    are all as with open(path, "w").  A target that is not a regular
-    file (/dev/null, a FIFO, /dev/stdout) is written and not truncated.
+    every rewrite of an existing --output file wait on the disk.  The
+    bytes, the inode, an existing file's mode, the creation mode (0o666
+    less the umask) and writing through a symlink are all as with
+    open(path, "w").  A target that is not a regular file (/dev/null, a
+    FIFO, /dev/stdout) is written and not truncated.
 
     The trade-off: a write interrupted part way leaves the start of the
     new text followed by the end of the old file, where open(path, "w")
@@ -143,10 +132,11 @@ def _refuse_over_cap(method: str, size: int, max_monomials: int) -> bool:
     """If a predicted size 2^e exceeds 2^(max_monomials - 1), the size the
     standard method reaches with max_monomials summands, print the error
     line and return True."""
-    if size.bit_length() <= max_monomials:
+    e = size.bit_length() - 1
+    if e < max_monomials:
         return False
     print(
-        f"error: {method} construction skipped: predicted size {size} "
+        f"error: {method} construction skipped: predicted size {_power_text(e)} "
         f"exceeds 2^{max_monomials - 1} (raise --max-standard-monomials to allow it)",
         file=sys.stderr,
     )
@@ -154,7 +144,7 @@ def _refuse_over_cap(method: str, size: int, max_monomials: int) -> bool:
 
 
 def _render_factorization(
-    mf: MatrixFactorization, cfg: RunConfig, predicted: dict | None, record: dict
+    mf: MatrixFactorization, method: str, output_format: str, predicted: dict | None, record: dict
 ) -> str:
     """The factorize output: plain text, or the structured document, which
     is mf.to_dict() followed by the method, the predicted sizes and the
@@ -167,9 +157,9 @@ def _render_factorization(
     needs escaping: Polynomial.__str__ writes only ASCII letters, digits,
     '^', '*', '/', '+', '-' and spaces.
     """
-    if cfg.output_format == "structured":
+    if output_format == "structured":
         doc = mf.to_dict()
-        doc["method"] = cfg.method
+        doc["method"] = method
         doc["predicted_sizes"] = predicted
         doc["verification"] = record
         fields = (
@@ -179,7 +169,7 @@ def _render_factorization(
         return "{" + ", ".join(fields) + "}"
     lines = [
         f"f = {mf.f}",
-        f"method = {cfg.method}",
+        f"method = {method}",
         f"size = {mf.size}",
     ]
     if predicted:
@@ -199,7 +189,7 @@ def _json_grid(rows: list[list[str]]) -> str:
     return "[" + ", ".join('["' + '", "'.join(row) + '"]' for row in rows) + "]"
 
 
-def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_factorize(args: argparse.Namespace) -> int:
     try:
         problem = _parse_problem(_read_input(args.input))
     except _INPUT_ERRORS as exc:
@@ -209,7 +199,7 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
     predicted = None
     try:
         if isinstance(problem, Polynomial):
-            if cfg.method != "standard":
+            if args.method != "standard":
                 print(
                     "error: the refined and improved pipelines need a structured "
                     "summand-reduced document, not plain polynomial text",
@@ -218,35 +208,35 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
                 return EXIT_PARSE
             # the standard method's size is 2^(canonical terms - 1)
             size = 1 << max(problem.num_terms() - 1, 0)
-            if _refuse_over_cap(cfg.method, size, cfg.max_standard_monomials):
+            if _refuse_over_cap(args.method, size, args.max_standard_monomials):
                 return EXIT_CAP
-            mf = standard_factorize_polynomial(problem, cfg.standard_variant, verify="skip")
+            mf = standard_factorize_polynomial(problem, args.standard_variant, verify="skip")
         else:
             # predict_sizes refuses a document with no product group; the
             # standard method still builds its terms, under its own cap.
-            if problem.l or cfg.method != "standard":
+            if problem.l or args.method != "standard":
                 predicted = predict_sizes(problem).to_dict()
-                size = predicted[f"{cfg.method}_size"]
-                if _refuse_over_cap(cfg.method, size, cfg.max_standard_monomials):
+                size = predicted[f"{args.method}_size"]
+                if _refuse_over_cap(args.method, size, args.max_standard_monomials):
                     return EXIT_CAP
-            if cfg.method == "refined":
+            if args.method == "refined":
                 mf = run_refined(
-                    problem, cfg.yoshino_variant, verify="skip", strict=cfg.strict_validate
+                    problem, args.yoshino_variant, verify="skip", strict=args.strict_validate
                 )
-            elif cfg.method == "improved":
+            elif args.method == "improved":
                 mf = run_improved(
-                    problem, cfg.yoshino_variant, verify="skip", strict=cfg.strict_validate
+                    problem, args.yoshino_variant, verify="skip", strict=args.strict_validate
                 )
             else:
                 mf = run_standard(
                     problem,
-                    cfg.standard_variant,
-                    max_monomials=cfg.max_standard_monomials,
+                    args.standard_variant,
+                    max_monomials=args.max_standard_monomials,
                     verify="skip",
-                    strict=cfg.strict_validate,
+                    strict=args.strict_validate,
                 )
         # built unchecked, so that the one certificate is the one reported
-        record = certify(mf, cfg.verify_mode, cfg.trials, cfg.seed)
+        record = certify(mf, args.verify, args.trials, args.seed)
     except (CapExceededError, EvaluationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -260,10 +250,10 @@ def cmd_factorize(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    return _emit(args.output, _render_factorization(mf, cfg, predicted, record))
+    return _emit(args.output, _render_factorization(mf, args.method, args.format, predicted, record))
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(_read_input(args.input))
         mf = MatrixFactorization.from_dict(doc)
@@ -272,42 +262,40 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_PARSE
 
     try:
-        record = certify(mf, cfg.verify_mode, cfg.trials, cfg.seed)
+        record = certify(mf, args.verify, args.trials, args.seed)
         ok, diag = True, "ok"
     except VerificationError as exc:
         ok, diag, record = False, str(exc), exc.record
     except EvaluationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    if cfg.output_format == "structured":
+    if args.format == "structured":
         text = json.dumps({"f": str(mf.f), "size": mf.size, "pass": ok, **record, "diagnostics": diag})
     else:
         text = f"{'pass' if ok else 'FAIL'}: {diag}"
     return _emit(args.output, text, EXIT_OK if ok else EXIT_VERIFY)
 
 
-def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_predict(args: argparse.Namespace) -> int:
     try:
         problem = _parse_problem(_read_input(args.input))
         if isinstance(problem, Polynomial):
             print("error: predict needs a structured summand-reduced document", file=sys.stderr)
             return EXIT_PARSE
-        if cfg.strict_validate:
-            report = validate_summand_reduced(problem)
-            if not report.ok:
-                print(f"error: input is not summand-reduced:\n{report}", file=sys.stderr)
-                return EXIT_PARSE
-        sizes = predict_sizes(problem)
+        _check_valid(problem, args.strict_validate)
+        sizes = predict_sizes(problem).to_dict()
     except ValidationFailure as exc:
         print(f"error: input is not summand-reduced:\n{exc}", file=sys.stderr)
         return EXIT_PARSE
     except _INPUT_ERRORS as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if cfg.output_format == "structured":
-        text = json.dumps(sizes.to_dict())
+    # a size may have more digits than str() converts, so each goes
+    # through _decimal; the structured text is json.dumps(sizes)
+    if args.format == "structured":
+        text = "{" + ", ".join(f"{json.dumps(key)}: {_decimal(value)}" for key, value in sizes.items()) + "}"
     else:
-        text = "\n".join(f"{key} = {value}" for key, value in sizes.to_dict().items())
+        text = "\n".join(f"{key} = {_decimal(value)}" for key, value in sizes.items())
     return _emit(args.output, text)
 
 
@@ -399,7 +387,7 @@ def _demo_cases() -> list[tuple[str, Callable[[], None]]]:
     ]
 
 
-def cmd_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_demo(args: argparse.Namespace) -> int:
     cases = _demo_cases()
     failures = 0
     lines = []
@@ -421,33 +409,45 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Each flag's argparse settings, and the flags each verb reads: a verb
+# refuses any other flag (exit 2).
+_FLAGS = {
+    "--input": {"help": "input file ('-' or omitted: stdin)"},
+    "--output": {"help": "output file (default: stdout)"},
+    "--method": {"choices": ("standard", "improved", "refined"), "default": "refined"},
+    "--yoshino-variant": {"choices": YOSHINO_VARIANTS, "default": "standard"},
+    "--standard-variant": {"choices": STANDARD_VARIANTS, "default": "standard"},
+    "--verify": {"choices": ("exact", "randomized", "auto"), "default": "auto"},
+    "--trials": {"type": _positive_int, "default": DEFAULT_TRIALS},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--format": {"choices": ("text", "structured"), "default": "text"},
+    "--strict-validate": {"action": "store_true"},
+    "--max-standard-monomials": {
+        "type": _positive_int, "default": 13,
+        "help": "construction cap N: a method whose predicted size exceeds 2^(N-1) exits 4",
+    },
+}
+_VERBS = (
+    ("factorize", cmd_factorize, "factor a polynomial or summand-reduced document", tuple(_FLAGS)),
+    ("verify", cmd_verify, "check a serialized factorization",
+     ("--input", "--output", "--verify", "--trials", "--seed", "--format")),
+    ("predict", cmd_predict, "print the size report for a summand-reduced document",
+     ("--input", "--output", "--format", "--strict-validate")),
+    ("demo", cmd_demo, "run the built-in example corpus", ("--output",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polymf",
         description="Exact matrix factorizations of multivariate polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("factorize", "factor a polynomial or summand-reduced document"),
-        ("verify", "check a serialized factorization"),
-        ("predict", "print the size report for a summand-reduced document"),
-        ("demo", "run the built-in example corpus"),
-    ):
+    for name, handler, helptext, flags in _VERBS:
         sp = sub.add_parser(name, help=helptext)
-        sp.add_argument("--input", default=None, help="input file ('-' or omitted: stdin)")
-        sp.add_argument("--output", default=None, help="output file (default: stdout)")
-        sp.add_argument("--method", choices=("standard", "improved", "refined"), default="refined")
-        sp.add_argument("--yoshino-variant", choices=YOSHINO_VARIANTS, default="standard")
-        sp.add_argument("--standard-variant", choices=STANDARD_VARIANTS, default="standard")
-        sp.add_argument("--verify", choices=("exact", "randomized", "auto"), default="auto")
-        sp.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--format", choices=("text", "structured"), default="text")
-        sp.add_argument("--strict-validate", action="store_true")
-        sp.add_argument(
-            "--max-standard-monomials", type=int, default=13,
-            help="construction cap N: a method whose predicted size exceeds 2^(N-1) exits 4",
-        )
+        sp.set_defaults(handler=handler)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -460,24 +460,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    cfg = RunConfig(
-        method=args.method,
-        yoshino_variant=args.yoshino_variant,
-        standard_variant=args.standard_variant,
-        verify_mode=args.verify,
-        trials=args.trials,
-        seed=args.seed,
-        output_format=args.format,
-        strict_validate=args.strict_validate,
-        max_standard_monomials=args.max_standard_monomials,
-    )
-    handler = {
-        "factorize": cmd_factorize,
-        "verify": cmd_verify,
-        "predict": cmd_predict,
-        "demo": cmd_demo,
-    }[args.command]
-    return handler(args, cfg)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -106,7 +106,9 @@ def _times_key(ka: ExpKey, kb: ExpKey) -> ExpKey:
 
 @dataclass(frozen=True)
 class Monomial:
-    """A single nonzero term: coefficient times a product of variable powers."""
+    """A single nonzero term: coefficient times a product of variable
+    powers.  Its exponent key must be canonical, as for Polynomial;
+    PolyError otherwise."""
 
     coeff: Coeff
     exponents: ExpKey
@@ -114,10 +116,7 @@ class Monomial:
     def __post_init__(self):
         if self.coeff == 0:
             raise PolyError("zero monomials are never materialized")
-        for v, e in self.exponents:
-            check_var_name(v)
-            if e <= 0:
-                raise PolyError(f"exponent of {v} must be positive, got {e}")
+        _check_key(self.exponents)
 
     @property
     def degree(self) -> int:
@@ -424,10 +423,6 @@ def count_expanded_monomials(p: Polynomial) -> int:
     if p.is_zero():
         raise PolyError("the zero polynomial has no monomial count")
     return p.num_terms()
-
-
-def evaluate(p: Polynomial, point: EvalPoint) -> Coeff:
-    return p.evaluate(point)
 
 
 # ---------------------------------------------------------------------------

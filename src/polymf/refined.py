@@ -48,13 +48,23 @@ class ValidationFailure(PolyError):
 class CapExceededError(PolyError):
     """The standard pipeline would exceed the construction cap."""
 
-    def __init__(self, monomials: int, predicted_size: int):
+    def __init__(self, monomials: int):
         super().__init__(
             f"standard construction skipped: {monomials} formal monomials "
-            f"would give size {predicted_size}"
+            f"would give size {_power_text(monomials - 1)}"
         )
         self.monomials = monomials
-        self.predicted_size = predicted_size
+
+    @property
+    def predicted_size(self) -> int:
+        return 2 ** (self.monomials - 1)
+
+
+def _power_text(e: int) -> str:
+    """2^e in decimal, or as "2^e" from e = 1024 on: an error line need
+    not spell out hundreds of digits, and a decimal conversion of a
+    large int takes time quadratic in its length."""
+    return str(2**e) if e < 1024 else f"2^{e}"
 
 
 @dataclass(frozen=True)
@@ -351,13 +361,15 @@ def run_standard(
     """Standard method on the formal expansion of the input.
 
     Raises CapExceededError (carrying the predicted size) if the formal
-    monomial count exceeds max_monomials.
+    monomial count, s + sum_j prod_i p_ji, exceeds max_monomials; the
+    count is taken from the factors' term counts before any monomial is
+    built.
     """
     _check_valid(srp, strict)
-    monomials = srp.formal_monomials()
-    if len(monomials) > max_monomials:
-        raise CapExceededError(len(monomials), 2 ** (len(monomials) - 1))
-    return standard_factorize(monomial_pairs(monomials), variant, verify=verify)
+    count = srp.s + sum(prod(g.monomial_counts) for g in srp.products)
+    if count > max_monomials:
+        raise CapExceededError(count)
+    return standard_factorize(monomial_pairs(srp.formal_monomials()), variant, verify=verify)
 
 
 def compare_report(

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: verbs, formats, exit codes, round trips."""
 
+import decimal
 import hashlib
 import io
 import json
@@ -43,6 +44,16 @@ HUGE = {
     "terms": ["w"],
     "products": [[" + ".join(f"{v}^{i}" for i in range(1, 17)) for v in "xy"]],
 }
+# standard size 2^14400, whose 4335 digits are past str()'s default limit
+WIDE = {
+    "terms": ["z"],
+    "products": [[" + ".join(f"{v}^{i}" for i in range(1, 121)) for v in "xy"]],
+}
+
+
+def power_of_two(e: int) -> str:
+    """The decimal digits of 2^e, through the decimal module."""
+    return str(decimal.Context(prec=e).power(decimal.Decimal(2), e))
 
 
 @pytest.fixture
@@ -185,6 +196,22 @@ class TestFactorize:
         assert code == 4
         assert "exact verification skipped" in capsys.readouterr().err
 
+    def test_size_past_the_digit_limit_is_refused(self, tmp_path):
+        code, out, err = run_captured(["factorize", "--input", write_json(tmp_path, "wide.json", WIDE),
+                                       "--method", "standard"])
+        assert code == 4 and out == ""
+        assert err == ("error: standard construction skipped: predicted size 2^14400 exceeds 2^12 "
+                       "(raise --max-standard-monomials to allow it)\n")
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_must_be_positive(self, tmp_path, capsys, cap):
+        src = tmp_path / "poly.txt"
+        src.write_text("x + y")
+        with pytest.raises(SystemExit) as exc:
+            run(["factorize", "--input", str(src), "--method", "standard", "--max-standard-monomials", cap])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_cap_exceeded_exit_code(self, tmp_path):
         src = tmp_path / "part2.json"
         src.write_text(json.dumps(PART2))
@@ -261,11 +288,10 @@ class TestStructuredWriter:
     @given(factorizations(), st.sampled_from(["refined", "improved", "standard"]), st.booleans())
     @settings(max_examples=50, deadline=None)
     def test_random_pair_document(self, mf, method, with_sizes):
-        cfg = cli.RunConfig(method=method, output_format="structured")
         predicted = {"refined_size": 4, "improved_size": 8} if with_sizes else None
         record = factorization.certify(mf, "auto", 2, 0)
         doc = {**mf.to_dict(), "method": method, "predicted_sizes": predicted, "verification": record}
-        assert cli._render_factorization(mf, cfg, predicted, record) == json.dumps(doc)
+        assert cli._render_factorization(mf, method, "structured", predicted, record) == json.dumps(doc)
 
     @pytest.mark.parametrize("run_name,doc,variant", sorted(DIGESTS), ids=["-".join(k) for k in sorted(DIGESTS)])
     def test_pipeline_pair_document(self, tmp_path, run_name, doc, variant):
@@ -523,7 +549,8 @@ class TestOutputFile:
         if command == "verify":
             source = write_json(tmp_path, "pair.json", fixtures.pair_m().to_dict())
         out = tmp_path / "missing" / "out.json" if where == "missing_dir" else tmp_path
-        code, _, err = run_captured([command, "--input", source, "--output", str(out)])
+        inputs = [] if command == "demo" else ["--input", source]
+        code, _, err = run_captured([command, *inputs, "--output", str(out)])
         assert code == cli.EXIT_PARSE
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -563,6 +590,18 @@ class TestPredict:
         assert doc["refined_size"] == 2**9
         assert doc["ratio_refined_vs_improved"] == 4
 
+    def test_sizes_past_the_digit_limit(self, tmp_path):
+        path = write_json(tmp_path, "wide.json", WIDE)
+        standard, ratio = power_of_two(14400), power_of_two(14400 - 239)
+        assert run_captured(["predict", "--input", path]) == (0, "\n".join([
+            f"standard_size = {standard}", f"improved_size = {2**240}", f"refined_size = {2**239}",
+            f"ratio_refined_vs_standard = {ratio}", "ratio_refined_vs_improved = 2",
+        ]) + "\n", "")
+        code, out, err = run_captured(["predict", "--input", path, "--format", "structured"])
+        assert (code, err) == (0, "")
+        assert out == (f'{{"standard_size": {standard}, "improved_size": {2**240}, "refined_size": {2**239}, '
+                       f'"ratio_refined_vs_standard": {ratio}, "ratio_refined_vs_improved": 2}}\n')
+
     def test_needs_structured_input(self, tmp_path):
         src = tmp_path / "poly.txt"
         src.write_text("x^2 + 4")
@@ -587,9 +626,45 @@ class TestDemo:
         assert "9/9 demo cases passed" in out
         assert "FAIL" not in out
 
-    def test_seed_override_is_harmless(self, capsys):
-        assert run(["demo", "--seed", "12345"]) == 0
-        assert "9/9" in capsys.readouterr().out
+
+
+# Each flag with a value to give it and the value it parses to, and the
+# flags each verb reads.
+FLAGS = {
+    "--input": (["doc.json"], "doc.json"),
+    "--output": (["out.txt"], "out.txt"),
+    "--method": (["standard"], "standard"),
+    "--yoshino-variant": (["v1"], "v1"),
+    "--standard-variant": (["v2"], "v2"),
+    "--verify": (["exact"], "exact"),
+    "--trials": (["3"], 3),
+    "--seed": (["7"], 7),
+    "--format": (["structured"], "structured"),
+    "--strict-validate": ([], True),
+    "--max-standard-monomials": (["5"], 5),
+}
+VERB_FLAGS = {
+    "factorize": set(FLAGS),
+    "verify": {"--input", "--output", "--verify", "--trials", "--seed", "--format"},
+    "predict": {"--input", "--output", "--format", "--strict-validate"},
+    "demo": {"--output"},
+}
+
+
+class TestVerbFlags:
+    @pytest.mark.parametrize("verb, flag", [(verb, flag) for verb in VERB_FLAGS for flag in FLAGS])
+    def test_each_verb_takes_only_the_flags_it_reads(self, verb, flag):
+        argv, value = FLAGS[flag]
+        if flag in VERB_FLAGS[verb]:
+            args = cli.build_parser().parse_args([verb, flag, *argv])
+            assert getattr(args, flag[2:].replace("-", "_")) == value
+            return
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main([verb, flag, *argv])
+        assert exc.value.code == 2
+        assert err.getvalue().startswith("usage: polymf ")
+        assert f"unrecognized arguments: {flag}" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 class TestPackage:

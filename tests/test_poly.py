@@ -126,6 +126,13 @@ class TestCanonicalForm:
         assert Polynomial({(): 5}) == Polynomial.const(5)
         assert Polynomial({(("x", 2),): 5}) == p("5x^2")
 
+    @pytest.mark.parametrize("coeff, key", [(1, (("y", 1), ("x", 1))), (2, (("x", 1.5),))])
+    def test_monomial_refuses_a_key_the_polynomial_refuses(self, coeff, key):
+        # they would print y*x and 2*x^1.5, which parse to another monomial or not at all
+        with pytest.raises(PolyError):
+            Monomial(coeff, key)
+        assert str(Monomial(1, (("x", 1), ("y", 1)))) == "x*y"
+
     @given(polynomials(), polynomials(), polynomials())
     @settings(max_examples=100)
     def test_ring_laws(self, a, b, c):

@@ -1,5 +1,6 @@
 """Summand-reduced inputs: validation, size prediction, the pipelines."""
 
+import time
 from math import prod
 
 import pytest
@@ -205,6 +206,21 @@ class TestPipelines:
             run_standard(part2_srp, max_monomials=5)
         assert exc.value.monomials == 10
         assert exc.value.predicted_size == 512
+
+    def test_cap_is_checked_before_any_monomial_is_built(self, monkeypatch):
+        """Two 1000-term factors: 10^6 formal monomials, size 2^999999."""
+        def never(self):
+            raise AssertionError("formal monomials built")
+
+        wide = SummandReducedPoly((), (ProductGroup(tuple(
+            Polynomial({((v, i),): 1 for i in range(1, 1001)}) for v in "xy")),))
+        monkeypatch.setattr(SummandReducedPoly, "formal_monomials", never)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError) as exc:
+            run_standard(wide)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.monomials == 10**6
+        assert str(exc.value).endswith("1000000 formal monomials would give size 2^999999")
 
     def test_trivial_two_monomial_input(self):
         tiny = srp(["z^2"], [["x", "y"]])
