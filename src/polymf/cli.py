@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 demo fixture failure, 2 parse/validation
 failure or unwritable output, 3 verification failure, 4 construction or
-evaluation cap exceeded.
+evaluation cap exceeded, or a size too long for predict to print.
 """
 
 from __future__ import annotations
@@ -26,17 +26,18 @@ from .factorization import (
     verify_exact,
 )
 from .matrix import MatrixError
-from .poly import ParseError, PolyError, Polynomial, _decimal, parse_polynomial
+from .poly import PolyError, Polynomial, _decimal, parse_polynomial
 from .refined import (
     CapExceededError,
     SummandReducedPoly,
     ValidationFailure,
     _check_valid,
-    _power_text,
+    check_cap,
     predict_sizes,
     run_improved,
     run_refined,
     run_standard,
+    standard_exponent,
     validate_summand_reduced,
 )
 from .standard import standard_factorize_polynomial
@@ -47,6 +48,11 @@ EXIT_DEMO_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_CAP = 4
+
+# predict prints a size 2^e in full only for e below this; a larger size
+# exits EXIT_CAP, named as 2^e.  The digits of 2^e take time quadratic in
+# e: 5 ms for 2^65535 and 1.1 s for 2^(10^6) on a 2-core Xeon.
+PREDICT_EXPONENT_LIMIT = 65536
 
 # What reading and parsing a malformed input can raise.  ValueError
 # covers PolyError, MatrixError and JSON and UTF-8 decoding errors;
@@ -128,21 +134,6 @@ def _parse_problem(text: str) -> SummandReducedPoly | Polynomial:
     return SummandReducedPoly.from_strings(terms, products)
 
 
-def _refuse_over_cap(method: str, size: int, max_monomials: int) -> bool:
-    """If a predicted size 2^e exceeds 2^(max_monomials - 1), the size the
-    standard method reaches with max_monomials summands, print the error
-    line and return True."""
-    e = size.bit_length() - 1
-    if e < max_monomials:
-        return False
-    print(
-        f"error: {method} construction skipped: predicted size {_power_text(e)} "
-        f"exceeds 2^{max_monomials - 1} (raise --max-standard-monomials to allow it)",
-        file=sys.stderr,
-    )
-    return True
-
-
 def _render_factorization(
     mf: MatrixFactorization, method: str, output_format: str, predicted: dict | None, record: dict
 ) -> str:
@@ -155,17 +146,16 @@ def _render_factorization(
     written by joining rows (_json_grid), which is about 7x faster than
     json.dumps on a 128x128 pair.  That is exact because no entry text
     needs escaping: Polynomial.__str__ writes only ASCII letters, digits,
-    '^', '*', '/', '+', '-' and spaces.
+    '^', '*', '/', '+', '-' and spaces.  The predicted sizes are written
+    through _decimal, as a size may have more digits than str() converts.
     """
     if output_format == "structured":
         doc = mf.to_dict()
         doc["method"] = method
         doc["predicted_sizes"] = predicted
         doc["verification"] = record
-        fields = (
-            f"{json.dumps(key)}: {_json_grid(value) if key in ('phi', 'psi') else json.dumps(value)}"
-            for key, value in doc.items()
-        )
+        write = {"phi": _json_grid, "psi": _json_grid, "predicted_sizes": _json_sizes if predicted else json.dumps}
+        fields = (f"{json.dumps(key)}: {write.get(key, json.dumps)(value)}" for key, value in doc.items())
         return "{" + ", ".join(fields) + "}"
     lines = [
         f"f = {mf.f}",
@@ -175,7 +165,7 @@ def _render_factorization(
     if predicted:
         lines.append("predicted sizes:")
         for key, value in predicted.items():
-            lines.append(f"  {key} = {value}")
+            lines.append(f"  {key} = {_decimal(value)}")
     lines.append("phi =")
     lines.append(mf.phi.render())
     lines.append("psi =")
@@ -187,6 +177,11 @@ def _json_grid(rows: list[list[str]]) -> str:
     """json.dumps(rows) for a grid of texts that need no JSON escaping,
     in nonempty rows."""
     return "[" + ", ".join('["' + '", "'.join(row) + '"]' for row in rows) + "]"
+
+
+def _json_sizes(sizes: dict[str, int]) -> str:
+    """json.dumps(sizes) for sizes of any number of digits."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {_decimal(value)}" for key, value in sizes.items()) + "}"
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
@@ -206,19 +201,15 @@ def cmd_factorize(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_PARSE
-            # the standard method's size is 2^(canonical terms - 1)
-            size = 1 << max(problem.num_terms() - 1, 0)
-            if _refuse_over_cap(args.method, size, args.max_standard_monomials):
-                return EXIT_CAP
+            check_cap("standard", standard_exponent(problem.num_terms()), args.max_standard_monomials)
             mf = standard_factorize_polynomial(problem, args.standard_variant, verify="skip")
         else:
             # predict_sizes refuses a document with no product group; the
             # standard method still builds its terms, under its own cap.
             if problem.l or args.method != "standard":
-                predicted = predict_sizes(problem).to_dict()
-                size = predicted[f"{args.method}_size"]
-                if _refuse_over_cap(args.method, size, args.max_standard_monomials):
-                    return EXIT_CAP
+                report = predict_sizes(problem)
+                check_cap(args.method, getattr(report, f"{args.method}_exponent"), args.max_standard_monomials)
+                predicted = report.to_dict()
             if args.method == "refined":
                 mf = run_refined(
                     problem, args.yoshino_variant, verify="skip", strict=args.strict_validate
@@ -237,7 +228,10 @@ def cmd_factorize(args: argparse.Namespace) -> int:
                 )
         # built unchecked, so that the one certificate is the one reported
         record = certify(mf, args.verify, args.trials, args.seed)
-    except (CapExceededError, EvaluationCapError) as exc:
+    except CapExceededError as exc:
+        print(f"error: {exc} (raise --max-standard-monomials to allow it)", file=sys.stderr)
+        return EXIT_CAP
+    except EvaluationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValidationFailure as exc:
@@ -283,17 +277,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
             print("error: predict needs a structured summand-reduced document", file=sys.stderr)
             return EXIT_PARSE
         _check_valid(problem, args.strict_validate)
-        sizes = predict_sizes(problem).to_dict()
+        report = predict_sizes(problem)
     except ValidationFailure as exc:
         print(f"error: input is not summand-reduced:\n{exc}", file=sys.stderr)
         return EXIT_PARSE
     except _INPUT_ERRORS as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    too_long = [f"{key} = 2^{e}" for key, e in report.exponents().items() if e >= PREDICT_EXPONENT_LIMIT]
+    if too_long:
+        print(f"error: sizes of 2^{PREDICT_EXPONENT_LIMIT} or more are not printed: {', '.join(too_long)}",
+              file=sys.stderr)
+        return EXIT_CAP
     # a size may have more digits than str() converts, so each goes
-    # through _decimal; the structured text is json.dumps(sizes)
+    # through _decimal
+    sizes = report.to_dict()
     if args.format == "structured":
-        text = "{" + ", ".join(f"{json.dumps(key)}: {_decimal(value)}" for key, value in sizes.items()) + "}"
+        text = _json_sizes(sizes)
     else:
         text = "\n".join(f"{key} = {_decimal(value)}" for key, value in sizes.items())
     return _emit(args.output, text)

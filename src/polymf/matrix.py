@@ -34,7 +34,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 # mat_mul reads and builds term dicts directly (see Polynomial._terms).
-from .poly import Coeff, EvalPoint, ExpKey, Polynomial, _coeff, _wrap, parse_polynomial
+from .poly import Coeff, ExpKey, Polynomial, _coeff, _wrap, parse_polynomial
 
 
 class MatrixError(ValueError):
@@ -453,7 +453,3 @@ def shuffle_matrix(m: int, n: int) -> PolyMatrix:
     # S_{m,n} = sum_i e_i^T (x) I_n (x) e_i puts a 1 at (i*n + a, a*m + i).
     return _sparse(({a * m + i: _ONE} for i in range(m) for a in range(n)), m * n, m * n)
 
-
-def evaluate_matrix(a: PolyMatrix, point: EvalPoint) -> list[list[Coeff]]:
-    """Entrywise exact evaluation to a rational matrix."""
-    return [[e.evaluate(point) for e in row] for row in a.entries]

@@ -25,15 +25,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from typing import Iterable
 
 from .factorization import MatrixFactorization, make_factorization
 from .poly import Monomial, Polynomial, PolyError, parse_polynomial
-from .standard import (
-    SummandList,
-    monomial_pairs,
-    standard_factorize,
-    standard_factorize_polynomial,
-)
+from .standard import monomial_pairs, standard_factorize, standard_factorize_polynomial
 from .tensor import mult_tensor, reduced_tensor, yoshino
 
 # Condition-3 checking expands each product; groups beyond this formal
@@ -46,25 +42,33 @@ class ValidationFailure(PolyError):
 
 
 class CapExceededError(PolyError):
-    """The standard pipeline would exceed the construction cap."""
+    """A method's predicted size 2^exponent reaches the construction cap."""
 
-    def __init__(self, monomials: int):
-        super().__init__(
-            f"standard construction skipped: {monomials} formal monomials "
-            f"would give size {_power_text(monomials - 1)}"
-        )
-        self.monomials = monomials
+    def __init__(self, method: str, exponent: int, max_monomials: int):
+        # from 2^1024 on the size is named as 2^e: an error line need not
+        # spell out hundreds of digits, whose conversion takes quadratic time
+        size = 1 << exponent if exponent < 1024 else f"2^{exponent}"
+        super().__init__(f"{method} construction skipped: predicted size {size} exceeds 2^{max_monomials - 1}")
+        self.exponent = exponent
 
     @property
     def predicted_size(self) -> int:
-        return 2 ** (self.monomials - 1)
+        return 1 << self.exponent
 
 
-def _power_text(e: int) -> str:
-    """2^e in decimal, or as "2^e" from e = 1024 on: an error line need
-    not spell out hundreds of digits, and a decimal conversion of a
-    large int takes time quadratic in its length."""
-    return str(2**e) if e < 1024 else f"2^{e}"
+def check_cap(method: str, exponent: int, max_monomials: int) -> None:
+    """The construction cap: raise CapExceededError when a method's
+    predicted size 2^exponent exceeds 2^(max_monomials - 1), the size the
+    standard method reaches with max_monomials summands."""
+    if exponent >= max_monomials:
+        raise CapExceededError(method, exponent, max_monomials)
+
+
+def standard_exponent(s: int, counts: Iterable[tuple[int, ...]] = ()) -> int:
+    """The e of the standard method's size 2^e for s monomial terms and
+    product groups of the given factor term counts: one less than the
+    formal monomial count s + sum_j prod_i p_ji."""
+    return s + sum(prod(c) for c in counts) - 1
 
 
 @dataclass(frozen=True)
@@ -178,13 +182,6 @@ class ValidationReport:
         )
 
 
-def _combo_key(combo) -> tuple:
-    m = combo[0]
-    for other in combo[1:]:
-        m = m.times(other)
-    return m.exponents
-
-
 def validate_summand_reduced(srp: SummandReducedPoly) -> ValidationReport:
     """Check the four defining conditions, each reported with a reason."""
     results = []
@@ -221,12 +218,13 @@ def validate_summand_reduced(srp: SummandReducedPoly) -> ValidationReport:
                 f"product {j} too large to expand ({formal} formal monomials); unchecked"
             )
             continue
-        surviving_keys = {m.exponents for m in g.expanded().terms}
-        expanded_count = sum(
-            1
-            for combo in itertools.product(*(f.terms for f in g.factors))
-            if _combo_key(combo) in surviving_keys
-        )
+        # the product with every coefficient 1 counts, for each key, the
+        # combinations that give it
+        combinations = Polynomial.const(1)
+        for f in g.factors:
+            combinations = combinations * Polynomial(dict.fromkeys(f._terms, 1))
+        surviving = g.expanded()._terms
+        expanded_count = sum(n for key, n in combinations._terms.items() if key in surviving)
         if expanded_count <= factor_form_count:
             ok3 = False
             reason3 = (
@@ -249,22 +247,34 @@ def validate_summand_reduced(srp: SummandReducedPoly) -> ValidationReport:
 
 @dataclass(frozen=True)
 class SizeReport:
-    """Closed-form factor sizes for the three pipelines, plus both ratios."""
+    """Closed-form factor sizes for the three pipelines, plus both ratios.
 
-    standard_size: int
-    improved_size: int
-    refined_size: int
-    ratio_refined_vs_standard: int
-    ratio_refined_vs_improved: int
+    Every size is a power of two, so the report keeps the exponents; a
+    size is 1 << e, computed when read.
+    """
 
-    def to_dict(self) -> dict:
+    standard_exponent: int
+    improved_exponent: int
+    refined_exponent: int
+
+    def exponents(self) -> dict[str, int]:
+        """The e of each size 2^e of to_dict(), under the same keys."""
         return {
-            "standard_size": self.standard_size,
-            "improved_size": self.improved_size,
-            "refined_size": self.refined_size,
-            "ratio_refined_vs_standard": self.ratio_refined_vs_standard,
-            "ratio_refined_vs_improved": self.ratio_refined_vs_improved,
+            "standard_size": self.standard_exponent,
+            "improved_size": self.improved_exponent,
+            "refined_size": self.refined_exponent,
+            "ratio_refined_vs_standard": self.standard_exponent - self.refined_exponent,
+            "ratio_refined_vs_improved": self.improved_exponent - self.refined_exponent,
         }
+
+    def to_dict(self) -> dict[str, int]:
+        return {key: 1 << e for key, e in self.exponents().items()}
+
+    standard_size = property(lambda self: 1 << self.standard_exponent)
+    improved_size = property(lambda self: 1 << self.improved_exponent)
+    refined_size = property(lambda self: 1 << self.refined_exponent)
+    ratio_refined_vs_standard = property(lambda self: 1 << self.exponents()["ratio_refined_vs_standard"])
+    ratio_refined_vs_improved = property(lambda self: 1 << self.exponents()["ratio_refined_vs_improved"])
 
 
 def predict_sizes(srp: SummandReducedPoly) -> SizeReport:
@@ -274,18 +284,12 @@ def predict_sizes(srp: SummandReducedPoly) -> SizeReport:
     _require_product(srp)
     s, l = srp.s, srp.l
     counts = [g.monomial_counts for g in srp.products]
-    sum_prod_p = sum(prod(c) for c in counts)
     sum_p = sum(sum(c) for c in counts)
     sum_m = sum(len(c) for c in counts)
-    standard = 2 ** (sum_prod_p + s - 1)
-    improved = 2 ** (sum_p + s - 1)
-    refined = 2 ** (l - 1 + sum_p - sum_m + s)
     return SizeReport(
-        standard_size=standard,
-        improved_size=improved,
-        refined_size=refined,
-        ratio_refined_vs_standard=standard // refined,
-        ratio_refined_vs_improved=2 ** (sum_m - l),
+        standard_exponent=standard_exponent(s, counts),
+        improved_exponent=sum_p + s - 1,
+        refined_exponent=l - 1 + sum_p - sum_m + s,
     )
 
 
@@ -360,15 +364,14 @@ def run_standard(
 ) -> MatrixFactorization:
     """Standard method on the formal expansion of the input.
 
-    Raises CapExceededError (carrying the predicted size) if the formal
-    monomial count, s + sum_j prod_i p_ji, exceeds max_monomials; the
-    count is taken from the factors' term counts before any monomial is
-    built.
+    Raises CapExceededError (through check_cap, carrying the predicted size)
+    if the formal monomial count, s + sum_j prod_i p_ji, exceeds max_monomials;
+    the count is taken from the factors' term counts before any monomial
+    is built.
     """
     _check_valid(srp, strict)
-    count = srp.s + sum(prod(g.monomial_counts) for g in srp.products)
-    if count > max_monomials:
-        raise CapExceededError(count)
+    exponent = standard_exponent(srp.s, (g.monomial_counts for g in srp.products))
+    check_cap("standard", exponent, max_monomials)
     return standard_factorize(monomial_pairs(srp.formal_monomials()), variant, verify=verify)
 
 

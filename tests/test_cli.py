@@ -51,6 +51,14 @@ WIDE = {
 }
 
 
+# one group of four 150-term factors (4.4 KB): standard size 2^(150^4 - 1)
+# is a 63 MB int, refined 2^596 and improved 2^599
+FOUR_BY_150 = {"terms": [], "products": [[" + ".join(f"{v}^{i}" for i in range(1, 151)) for v in "xyzw"]]}
+# three 200-term factors (4.5 KB): standard size 2^7999999, whose digits
+# take minutes
+THREE_BY_200 = {"terms": [], "products": [[" + ".join(f"{v}^{i}" for i in range(1, 201)) for v in "xyz"]]}
+
+
 def power_of_two(e: int) -> str:
     """The decimal digits of 2^e, through the decimal module."""
     return str(decimal.Context(prec=e).power(decimal.Decimal(2), e))
@@ -202,6 +210,41 @@ class TestFactorize:
         assert code == 4 and out == ""
         assert err == ("error: standard construction skipped: predicted size 2^14400 exceeds 2^12 "
                        "(raise --max-standard-monomials to allow it)\n")
+
+    @pytest.mark.parametrize("method, size", [("refined", 2**596), ("improved", 2**599), ("standard", "2^506249999")],
+                             ids=["refined", "improved", "standard"])
+    def test_cap_is_checked_on_exponents(self, tmp_path, monkeypatch, method, size):
+        """No size is built before the cap refuses it."""
+        def never(*args, **kwargs):
+            raise AssertionError("construction started")
+
+        for name in ("run_refined", "run_improved", "run_standard"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(SummandReducedPoly, "formal_monomials", never)
+        path = write_json(tmp_path, "four.json", FOUR_BY_150)
+        start = time.perf_counter()
+        code, out, err = run_captured(["factorize", "--input", path, "--method", method])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (4, "")
+        assert err == (f"error: {method} construction skipped: predicted size {size} exceeds 2^12 "
+                       "(raise --max-standard-monomials to allow it)\n")
+
+    def test_predicted_sizes_past_the_digit_limit_are_written(self, tmp_path):
+        """2200 one-term factors: refined size 2, improved 2^2200, written
+        in full however low the int digit limit is."""
+        doc = {"terms": ["y"], "products": [["x"] * 2200]}
+        path = write_json(tmp_path, "long.json", doc)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = run_captured(["factorize", "--input", path])
+            structured = run_captured(["factorize", "--input", path, "--format", "structured"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        improved = power_of_two(2200)
+        assert text[0] == 0 and f"  improved_size = {improved}\n" in text[1]
+        assert structured[0] == 0 and f'"improved_size": {improved}, ' in structured[1]
+        assert json.loads(structured[1])["predicted_sizes"]["improved_size"] == 2**2200
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_cap_must_be_positive(self, tmp_path, capsys, cap):
@@ -601,6 +644,29 @@ class TestPredict:
         assert (code, err) == (0, "")
         assert out == (f'{{"standard_size": {standard}, "improved_size": {2**240}, "refined_size": {2**239}, '
                        f'"ratio_refined_vs_standard": {ratio}, "ratio_refined_vs_improved": 2}}\n')
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_sizes_past_the_printing_limit_are_refused(self, tmp_path, fmt):
+        path = write_json(tmp_path, "three.json", THREE_BY_200)
+        start = time.perf_counter()
+        code, out, err = run_captured(["predict", "--input", path, "--format", fmt])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (4, "")
+        assert err == ("error: sizes of 2^65536 or more are not printed: standard_size = 2^7999999, "
+                       "ratio_refined_vs_standard = 2^7999402\n")
+
+    @pytest.mark.parametrize("terms, code", [([], 0), (["w"], 4)])
+    def test_printing_limit_boundary(self, tmp_path, terms, code):
+        """Two 256-term factors: standard size 2^65535 is printed, and one
+        more term makes it 2^65536, which is refused."""
+        doc = {"terms": terms, "products": [[" + ".join(f"{v}^{i}" for i in range(1, 257)) for v in "xy"]]}
+        got, out, err = run_captured(["predict", "--input", write_json(tmp_path, "doc.json", doc)])
+        assert got == code
+        if code == 0:
+            assert out.startswith(f"standard_size = {power_of_two(65535)}\n") and err == ""
+        else:
+            assert out == "" and err == ("error: sizes of 2^65536 or more are not printed: "
+                                         "standard_size = 2^65536\n")
 
     def test_needs_structured_input(self, tmp_path):
         src = tmp_path / "poly.txt"

@@ -1,7 +1,5 @@
 """Polynomial matrices: products, Kronecker structure, shuffles."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from polymf import (
     Polynomial,
     block2x2,
     direct_sum,
-    evaluate_matrix,
     from_strings,
     identity,
     kron,
@@ -355,14 +352,6 @@ class TestBlocksAndEvaluation:
     def test_direct_sum_shapes(self):
         d = direct_sum(zeros(1, 2), zeros(3, 1))
         assert (d.rows, d.cols) == (4, 3)
-
-    def test_evaluate_matrix_exactly(self):
-        a = m([["1/2 x", "y"], ["0", "x + y"]])
-        vals = evaluate_matrix(a, {"x": 3, "y": Fraction(1, 3)})
-        assert vals == [
-            [Fraction(3, 2), Fraction(1, 3)],
-            [Fraction(0), Fraction(10, 3)],
-        ]
 
 
 SCALES = {

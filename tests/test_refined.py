@@ -1,5 +1,6 @@
 """Summand-reduced inputs: validation, size prediction, the pipelines."""
 
+import itertools
 import time
 from math import prod
 
@@ -23,7 +24,9 @@ from polymf import (
     validate_summand_reduced,
     verify_exact,
 )
+from polymf.refined import ConditionResult
 from polymf import STANDARD_VARIANTS, YOSHINO_VARIANTS, Monomial, factorization
+from polymf.refined import check_cap
 
 from conftest import RATIONAL_COEFFICIENTS, monomials
 
@@ -105,6 +108,34 @@ class TestValidation:
             srp(["zx"], [["x^5 - y^5"], ["xy^2 + x^2z + yz^2", "xy + z^2"]])
         )
         assert 3 not in report.failed_conditions()
+
+    @pytest.mark.parametrize("factors", [
+        ["x + y", "x + y"],  # collisions, no cancellation: 4 formal monomials
+        ["x + y", "x - y"],  # xy cancels: 2
+        ["x - y", "x^4 + x^3y + x^2y^2 + xy^3 + y^4"],  # telescoping: 2
+        ["x + y", "x - y", "x + y"],  # partial cancellation: 8
+        ["x + y", "x - y", "x^2 + y^2"],  # x^4 - y^4: 2
+        ["x - y", "x + y + z", "x^2 + 1/2 y"],
+    ])
+    def test_condition3_counts_as_enumeration_does(self, factors):
+        """Condition 3 counts the combinations of one monomial per factor
+        whose product survives in the expansion, as enumerating them does."""
+        group = ProductGroup(tuple(parse_polynomial(f) for f in factors))
+        surviving = {m.exponents for m in group.expanded().terms}
+        count = 0
+        for combo in itertools.product(*(f.terms for f in group.factors)):
+            key = combo[0]
+            for m in combo[1:]:
+                key = key.times(m)
+            count += key.exponents in surviving
+        factor_form = sum(group.monomial_counts)
+        want = ConditionResult(3, True, "every multi-factor product gains monomials when expanded")
+        if count <= factor_form:
+            want = ConditionResult(
+                3, False, f"product 0 expands to {count} monomials, not more than the {factor_form} in factor form"
+            )
+        got = validate_summand_reduced(SummandReducedPoly((), (group,))).results[2]
+        assert got == want
 
     def test_condition4_failure(self):
         report = validate_summand_reduced(srp(["zx"], [["x + y"]]))
@@ -204,7 +235,7 @@ class TestPipelines:
     def test_cap_exceeded(self, part2_srp):
         with pytest.raises(CapExceededError) as exc:
             run_standard(part2_srp, max_monomials=5)
-        assert exc.value.monomials == 10
+        assert exc.value.exponent == 9
         assert exc.value.predicted_size == 512
 
     def test_cap_is_checked_before_any_monomial_is_built(self, monkeypatch):
@@ -219,8 +250,8 @@ class TestPipelines:
         with pytest.raises(CapExceededError) as exc:
             run_standard(wide)
         assert time.perf_counter() - start < 0.1
-        assert exc.value.monomials == 10**6
-        assert str(exc.value).endswith("1000000 formal monomials would give size 2^999999")
+        assert exc.value.exponent == 10**6 - 1
+        assert str(exc.value) == "standard construction skipped: predicted size 2^999999 exceeds 2^12"
 
     def test_trivial_two_monomial_input(self):
         tiny = srp(["z^2"], [["x", "y"]])
@@ -229,6 +260,29 @@ class TestPipelines:
     def test_pipeline_needs_a_product(self):
         with pytest.raises(ValidationFailure):
             run_refined(srp(["x^2"], []))
+
+    @given(small_documents(), st.integers(1, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_every_pipeline_builds_its_predicted_exponent(self, doc, cap):
+        """Each pipeline builds size 1 << its method's predicted exponent,
+        and the cap refuses a method exactly when that exponent is at
+        least the cap."""
+        report = predict_sizes(doc)
+        assert run_refined(doc, verify="skip").size == 1 << report.refined_exponent
+        assert run_improved(doc, verify="skip").size == 1 << report.improved_exponent
+        for method in ("refined", "improved", "standard"):
+            exponent = getattr(report, f"{method}_exponent")
+            if exponent >= cap:
+                with pytest.raises(CapExceededError) as exc:
+                    check_cap(method, exponent, cap)
+                assert exc.value.exponent == exponent
+            else:
+                check_cap(method, exponent, cap)
+        if report.standard_exponent >= cap:
+            with pytest.raises(CapExceededError):
+                run_standard(doc, max_monomials=cap, verify="skip")
+        else:
+            assert run_standard(doc, max_monomials=cap, verify="skip").size == 1 << report.standard_exponent
 
     @given(small_documents())
     @settings(max_examples=40, deadline=None)
@@ -315,3 +369,4 @@ class TestCompareReport:
         )
         assert constructed == {"refined": 32}
         assert report.standard_size == 512
+
