@@ -276,19 +276,27 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if isinstance(problem, Polynomial):
             print("error: predict needs a structured summand-reduced document", file=sys.stderr)
             return EXIT_PARSE
+        try:
+            report = predict_sizes(problem)
+        except ValidationFailure:
+            # no product group, so nothing to expand: a strict check
+            # reports every condition
+            _check_valid(problem, args.strict_validate)
+            raise
+        # the limit comes before validation, as factorize's cap does:
+        # condition 3 expands products, so it costs what the sizes say
+        too_long = [f"{key} = 2^{e}" for key, e in report.exponents().items() if e >= PREDICT_EXPONENT_LIMIT]
+        if too_long:
+            print(f"error: sizes of 2^{PREDICT_EXPONENT_LIMIT} or more are not printed: {', '.join(too_long)}",
+                  file=sys.stderr)
+            return EXIT_CAP
         _check_valid(problem, args.strict_validate)
-        report = predict_sizes(problem)
     except ValidationFailure as exc:
         print(f"error: input is not summand-reduced:\n{exc}", file=sys.stderr)
         return EXIT_PARSE
     except _INPUT_ERRORS as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    too_long = [f"{key} = 2^{e}" for key, e in report.exponents().items() if e >= PREDICT_EXPONENT_LIMIT]
-    if too_long:
-        print(f"error: sizes of 2^{PREDICT_EXPONENT_LIMIT} or more are not printed: {', '.join(too_long)}",
-              file=sys.stderr)
-        return EXIT_CAP
     # a size may have more digits than str() converts, so each goes
     # through _decimal
     sizes = report.to_dict()

@@ -21,6 +21,10 @@ entries work once per distinct object, through a memo keyed by id and
 local to the call: `mat_mul` packs each entry object once, `kron`
 multiplies each pair of objects once and reuses an object multiplied by
 the constant one, and negation and `texts` treat each object once.
+Every entry of a pipeline pair is a one-term polynomial, so each product
+`kron` computes is one exponent-key merge and one coefficient product
+(the one-term path of `Polynomial.__mul__`); `kron` and negation fill
+their rows in one plain loop over the slots, with no call per slot.
 `block2x2` writes each output row once, from one row of each block in
 its block row; a block may be a polynomial p standing for p times the
 identity, so a standard step builds no scalar matrix.
@@ -109,12 +113,19 @@ class PolyMatrix:
         return _sparse(out, self.cols, self.rows)
 
     def __neg__(self) -> "PolyMatrix":
-        """Negates each distinct entry object once; the slots that shared
-        it share its negation."""
-        negated = {i: -e for i, e in _objects(self).items()}
-        return _sparse(
-            [{j: negated[id(e)] for j, e in row.items()} for row in self.row_maps], self.rows, self.cols
-        )
+        """Negates each distinct entry object once, in one pass over the
+        slots; the slots that shared it share its negation."""
+        negated: dict[int, Polynomial] = {}
+        out = []
+        for row in self.row_maps:
+            new = {}
+            for j, e in row.items():
+                n = negated.get(id(e))
+                if n is None:
+                    n = negated[id(e)] = -e
+                new[j] = n
+            out.append(new)
+        return _sparse(out, self.rows, self.cols)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -356,30 +367,35 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     Each product of an entry object of a with one of b is computed once
     per call and shared by every slot that holds it, so the result holds
     at most distinct(a) * distinct(b) entry objects, however many
-    nonzeros.  A product with the constant one is the other entry object
-    itself, not a copy: kron(a, identity(m)) and kron(identity(n), b)
-    multiply no polynomial and hold exactly the entry objects of a or b
-    (where such an entry is one too, either one may be held).
-    Products of nonzero polynomials are nonzero, so nothing is filtered.
+    nonzeros.  The products of each distinct object of a are kept in one
+    dict keyed by the id of b's object, and each output row is filled in
+    a plain loop over one row of a and one row of b.  A product with the
+    constant one is the other entry object itself, not a copy:
+    kron(a, identity(m)) and kron(identity(n), b) multiply no polynomial
+    and hold exactly the entry objects of a or b (where such an entry is
+    one too, either one may be held).  Products of nonzero polynomials
+    are nonzero, so nothing is filtered.
     """
-    memo: dict[tuple[int, int], Polynomial] = {}
-
-    def times(x: Polynomial, y: Polynomial) -> Polynomial:
-        key = (id(x), id(y))
-        p = memo.get(key)
-        if p is None:
-            p = memo[key] = y if x.is_one() else x if y.is_one() else x * y
-        return p
-
-    return _sparse(
-        (
-            {j * b.cols + q: times(aij, bpq) for j, aij in arow.items() for q, bpq in brow.items()}
-            for arow in a.row_maps
-            for brow in b.row_maps
-        ),
-        a.rows * b.rows,
-        a.cols * b.cols,
-    )
+    # id(x) -> {id(y): x * y}; a and b hold every x and y, so no id is reused
+    products: dict[int, dict[int, Polynomial]] = {}
+    out: list[RowMap] = []
+    for arow in a.row_maps:
+        blocks = []
+        for j, x in arow.items():
+            memo = products.get(id(x))
+            if memo is None:
+                memo = products[id(x)] = {}
+            blocks.append((j * b.cols, x, memo))
+        for brow in b.row_maps:
+            row = {}
+            for offset, x, memo in blocks:
+                for q, y in brow.items():
+                    p = memo.get(id(y))
+                    if p is None:
+                        p = memo[id(y)] = y if x.is_one() else x if y.is_one() else x * y
+                    row[offset + q] = p
+            out.append(row)
+    return _sparse(out, a.rows * b.rows, a.cols * b.cols)
 
 
 def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

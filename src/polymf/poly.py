@@ -208,7 +208,13 @@ class Polynomial:
     @property
     def terms(self) -> tuple[Monomial, ...]:
         """Monomials in strictly decreasing graded-lex order."""
-        return tuple(Monomial(self._terms[k], k) for k in self._sorted_keys())
+        return tuple(Monomial(c, k) for k, c in self.items())
+
+    def items(self) -> list[tuple[ExpKey, Coeff]]:
+        """(exponent key, coefficient) of each term, in the order of terms,
+        with no Monomial built."""
+        terms = self._terms
+        return [(k, terms[k]) for k in self._sorted_keys()]
 
     def _sorted_keys(self) -> list[ExpKey]:
         """Exponent keys in strictly decreasing graded-lex order."""
@@ -256,6 +262,14 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The product.  Two one-term polynomials, such as the entries of
+        every pipeline pair, make their one term directly; other products
+        go through dot."""
+        a, b = self._terms, other._terms
+        if len(a) == 1 and len(b) == 1:
+            ((ka, ca),) = a.items()
+            ((kb, cb),) = b.items()
+            return _wrap({_times_key(ka, kb): _coeff(ca * cb)})
         return Polynomial.dot(((self, other),))
 
     @staticmethod

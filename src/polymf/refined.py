@@ -385,20 +385,22 @@ def compare_report(
     strict: bool = False,
 ) -> tuple[SizeReport, dict[str, int]]:
     """Predicted sizes plus constructed-size confirmations for each
-    pipeline actually run (a pipeline is skipped, not failed, when its
-    construction would blow the cap)."""
+    pipeline actually run.  With strict, the document is validated once,
+    whatever is skipped.  A method whose predicted size is over the
+    construction cap (check_cap with max_monomials, as in the CLI) is
+    skipped, not failed, before anything of it is built."""
     report = predict_sizes(srp)
+    _check_valid(srp, strict)
     constructed: dict[str, int] = {}
     runners = {
-        "refined": lambda: run_refined(srp, yvariant, verify=verify, strict=strict),
-        "improved": lambda: run_improved(srp, yvariant, verify=verify, strict=strict),
-        "standard": lambda: run_standard(
-            srp, max_monomials=max_monomials, verify=verify, strict=strict
-        ),
+        "refined": lambda: run_refined(srp, yvariant, verify=verify),
+        "improved": lambda: run_improved(srp, yvariant, verify=verify),
+        "standard": lambda: run_standard(srp, max_monomials=max_monomials, verify=verify),
     }
     for method in methods:
         try:
-            constructed[method] = runners[method]().size
+            check_cap(method, getattr(report, f"{method}_exponent"), max_monomials)
         except CapExceededError:
-            pass
+            continue
+        constructed[method] = runners[method]().size
     return report, constructed

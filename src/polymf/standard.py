@@ -14,11 +14,11 @@ the columns of the second, v2 the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .factorization import MatrixFactorization, make_factorization
 from .matrix import PolyMatrix, block2x2, scalar_matrix
-from .poly import Monomial, Polynomial, PolyError, _coeff, _split_key, _wrap
+from .poly import Coeff, ExpKey, Monomial, Polynomial, PolyError, _coeff, _split_key, _wrap
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,18 @@ def standard_factorize(
 
 def monomial_pairs(monomials: list[Monomial]) -> SummandList:
     """Split each monomial into a (g, h) pair by the rule of
-    split_monomial; sign travels with g.  Each half is one term cut from
-    the monomial's exponent key, so it is wrapped as it stands."""
+    split_monomial; sign travels with g."""
+    return _split_pairs((m.exponents, _coeff(m.coeff)) for m in monomials)
+
+
+def _split_pairs(terms: Iterable[tuple[ExpKey, Coeff]]) -> SummandList:
+    """The (g, h) pairs of split_monomial for terms given as (exponent key,
+    canonical coefficient).  Each half is one term cut from the key, so it
+    is wrapped as it stands and no Monomial is built."""
     pairs = []
-    for m in monomials:
-        k1, k2 = _split_key(m.exponents)
-        pairs.append((_wrap({k1: _coeff(m.coeff)}), _wrap({k2: 1})))
+    for key, c in terms:
+        k1, k2 = _split_key(key)
+        pairs.append((_wrap({k1: c}), _wrap({k2: 1})))
     return SummandList(tuple(pairs))
 
 
@@ -113,10 +119,10 @@ def standard_factorize_polynomial(
 ) -> MatrixFactorization:
     """Standard method on the canonical expansion of p.
 
-    p is expanded to canonical monomials in canonical order, each is split
+    p's terms are taken in canonical order, each is split
     deterministically, and the steps are folded; the result has size
     2^(#canonical monomials - 1).
     """
     if p.is_zero():
         raise PolyError("cannot factor the zero polynomial")
-    return standard_factorize(monomial_pairs(list(p.terms)), variant, verify=verify)
+    return standard_factorize(_split_pairs(p.items()), variant, verify=verify)

@@ -25,6 +25,7 @@ from polymf import (
     factorization,
     fixtures,
     parse_polynomial,
+    refined,
     run_improved,
 )
 from polymf.cli import main
@@ -57,6 +58,9 @@ FOUR_BY_150 = {"terms": [], "products": [[" + ".join(f"{v}^{i}" for i in range(1
 # three 200-term factors (4.5 KB): standard size 2^7999999, whose digits
 # take minutes
 THREE_BY_200 = {"terms": [], "products": [[" + ".join(f"{v}^{i}" for i in range(1, 201)) for v in "xyz"]]}
+# three 100-term factors: standard size 2^999999; condition 3 of the
+# summand-reduced check expands 10^6 products to validate it
+THREE_BY_100 = {"terms": [], "products": [[" + ".join(f"{v}^{i}" for i in range(1, 101)) for v in "xyz"]]}
 
 
 def power_of_two(e: int) -> str:
@@ -654,6 +658,31 @@ class TestPredict:
         assert (code, out) == (4, "")
         assert err == ("error: sizes of 2^65536 or more are not printed: standard_size = 2^7999999, "
                        "ratio_refined_vs_standard = 2^7999402\n")
+
+    @pytest.mark.parametrize("doc, code", [
+        (THREE_BY_100, 4),
+        ({"terms": [], "products": [["x + y", "z"]]}, 2),
+        ({"terms": ["x"], "products": []}, 2),
+    ], ids=["too_long", "one_product", "no_product"])
+    def test_printing_limit_comes_before_validation(self, tmp_path, monkeypatch, doc, code):
+        """--strict-validate checks only a document whose sizes predict
+        prints: three 100-term factors (standard size 2^999999) exit 4 at
+        once, with condition 3's expansion never run; a printable document
+        that fails condition 1, and one with no product group and so no
+        sizes, are validated and exit 2 with the report."""
+        real = refined.validate_summand_reduced
+        calls = []
+        monkeypatch.setattr(refined, "validate_summand_reduced", lambda srp: calls.append(srp) or real(srp))
+        path = write_json(tmp_path, "doc.json", doc)
+        start = time.perf_counter()
+        got, out, err = run_captured(["predict", "--input", path, "--strict-validate"])
+        assert time.perf_counter() - start < 1.0
+        assert (got, out, len(calls)) == (code, "", 1 if code == 2 else 0)
+        if code == 4:
+            assert err == ("error: sizes of 2^65536 or more are not printed: standard_size = 2^999999, "
+                           "ratio_refined_vs_standard = 2^999702\n")
+        else:
+            assert err.startswith("error: input is not summand-reduced:\ncondition 1: FAIL")
 
     @pytest.mark.parametrize("terms, code", [([], 0), (["w"], 4)])
     def test_printing_limit_boundary(self, tmp_path, terms, code):

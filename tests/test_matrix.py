@@ -287,22 +287,35 @@ def shared_matrices(draw, entries=None, rows=None, cols=None) -> PolyMatrix:
     return PolyMatrix([[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)], rows, cols)
 
 
+SCALES = {
+    "integer": (polynomials(max_terms=2), polynomials(max_terms=2)),
+    "rational": (rational_polynomials(max_terms=2), rational_polynomials(max_terms=2)),
+    "mixed": (polynomials(max_terms=2), rational_polynomials(max_terms=2)),
+}
+
+
 def entry_objects(a) -> int:
     return len({id(e) for _, _, e in a.nonzeros()})
 
 
 class TestSharedEntries:
-    @given(shared_matrices(), shared_matrices())
-    @settings(max_examples=100)
-    def test_kron_computes_each_product_once(self, a, b):
+    @given(st.sampled_from(sorted(SCALES)).flatmap(
+        lambda scale: st.tuples(*(shared_matrices(entries) for entries in SCALES[scale]))
+    ))
+    @settings(max_examples=150)
+    def test_kron_computes_each_product_once(self, factors):
+        """Every slot of kron is the general product (Polynomial.dot) of
+        its two slots, on integer, rational and mixed factors."""
+        a, b = factors
         k = kron(a, b)
         assert entry_objects(k) <= entry_objects(a) * entry_objects(b)
         for i in range(a.rows):
             for j in range(a.cols):
                 for p in range(b.rows):
                     for q in range(b.cols):
-                        assert k[i * b.rows + p, j * b.cols + q] == a[i, j] * b[p, q]
+                        assert k[i * b.rows + p, j * b.cols + q] == Polynomial.dot(((a[i, j], b[p, q]),))
         assert_sparse(k)
+        assert_integer_first(k)
 
     @given(shared_matrices())
     @settings(max_examples=100)
@@ -311,6 +324,22 @@ class TestSharedEntries:
         assert entry_objects(n) <= entry_objects(a)
         assert n == PolyMatrix([[-e for e in row] for row in a.entries], a.rows, a.cols)
         assert_sparse(n)
+
+    @given(shared_matrices(rational_polynomials(max_terms=2)))
+    @settings(max_examples=100)
+    def test_negation_calls_neg_once_per_object(self, a):
+        """Polynomial negation runs once per distinct entry object, and
+        the slots that share an object share one negated object."""
+        calls = []
+        real = Polynomial.__neg__
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Polynomial, "__neg__", lambda p: calls.append(p) or real(p))
+            n = -a
+        assert len(calls) == len({id(p) for p in calls}) == entry_objects(a)
+        image = {}
+        for i, j, e in a.nonzeros():
+            assert n[i, j] == real(e)
+            assert image.setdefault(id(e), n[i, j]) is n[i, j]
 
 
 class TestShuffle:
@@ -352,13 +381,6 @@ class TestBlocksAndEvaluation:
     def test_direct_sum_shapes(self):
         d = direct_sum(zeros(1, 2), zeros(3, 1))
         assert (d.rows, d.cols) == (4, 3)
-
-
-SCALES = {
-    "integer": (polynomials(max_terms=2), polynomials(max_terms=2)),
-    "rational": (rational_polynomials(max_terms=2), rational_polynomials(max_terms=2)),
-    "mixed": (polynomials(max_terms=2), rational_polynomials(max_terms=2)),
-}
 
 
 @st.composite

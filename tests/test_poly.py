@@ -19,6 +19,8 @@ from polymf import (
     split_monomial,
 )
 
+from polymf.poly import _times_key
+
 from conftest import polynomials, rational_polynomials
 
 
@@ -291,6 +293,67 @@ class TestMonomialSplitReference:
             # coefficients are canonical: an integral Fraction is an int
             assert type(g.terms[0].coeff) is type(h1.as_polynomial().terms[0].coeff)
             assert str(g) == str(h1.as_polynomial()) and str(h) == str(h2.as_polynomial())
+
+
+def merged_key(ka, kb):
+    """The exponent key of a product by summing exponents per variable
+    and sorting the names (reference for _times_key)."""
+    powers = dict(ka)
+    for v, e in kb:
+        powers[v] = powers.get(v, 0) + e
+    return tuple(sorted(powers.items()))
+
+
+KEYS = st.dictionaries(st.sampled_from(["a", "b", "x", "x1", "x10", "y", "z"]), st.integers(1, 6)).map(
+    lambda powers: tuple(sorted(powers.items()))
+)
+
+
+class TestOneTermProduct:
+    """A product of two one-term polynomials makes its one term directly;
+    it must equal the general product, coefficient types included."""
+
+    @given(monomials(), monomials())
+    @settings(max_examples=200)
+    def test_matches_dot(self, m, n):
+        a, b = m.as_polynomial(), n.as_polynomial()
+        product = a * b
+        reference = Polynomial.dot(((a, b),))
+        assert product == reference
+        assert [(k, type(c)) for k, c in product._terms.items()] == [
+            (k, type(c)) for k, c in reference._terms.items()
+        ]
+        assert_integer_first(product)
+
+    @pytest.mark.parametrize("left, right, expected", [
+        ("1/2 x", "2y", "xy"),
+        ("-3/7", "7/3", "-1"),
+        ("5", "1/5 z^2", "z^2"),
+        ("2/3 x^2", "1/3 x", "2/9 x^3"),
+        ("4", "-3", "-12"),
+    ])
+    def test_rational_factors_with_an_integral_product(self, left, right, expected):
+        product = p(left) * p(right)
+        assert product == p(expected)
+        assert_integer_first(product)
+
+    @pytest.mark.parametrize("ka, kb", [
+        ((("a", 1),), (("x", 2), ("y", 1))),  # disjoint, a's variables first
+        ((("x", 2), ("y", 1)), (("a", 1),)),  # disjoint, b's variables first
+        ((("a", 1), ("x", 2)), (("b", 3), ("y", 1))),  # interleaved
+        ((("x", 1), ("y", 2)), (("x", 3), ("z", 1))),  # overlapping
+        ((("x", 1),), (("x", 1),)),  # one shared variable
+        ((), (("x", 1),)),  # empty
+        ((("x", 1),), ()),
+        ((), ()),
+    ])
+    def test_times_key_cases(self, ka, kb):
+        assert _times_key(ka, kb) == merged_key(ka, kb)
+
+    @given(KEYS, KEYS)
+    @settings(max_examples=300)
+    def test_times_key_is_the_merge(self, ka, kb):
+        assert _times_key(ka, kb) == merged_key(ka, kb)
 
 
 class TestCounting:

@@ -25,7 +25,7 @@ from polymf import (
     verify_exact,
 )
 from polymf.refined import ConditionResult
-from polymf import STANDARD_VARIANTS, YOSHINO_VARIANTS, Monomial, factorization
+from polymf import STANDARD_VARIANTS, YOSHINO_VARIANTS, Monomial, factorization, refined
 from polymf.refined import check_cap
 
 from conftest import RATIONAL_COEFFICIENTS, monomials
@@ -364,9 +364,27 @@ class TestCompareReport:
         assert report.standard_size == 64
 
     def test_capped_pipeline_is_skipped(self, part2_srp):
-        report, constructed = compare_report(
-            part2_srp, methods=("refined", "standard"), max_monomials=5
-        )
-        assert constructed == {"refined": 32}
+        """Every method is capped, as in the CLI: refined 2^5 is over
+        2^(5-1) and within 2^(6-1); improved 2^6 and standard 2^9 are over
+        both."""
+        methods = ("refined", "improved", "standard")
+        report, constructed = compare_report(part2_srp, methods=methods, max_monomials=5)
+        assert constructed == {}
         assert report.standard_size == 512
+        _, constructed = compare_report(part2_srp, methods=methods, max_monomials=6)
+        assert constructed == {"refined": 32}
+
+    def test_strict_validates_once_whatever_is_capped(self, part1_srp, monkeypatch):
+        """With strict, an invalid document raises although every method
+        is over the cap, and a valid one is validated once for all its
+        methods."""
+        methods = ("refined", "improved", "standard")
+        bad = srp(["zx"], [["x + y"]])  # fails condition 4; every size is 2^2
+        with pytest.raises(ValidationFailure, match="condition 4: FAIL"):
+            compare_report(bad, methods=methods, max_monomials=2, strict=True)
+        real = refined.validate_summand_reduced
+        calls = []
+        monkeypatch.setattr(refined, "validate_summand_reduced", lambda doc: calls.append(doc) or real(doc))
+        _, constructed = compare_report(part1_srp, methods=methods, strict=True)
+        assert (constructed, calls) == ({"refined": 16, "improved": 32, "standard": 64}, [part1_srp])
 

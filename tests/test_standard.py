@@ -21,7 +21,7 @@ from polymf import (
     verify_exact,
 )
 
-from conftest import factorizations, nonzero_polynomials
+from conftest import factorizations, nonzero_polynomials, polynomials, rational_polynomials
 
 
 def p(text: str):
@@ -151,3 +151,16 @@ class TestStandardFactorize:
     def test_rational_coefficients(self):
         mf = standard_factorize_polynomial(p("1/2 x^2 + 3y^4"))
         assert verify_exact(mf)[0] and mf.size == 2
+
+    @given(
+        st.one_of(polynomials(max_terms=4), rational_polynomials(max_terms=4)).filter(bool),
+        st.sampled_from(STANDARD_VARIANTS),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_polynomial_matches_its_monomial_pairs(self, q, variant):
+        """Splitting p's terms directly gives the pair of the Monomial
+        route, entry for entry."""
+        got = standard_factorize_polynomial(q, variant, verify="skip")
+        want = standard_factorize(monomial_pairs(list(q.terms)), variant, verify="skip")
+        assert (got.f, got.phi, got.psi) == (want.f, want.phi, want.psi)
+        assert got.phi.texts() == want.phi.texts() and got.psi.texts() == want.psi.texts()
