@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .matrix import PolyMatrix, MatrixError, _once_per_object, from_strings, identity, mat_mul, scalar_matrix
+from .matrix import PolyMatrix, MatrixError, from_strings, identity, mat_mul, scalar_matrix
 from .poly import Polynomial, parse_polynomial
 
 # certify checks exactly up to this size and by randomized point checks
@@ -188,26 +188,31 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
             f"exact verification skipped: the products may take {work} term "
             f"products, over the cap of {EXACT_WORK_CAP}"
         )
+    f = mf.f._terms
     for name, a, b in orders:
         product = mat_mul(a, b)
-        for i, row in enumerate(product.row_maps):
-            want = {i: mf.f} if mf.f else {}
-            if row != want:
-                j = min(j for j in row.keys() | want.keys() if row.get(j) != want.get(j))
-                expected = mf.f if i == j else Polynomial.zero()
-                return False, (
-                    f"{name} entry ({i},{j}) is {_quote(product[i, j])}, "
-                    f"expected {_quote(expected)}"
-                )
+        table = product.table
+        for i, (js, ks) in enumerate(zip(product.columns, product.indices)):
+            # row i must be f*e_i; the terms dicts compare as the values do
+            if (js == (i,) and table[ks[0]]._terms == f) if f else not js:
+                continue
+            expected = {i: mf.f}
+            j = min(j for j in {*js, i} if product[i, j] != expected.get(j, Polynomial.zero()))
+            return False, (
+                f"{name} entry ({i},{j}) is {_quote(product[i, j])}, "
+                f"expected {_quote(expected.get(j, Polynomial.zero()))}"
+            )
     return True, "ok"
 
 
 def _product_work(a: PolyMatrix, b: PolyMatrix) -> int:
     """The term products mat_mul(a, b) makes: for each stored a[i,k], its
-    terms times all the terms of row k of b.  O(nnz) to compute; it reads
-    the term dicts directly, since it runs once per stored nonzero."""
-    row_terms = [sum([len(e._terms) for e in row.values()]) for row in b.row_maps]
-    return sum([len(e._terms) * row_terms[k] for row in a.row_maps for k, e in row.items()])
+    terms times all the terms of row k of b.  O(nnz) to compute, and it
+    counts the terms of each table entry once."""
+    terms_a = [len(e._terms) for e in a.table]
+    terms_b = terms_a if b.table is a.table else [len(e._terms) for e in b.table]
+    row_terms = [sum(map(terms_b.__getitem__, ks)) for ks in b.indices]
+    return sum([terms_a[ia] * row_terms[k] for js, ks in zip(a.columns, a.indices) for k, ia in zip(js, ks)])
 
 
 def _quote(p: Polynomial) -> str:
@@ -227,14 +232,15 @@ def verify_randomized(
     """Check phi*psi = f*I by Freivalds' vector check at random integer
     points, exactly.
 
-    Each stored nonzero of phi and psi is first mapped to an index into
-    the list of distinct entries.  Each trial then draws a point x and a
-    vector r, both with integer coordinates uniform in [-B, B] for
-    B = COORDINATE_BOUND, evaluates every distinct entry and f once at x,
-    and checks phi(x)*(psi(x)*r) = f(x)*r over the stored nonzeros, in
-    ints scaled by the lcm of the values' denominators: O(nnz) work per
-    trial.  Deterministic given the seed.  Never fails on a valid
-    factorization.
+    The entries of the tables of phi and psi are first mapped to their
+    distinct values, which costs the tables and not the stored nonzeros.
+    Each trial then draws a point x and a vector r, both with integer
+    coordinates uniform in [-B, B] for B = COORDINATE_BOUND, evaluates f
+    and each distinct value once at x, and checks phi(x)*(psi(x)*r) =
+    f(x)*r over the stored nonzeros, which read the values through their
+    table indices, in ints scaled by the lcm of the values' denominators:
+    O(nnz) work per trial.  Deterministic given the seed.  Never fails on
+    a valid factorization.
 
     If phi*psi != f*I, some entry of (phi*psi - f*I)*r, read as a
     polynomial in x and in the n coordinates of r as extra variables, is
@@ -253,17 +259,11 @@ def verify_randomized(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    phi, psi = mf.phi, mf.psi
+    # each table entry's index into distinct, the values evaluated per trial
     index: dict[Polynomial, int] = {}
-    # Entries are looked up by object first: the pipelines' pairs share
-    # one object per distinct entry, so each object is hashed and compared
-    # by value once, not once per slot.
-    slot = _once_per_object(lambda e: index.setdefault(e, len(index)))
-
-    def indexed(m: PolyMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Each row as (columns, indices of the entries in `distinct`)."""
-        return [(tuple(row), tuple(map(slot, row.values()))) for row in m.row_maps]
-
-    phi_rows, psi_rows = indexed(mf.phi), indexed(mf.psi)
+    phi_at = [index.setdefault(e, len(index)) for e in phi.table]
+    psi_at = phi_at if psi.table is phi.table else [index.setdefault(e, len(index)) for e in psi.table]
     distinct = list(index)
     bits = [p.value_bits(COORDINATE_BOUND) for p in distinct]
     f_bits = mf.f.value_bits(COORDINATE_BOUND)
@@ -274,7 +274,7 @@ def verify_randomized(
             f"reach {top} bits, over the cap of {EVALUATION_BIT_CAP}"
         )
     both_orders = mf.f.is_zero()
-    work = _trial_work(mf.size, f_bits, _extent(phi_rows, bits), _extent(psi_rows, bits), both_orders)
+    work = _trial_work(mf.size, f_bits, _extent(phi, phi_at, bits), _extent(psi, psi_at, bits), both_orders)
     if work > TRIAL_WORK_CAP:
         raise EvaluationCapError(
             f"randomized verification skipped: one trial may take {work} products "
@@ -299,18 +299,20 @@ def verify_randomized(
         if scale != 1:
             values = [x.numerator * (scale // x.denominator) for x in values]
         want = fval.numerator * (scale * scale // fval.denominator)
-        if _apply(phi_rows, values, _apply(psi_rows, values, r)) != [want * x for x in r]:
+        phi_values, psi_values = ([values[k] for k in at] for at in (phi_at, psi_at))
+        if _apply(phi, phi_values, _apply(psi, psi_values, r)) != [want * x for x in r]:
             return False
-        if both_orders and any(_apply(psi_rows, values, _apply(phi_rows, values, r))):
+        if both_orders and any(_apply(psi, psi_values, _apply(phi, phi_values, r))):
             return False
     return True
 
 
-def _extent(rows: list[tuple[tuple[int, ...], tuple[int, ...]]], bits: list[int]) -> tuple[int, int]:
-    """The stored nonzeros of an indexed matrix (see verify_randomized)
-    and the most value bits of any of its entries."""
-    used = set().union(*(ks for _, ks in rows))
-    return sum(len(ks) for _, ks in rows), max((bits[k] for k in used), default=0)
+def _extent(m: PolyMatrix, at: list[int], bits: list[int]) -> tuple[int, int]:
+    """The stored nonzeros of m, and the most value bits of any of them,
+    from the bits of each distinct value and its index at[k] for table
+    entry k."""
+    used = set().union(*m.indices)
+    return sum(map(len, m.indices)), max((bits[at[k]] for k in used), default=0)
 
 
 def _trial_work(
@@ -345,13 +347,11 @@ def _words(bits: int) -> int:
     return bits // 64 + 1
 
 
-def _apply(
-    rows: list[tuple[tuple[int, ...], tuple[int, ...]]], values: list[int], v: list[int]
-) -> list[int]:
-    """The matrix whose row i holds values[k] at column j, for the
-    (columns, indices) pairs in rows[i], times the vector v."""
+def _apply(m: PolyMatrix, values: list[int], v: list[int]) -> list[int]:
+    """The matrix m, with the value values[k] for table entry k, times the
+    vector v."""
     get_value, get_v = values.__getitem__, v.__getitem__
-    return [sum(map(mul, map(get_value, ks), map(get_v, js))) for js, ks in rows]
+    return [sum(map(mul, map(get_value, ks), map(get_v, js))) for js, ks in zip(m.columns, m.indices)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,41 +1,33 @@
-"""Sparse matrices over exact polynomials.
+"""Sparse matrices over exact polynomials, over one table of entries.
 
-A matrix stores, for each row, a {column: entry} map of its nonzero
-entries only; the paper's pairs are sparse (the standard method puts
-exactly k nonzeros in each row of a size-2^(k-1) pair), so every
-operation below walks the stored nonzeros and never the n^2 slots.
-Row maps are never mutated once a matrix is built: values are immutable
-after construction and operations are pure.
+A matrix stores `table`, a tuple of nonzero entries, and for each row i
+the pair (columns[i], indices[i]): its nonzero columns, strictly
+increasing, and the table index of the entry at each.  The paper's pairs
+are sparse (the standard method puts exactly k nonzeros in each row of a
+size-2^(k-1) pair) and their nonzeros hold a few distinct entries, so
+every operation walks the stored nonzeros, never the n^2 slots, and
+makes or reads each table entry once, never once per slot.  Matrices
+are immutable, so they share tables and row tuples freely.  A table may
+list a value twice: equality and hashing compare the values at each
+slot, never indices or table order.
 
 `mat_mul`, which every exact check runs, multiplies over packed
-exponents: per call, each monomial's exponent vector becomes one int in
-a mixed radix whose digit for a variable is wide enough to hold the sum
-of the two factors' highest exponents, so multiplying two monomials is
-one integer addition and no product can carry into the next digit.
-Coefficients are scaled to ints by a common denominator, so an output
-row accumulates in one int-keyed dict of int sums.
-
-A pipeline pair's slots share a few entry objects (`kron` and negation
-compute each distinct entry once), so the operations that make or read
-entries work once per distinct object, through a memo keyed by id and
-local to the call: `mat_mul` packs each entry object once, `kron`
-multiplies each pair of objects once and reuses an object multiplied by
-the constant one, and negation and `texts` treat each object once.
-Every entry of a pipeline pair is a one-term polynomial, so each product
-`kron` computes is one exponent-key merge and one coefficient product
-(the one-term path of `Polynomial.__mul__`); `kron` and negation fill
-their rows in one plain loop over the slots, with no call per slot.
-`block2x2` writes each output row once, from one row of each block in
-its block row; a block may be a polynomial p standing for p times the
-identity, so a standard step builds no scalar matrix.
+exponents and integer coefficients, with each table entry packed once.
+Negation negates the table and shares the rows; `kron` multiplies each
+pair of table entries once; `block2x2` and `direct_sum` concatenate the
+tables of their blocks and offset the indices.  The two factors of a
+pair built by a standard step or by `yoshino` share one table (see
+`_on_one_table`), so a fold of steps keeps one short table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
+from operator import add, attrgetter, neg
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 # mat_mul reads and builds term dicts directly (see Polynomial._terms).
 from .poly import Coeff, ExpKey, Polynomial, _coeff, _wrap, parse_polynomial
@@ -48,28 +40,31 @@ class MatrixError(ValueError):
 _ZERO = Polynomial.zero()
 _ONE = Polynomial.const(1)
 
-RowMap = dict[int, Polynomial]
-T = TypeVar("T")
-
+Ints = tuple[int, ...]
 _denominator = attrgetter("denominator")
 
 
 class PolyMatrix:
-    """Immutable rows x cols matrix of canonical polynomials, stored as a
-    tuple of per-row {column: nonzero entry} maps (`row_maps`)."""
+    """Immutable rows x cols matrix of canonical polynomials: a `table` of
+    nonzero entries, and per row its `columns` and the `indices` into
+    table of their entries."""
 
-    __slots__ = ("rows", "cols", "row_maps")
+    __slots__ = ("rows", "cols", "table", "columns", "indices")
 
     def __init__(self, entries: Sequence[Sequence[Polynomial]], rows: int | None = None, cols: int | None = None):
-        """Build from a dense grid of entries; zeros are not stored."""
+        """Build from a dense grid of entries; zeros are not stored, and
+        equal entries share one table entry.  A grid with no rows needs
+        its column count."""
         grid = [tuple(row) for row in entries]
         if rows is None:
             rows = len(grid)
         if cols is None:
-            cols = len(grid[0]) if grid else 0
+            if not grid:
+                raise MatrixError("a grid with no rows needs its column count")
+            cols = len(grid[0])
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise MatrixError("entry grid does not match declared shape")
-        _init(self, rows, cols, tuple({j: e for j, e in enumerate(row) if e} for row in grid))
+        _from_row_maps(({j: e for j, e in enumerate(row) if e} for row in grid), rows, cols, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -77,27 +72,38 @@ class PolyMatrix:
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
         """Dense read-only view, built on each access."""
-        return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols)) for row in self.row_maps)
+        return tuple(map(tuple, self._dense(self.table, _ZERO)))
+
+    def _dense(self, values, fill) -> list[list]:
+        """The grid of values[k] at each slot storing k, fill elsewhere."""
+        out = []
+        for js, ks in zip(self.columns, self.indices):
+            line = [fill] * self.cols
+            for j, k in zip(js, ks):
+                line[j] = values[k]
+            out.append(line)
+        return out
 
     def nonzeros(self) -> Iterator[tuple[int, int, Polynomial]]:
-        """The stored entries as (row, column, entry)."""
-        for i, row in enumerate(self.row_maps):
-            for j, e in row.items():
-                yield i, j, e
+        """The stored entries as (row, column, entry), row by row with
+        the columns increasing."""
+        for i, (js, ks) in enumerate(zip(self.columns, self.indices)):
+            yield from ((i, j, self.table[k]) for j, k in zip(js, ks))
 
     def __getitem__(self, idx: tuple[int, int]) -> Polynomial:
         i, j = idx
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range for {self.cols} columns")
-        return self.row_maps[i].get(j, _ZERO)
+        js = self.columns[i]
+        p = bisect_left(js, j)
+        return self.table[self.indices[i][p]] if p < len(js) and js[p] == j else _ZERO
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PolyMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.row_maps == other.row_maps
-        )
+        if not isinstance(other, PolyMatrix) or (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        # where the columns agree, the slots pair up in one flat pass
+        flat = (list(map(m.table.__getitem__, chain.from_iterable(m.indices))) for m in (self, other))
+        return self.columns == other.columns and next(flat) == next(flat)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, frozenset(self.nonzeros())))
@@ -107,52 +113,30 @@ class PolyMatrix:
         return self.rows == self.cols
 
     def transpose(self) -> "PolyMatrix":
-        out: list[RowMap] = [{} for _ in range(self.cols)]
+        out: list[dict[int, Polynomial]] = [{} for _ in range(self.cols)]
         for i, j, e in self.nonzeros():
             out[j][i] = e
-        return _sparse(out, self.cols, self.rows)
+        return _from_row_maps(out, self.cols, self.rows)
 
     def __neg__(self) -> "PolyMatrix":
-        """Negates each distinct entry object once, in one pass over the
-        slots; the slots that shared it share its negation."""
-        negated: dict[int, Polynomial] = {}
-        out = []
-        for row in self.row_maps:
-            new = {}
-            for j, e in row.items():
-                n = negated.get(id(e))
-                if n is None:
-                    n = negated[id(e)] = -e
-                new[j] = n
-            out.append(new)
-        return _sparse(out, self.rows, self.cols)
+        """Negates each table entry once and shares the rows."""
+        return _sparse(tuple(map(neg, self.table)), self.columns, self.indices, self.rows, self.cols)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise MatrixError(f"shape mismatch for add: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        out = []
-        for ra, rb in zip(self.row_maps, other.row_maps):
-            row = dict(ra)
-            for j, e in rb.items():
-                row[j] = row.get(j, _ZERO) + e
-            out.append({j: e for j, e in row.items() if e})
-        return _sparse(out, self.rows, self.cols)
+        out: list[dict[int, Polynomial]] = [{} for _ in range(self.rows)]
+        for i, j, e in chain(self.nonzeros(), other.nonzeros()):
+            out[i][j] = out[i].get(j, _ZERO) + e
+        return _from_row_maps(({j: row[j] for j in sorted(row) if row[j]} for row in out), self.rows, self.cols)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return mat_mul(self, other)
 
     def texts(self) -> list[list[str]]:
-        """The dense grid of entry texts, "0" where no entry is stored.
-        Walks the stored nonzeros only, and calls str once per distinct
-        entry object: a pair's rows share a few polynomial objects."""
-        text = _once_per_object(str)
-        out = []
-        for row in self.row_maps:
-            line = ["0"] * self.cols
-            for j, e in row.items():
-                line[j] = text(e)
-            out.append(line)
-        return out
+        """The dense grid of entry texts, "0" where no entry is stored:
+        str once per table entry the rows use."""
+        return self._dense({k: str(self.table[k]) for k in set().union(*self.indices)}, "0")
 
     def render(self) -> str:
         """Text form: rows on lines, entries comma-separated."""
@@ -162,72 +146,91 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols})"
 
 
-def _once_per_object(op: Callable[[Polynomial], T]) -> Callable[[Polynomial], T]:
-    """op, evaluated once per distinct argument object and shared by later
-    calls with the same object.  Keyed by id, so the memo must not outlive
-    the objects passed to it: use one per call of an operation."""
-    memo: dict[int, T] = {}
-
-    def once(x: Polynomial) -> T:
-        y = memo.get(id(x))
-        if y is None:
-            y = memo[id(x)] = op(x)
-        return y
-
-    return once
-
-
-def _init(m: PolyMatrix, rows: int, cols: int, row_maps: tuple[RowMap, ...]) -> None:
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "row_maps", row_maps)
-
-
-def _sparse(row_maps: Iterable[RowMap], rows: int, cols: int) -> PolyMatrix:
-    """A matrix from row maps that already hold only nonzero entries."""
+def _sparse(table: tuple[Polynomial, ...], columns: Sequence[Ints], indices: Sequence[Ints], rows: int, cols: int,
+            m: PolyMatrix | None = None) -> PolyMatrix:
+    """A matrix (m itself, if given): see the module docstring."""
     if rows < 0 or cols < 0:
         raise MatrixError(f"negative matrix dimension {rows}x{cols}")
-    m = PolyMatrix.__new__(PolyMatrix)
-    _init(m, rows, cols, tuple(row_maps))
+    m = PolyMatrix.__new__(PolyMatrix) if m is None else m
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_table(m, table)
+    _set_columns(m, tuple(columns))
+    _set_indices(m, tuple(indices))
     return m
 
 
-def _shift(row: RowMap, offset: int) -> RowMap:
-    return {j + offset: e for j, e in row.items()}
+# PolyMatrix refuses attribute assignment: _sparse sets its slots.
+_set_rows, _set_cols, _set_table, _set_columns, _set_indices = (
+    PolyMatrix.__dict__[name].__set__ for name in PolyMatrix.__slots__
+)
+
+
+def _from_row_maps(
+    row_maps: Iterable[dict[int, Polynomial]], rows: int, cols: int, m: PolyMatrix | None = None
+) -> PolyMatrix:
+    """A matrix from {column: nonzero entry} maps whose columns increase,
+    with one table entry per distinct value."""
+    index: dict[Polynomial, int] = {}
+    columns, indices = [], []
+    for row in row_maps:
+        columns.append(tuple(row))
+        indices.append(tuple([index.setdefault(e, len(index)) for e in row.values()]))
+    return _sparse(tuple(index), columns, indices, rows, cols, m)
+
+
+def _shifted(rows: Sequence[Ints], by: int) -> Sequence[Ints]:
+    """Each tuple of rows with by added to every element."""
+    return [tuple([x + by for x in r]) for r in rows] if by else rows
+
+
+def _on_one_table(a: PolyMatrix, b: PolyMatrix, extra: tuple[Polynomial, ...] = ()) -> tuple[PolyMatrix, ...]:
+    """a and b over one table: a's, then b's unless b shares it (b's
+    indices shift past a's), then the nonzero extra entries."""
+    shared = b.table is a.table
+    if shared and not extra:
+        return a, b
+    table = a.table + (() if shared else b.table) + extra
+    indices = b.indices if shared else _shifted(b.indices, len(a.table))
+    a = _sparse(table, a.columns, a.indices, a.rows, a.cols)
+    return a, _sparse(table, b.columns, indices, b.rows, b.cols)
 
 
 def from_strings(rows: Iterable[list[str]]) -> PolyMatrix:
     """Parse a grid of polynomial texts, given as rows that are lists of
-    strings of one length, into its row maps in one pass.
+    strings of one length, in one pass.
 
-    "0" slots are skipped without being parsed; every other distinct text
-    is parsed once per call and its slots share the (immutable) result,
-    since most entries of a serialized pair are "0" or repeats of a few
-    polynomials.  A text that parses to zero (" 0", "x - x") stores
+    "0" slots are skipped unparsed; every other distinct text is parsed
+    once per call into one table entry, which its slots index (most
+    entries of a serialized pair are "0" or repeats of a few
+    polynomials).  A text that parses to zero (" 0", "x - x") stores
     nothing.  Raises MatrixError for a row that is not a list of strings
     or whose length differs from the first row's.
     """
-    parsed: dict[str, Polynomial] = {}
+    index: dict[str, int | None] = {}  # text -> table index, None for zero
+    table: list[Polynomial] = []
 
-    def entry(text: str) -> Polynomial:
+    def entry(text: str) -> int | None:
         if type(text) is not str:
             _not_text()
-        p = parsed.get(text)
-        if p is None:
-            p = parsed[text] = parse_polynomial(text)
-        return p
+        if text not in index:
+            p = parse_polynomial(text)
+            index[text] = len(table) if p else None
+            table.extend([p] if p else [])
+        return index[text]
 
-    out: list[RowMap] = []
-    cols = None
+    columns, indices, cols = [], [], None
     for row in rows:
         if type(row) is not list:
             _not_text()
         if cols is None:
             cols = len(row)
         elif len(row) != cols:
-            raise MatrixError(f"row {len(out)} has {len(row)} entries, row 0 has {cols}")
-        out.append({j: p for j, text in enumerate(row) if text != "0" and (p := entry(text))})
-    return _sparse(out, len(out), cols or 0)
+            raise MatrixError(f"row {len(columns)} has {len(row)} entries, row 0 has {cols}")
+        pairs = [(j, k) for j, text in enumerate(row) if text != "0" and (k := entry(text)) is not None]
+        columns.append(tuple([j for j, _ in pairs]))
+        indices.append(tuple([k for _, k in pairs]))
+    return _sparse(tuple(table), columns, indices, len(columns), cols or 0)
 
 
 def _not_text() -> NoReturn:
@@ -239,12 +242,14 @@ def identity(n: int) -> PolyMatrix:
 
 
 def zeros(rows: int, cols: int) -> PolyMatrix:
-    return _sparse(({} for _ in range(rows)), rows, cols)
+    return _sparse((), ((),) * max(rows, 0), ((),) * max(rows, 0), rows, cols)
 
 
 def scalar_matrix(p: Polynomial, n: int) -> PolyMatrix:
     """n x n matrix with p on the diagonal, zero elsewhere."""
-    return _sparse(({i: p} if p else {} for i in range(n)), n, n)
+    if not p:
+        return zeros(n, n)
+    return _sparse((p,), list(zip(range(n))), ((0,),) * n, n, n)
 
 
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -260,18 +265,16 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     Coefficients are scaled to ints by each matrix's denominator lcm, so
     each output row is one dict from packed key to int sum.
 
-    The setup costs what the distinct entry objects cost, not what the
-    stored nonzeros do: each distinct object of a and of b is profiled
-    and packed once per call (a pipeline pair's slots share a few
-    objects), and every slot that holds it reads its packed term list.
-    Only the nonzero sums are decoded, each distinct exponent key and
-    each distinct scaled sum once per call.
+    Each table entry is profiled and packed once per call (a table a and
+    b share, once), into a list every slot reads by its index.  Only the
+    nonzero sums are decoded, each distinct exponent key and scaled sum
+    once per call; the product's table holds each nonzero once.
     """
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    objects_a, objects_b = _objects(a), _objects(b)
-    keys_a, top_a, scale_a = _profile(objects_a.values())
-    keys_b, top_b, scale_b = _profile(objects_b.values())
+    shared = a.table is b.table
+    keys_a, top_a, scale_a = _profile(a.table)
+    keys_b, top_b, scale_b = (keys_a, top_a, scale_a) if shared else _profile(b.table)
     digits = [(v, top_a.get(v, 0) + top_b.get(v, 0) + 1) for v in sorted(top_a.keys() | top_b.keys())]
     place: dict[str, int] = {}
     radix = 1
@@ -279,22 +282,23 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         place[v] = radix
         radix *= width
     packs = {k: sum(x * place[v] for v, x in k) for k in keys_a | keys_b}
-    packed_a = {i: _packed(e, packs, scale_a) for i, e in objects_a.items()}
-    packed_b = {i: _packed(e, packs, scale_b) for i, e in objects_b.items()}
+    packed_a = [_packed(e, packs, scale_a) for e in a.table]
+    packed_b = packed_a if shared else [_packed(e, packs, scale_b) for e in b.table]
     b_rows = [
-        [(j * radix + key, c) for j, e in row.items() for key, c in packed_b[id(e)]]
-        for row in b.row_maps
+        [(j * radix + key, c) for j, k in zip(js, ks) for key, c in packed_b[k]]
+        for js, ks in zip(b.columns, b.indices)
     ]
     scale = scale_a * scale_b
     decoded: dict[int, ExpKey] = {}
     coeffs: dict[int, Coeff] = {}
-    out = []
-    for arow in a.row_maps:
+    table: list[Polynomial] = []
+    columns, indices = [], []
+    for acols, aidx in zip(a.columns, a.indices):
         acc: dict[int, int] = {}
         get = acc.get
-        for k, aik in arow.items():
+        for k, ia in zip(acols, aidx):
             brow = b_rows[k]
-            for ka, ca in packed_a[id(aik)]:
+            for ka, ca in packed_a[ia]:
                 for kb, cb in brow:
                     key = ka + kb
                     acc[key] = get(key, 0) + ca * cb
@@ -314,14 +318,11 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             if j not in terms:
                 terms[j] = {}
             terms[j][exps] = c
-        out.append({j: _wrap(t) for j, t in terms.items()})
-    return _sparse(out, a.rows, b.cols)
-
-
-def _objects(m: PolyMatrix) -> dict[int, Polynomial]:
-    """The distinct entry objects of m, by id.  Keyed by id, so the
-    result must not outlive m: use one per call of an operation."""
-    return {id(e): e for row in m.row_maps for e in row.values()}
+        js = sorted(terms)
+        indices.append(tuple(range(len(table), len(table) + len(js))))
+        columns.append(tuple(js))
+        table += [_wrap(terms[j]) for j in js]
+    return _sparse(tuple(table), columns, indices, a.rows, b.cols)
 
 
 def _profile(entries: Iterable[Polynomial]) -> tuple[set[ExpKey], dict[str, int], int]:
@@ -364,47 +365,43 @@ def _unpack(packed: int, digits: list[tuple[str, int]]) -> ExpKey:
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Kronecker product with row-major blocks: block (i,j) is a[i,j] * b.
 
-    Each product of an entry object of a with one of b is computed once
-    per call and shared by every slot that holds it, so the result holds
-    at most distinct(a) * distinct(b) entry objects, however many
-    nonzeros.  The products of each distinct object of a are kept in one
-    dict keyed by the id of b's object, and each output row is filled in
-    a plain loop over one row of a and one row of b.  A product with the
-    constant one is the other entry object itself, not a copy:
-    kron(a, identity(m)) and kron(identity(n), b) multiply no polynomial
-    and hold exactly the entry objects of a or b (where such an entry is
-    one too, either one may be held).  Products of nonzero polynomials
-    are nonzero, so nothing is filtered.
+    Each pair of a used table entry of a and one of b (every row of a
+    meets every row of b) is multiplied once, before any row is written,
+    and every slot of that product indexes it.  A product with the
+    constant one is the other entry object itself: kron(a, identity(m))
+    and kron(identity(n), b) multiply no polynomial and hold exactly the
+    entry objects of a or b (where such an entry is one too, either one
+    may be held).  Products of nonzero polynomials are nonzero.
     """
-    # id(x) -> {id(y): x * y}; a and b hold every x and y, so no id is reused
-    products: dict[int, dict[int, Polynomial]] = {}
-    out: list[RowMap] = []
-    for arow in a.row_maps:
-        blocks = []
-        for j, x in arow.items():
-            memo = products.get(id(x))
-            if memo is None:
-                memo = products[id(x)] = {}
-            blocks.append((j * b.cols, x, memo))
-        for brow in b.row_maps:
-            row = {}
-            for offset, x, memo in blocks:
-                for q, y in brow.items():
-                    p = memo.get(id(y))
-                    if p is None:
-                        p = memo[id(y)] = y if x.is_one() else x if y.is_one() else x * y
-                    row[offset + q] = p
-            out.append(row)
-    return _sparse(out, a.rows * b.rows, a.cols * b.cols)
+    ta, tb, width = a.table, b.table, b.cols
+    made: list[list[int]] = [[]] * len(ta)  # made[ia][ib]: the table index of ta[ia] * tb[ib]
+    kept: dict[tuple[int, int], int] = {}  # (0, ia), (1, ib) or (2, k): where ta[ia], tb[ib] or a product is
+    ones = [(ib, tb[ib].is_one()) for ib in set().union(*b.indices)]
+    table: list[Polynomial] = []
+    for ia in set().union(*a.indices):
+        x, row = ta[ia], [0] * len(tb)
+        made[ia], x_one = row, x.is_one()
+        for ib, y_one in ones:
+            # a product with one is the other entry, listed once however often
+            key = (1, ib) if x_one else (0, ia) if y_one else (2, len(table))
+            k = row[ib] = kept.setdefault(key, len(table))
+            if k == len(table):
+                table.append(tb[ib] if x_one else x if y_one else x * tb[ib])
+    columns, indices = [], []
+    for acols, aidx in zip(a.columns, a.indices):
+        offsets = [j * width for j in acols]
+        products = [made[ia] for ia in aidx]
+        for bcols, bidx in zip(b.columns, b.indices):
+            columns.append(tuple([offset + q for offset in offsets for q in bcols]))
+            indices.append(tuple([row[ib] for row in products for ib in bidx]))
+    return _sparse(tuple(table), columns, indices, a.rows * b.rows, a.cols * b.cols)
 
 
 def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Block diagonal [[a, 0], [0, b]]; empty blocks are dropped."""
-    return _sparse(
-        a.row_maps + tuple(_shift(row, a.cols) for row in b.row_maps),
-        a.rows + b.rows,
-        a.cols + b.cols,
-    )
+    a, b = _on_one_table(a, b)
+    columns = a.columns + tuple(_shifted(b.columns, a.cols))
+    return _sparse(a.table, columns, a.indices + b.indices, a.rows + b.rows, a.cols + b.cols)
 
 
 def block2x2(
@@ -418,9 +415,11 @@ def block2x2(
     A block may be a Polynomial p, standing for p times the identity: it
     is sized by the matrices beside it, so the other block of its block
     row and of its block column must be matrices, and the slot must be
-    square.  Each output row is one dict, the left block's row copied
-    and then updated with the right block's row at shifted columns; a
-    scalar block adds its one diagonal entry (none when p is zero).
+    square.  The table is the distinct tables of the matrix blocks, then
+    each nonzero scalar that is not an entry object of them, and each
+    block's indices shift by its table's offset.  An output row joins the
+    left block's row and the right block's at shifted columns; a scalar
+    block adds its one diagonal entry (none when p is zero).
     """
     sa, sb, sc, sd = (isinstance(x, Polynomial) for x in (a, b, c, d))
     # scalars on one diagonal only: each has a matrix beside it both ways
@@ -433,29 +432,35 @@ def block2x2(
         # a scalar block fits a square slot
         if ((rows, rows) if scalar else (block.rows, block.cols)) != (rows, cols):
             raise MatrixError("non-conformable blocks")
-    return _sparse(_block_rows(a, b, top, left) + _block_rows(c, d, bottom, left), top + bottom, left + right)
-
-
-def _block_rows(
-    left: PolyMatrix | Polynomial, right: PolyMatrix | Polynomial, n: int, offset: int
-) -> list[RowMap]:
-    """The n rows of the block row [left, right], right's columns shifted
-    by offset."""
-    if isinstance(left, Polynomial):
-        out = [{i: left} for i in range(n)] if left else [{} for _ in range(n)]
-    else:
-        out = [row.copy() for row in left.row_maps]
-    if isinstance(right, Polynomial):
-        if right:
-            for i, row in enumerate(out, offset):
-                row[i] = right
-    else:
-        # a loop of stores beats building a shifted dict or a zip/map
-        # pass for the few entries of a pair's row
-        for row, r in zip(out, right.row_maps):
-            for j, e in r.items():
-                row[j + offset] = e
-    return out
+    # each block's rows: columns shifted to its block column, and indices
+    table: tuple[Polynomial, ...] = ()
+    starts: list[tuple[tuple[Polynomial, ...], int]] = []  # each distinct table, and its offset
+    rows: list[tuple[Sequence[Ints], Sequence[Ints] | Polynomial]] = []
+    for x, scalar, n, at in ((a, sa, top, 0), (b, sb, top, left), (c, sc, bottom, 0), (d, sd, bottom, left)):
+        if scalar:
+            rows.append(([(i,) for i in range(at, at + n)], x))
+            continue
+        for t, offset in starts:
+            if t is x.table:
+                break
+        else:
+            offset = len(table)
+            starts.append((x.table, offset))
+            table += x.table
+        rows.append((_shifted(x.columns, at), _shifted(x.indices, offset)))
+    for r, (cols, x) in enumerate(rows):
+        if isinstance(x, Polynomial):
+            # a standard step's scalars end the table its blocks share
+            k = len(table) - 1
+            while k >= 0 and table[k] is not x:
+                k -= 1
+            if k < 0 and x:
+                k = len(table)
+                table += (x,)
+            rows[r] = (cols, ((k,),) * len(cols)) if x else (((),) * len(cols),) * 2
+    (lc, lk), (rc, rk), (lc2, lk2), (rc2, rk2) = rows
+    columns = [*map(add, lc, rc), *map(add, lc2, rc2)]
+    return _sparse(table, columns, [*map(add, lk, rk), *map(add, lk2, rk2)], top + bottom, left + right)
 
 
 def shuffle_matrix(m: int, n: int) -> PolyMatrix:
@@ -467,5 +472,4 @@ def shuffle_matrix(m: int, n: int) -> PolyMatrix:
     if m < 1 or n < 1:
         raise MatrixError("shuffle dimensions must be positive")
     # S_{m,n} = sum_i e_i^T (x) I_n (x) e_i puts a 1 at (i*n + a, a*m + i).
-    return _sparse(({a * m + i: _ONE} for i in range(m) for a in range(n)), m * n, m * n)
-
+    return _sparse((_ONE,), [(a * m + i,) for i in range(m) for a in range(n)], ((0,),) * (m * n), m * n, m * n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .factorization import MatrixFactorization, make_factorization
-from .matrix import PolyMatrix, block2x2, scalar_matrix
+from .matrix import PolyMatrix, _on_one_table, block2x2, scalar_matrix
 from .poly import Coeff, ExpKey, Monomial, Polynomial, PolyError, _coeff, _split_key, _wrap
 
 
@@ -77,8 +77,10 @@ def standard_step(
     The blocks G = g*I and H = h*I go to block2x2 as the polynomials g,
     h, -g and -h, which it places on the diagonal of their blocks: no
     scalar matrix is built, and two polynomials are negated, not two
-    matrices."""
-    p, q = double(mf.phi, mf.psi, g, h, -g, -h, variant, block2x2)
+    matrices.  Both factors share one table, mf's and then those four."""
+    ng, nh = -g, -h
+    c, d = _on_one_table(mf.phi, mf.psi, tuple(filter(None, (g, h, ng, nh))))
+    p, q = double(c, d, g, h, ng, nh, variant, block2x2)
     return make_factorization(mf.f + g * h, p, q, verify=verify)
 
 

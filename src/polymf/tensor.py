@@ -16,6 +16,8 @@ verification is the arbiter.
 
 from __future__ import annotations
 
+from operator import add, neg
+
 from .factorization import (
     MatrixFactorization,
     Morphism,
@@ -24,7 +26,8 @@ from .factorization import (
 )
 from .matrix import (
     PolyMatrix,
-    RowMap,
+    Ints,
+    _on_one_table,
     _sparse,
     block2x2,
     direct_sum,
@@ -52,49 +55,40 @@ def yoshino(
     1_n (x) phi' and 1_n (x) psi'.  No block is built: row i*m + p of a
     factor is written once, from row i of phi or psi at columns j*m + p
     and row p of an m x m input at columns i*m + q, each shifted by its
-    block's column offset.  The rows hold the inputs' entry objects; the
-    negated blocks come from -phi' and -psi', so only the two m x m
-    inputs are negated.  No polynomial is multiplied.
+    block's column offset.  Both factors share one table: the entries of
+    x, those of y and their negations, so the negated blocks cost y's
+    table, not its nonzeros.  No polynomial is multiplied.
     """
     if variant not in YOSHINO_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {YOSHINO_VARIANTS}")
     n, m = x.size, y.size
     nm = n * m
+    xphi, xpsi = _on_one_table(x.phi, x.psi)
+    yphi, ypsi = _on_one_table(y.phi, y.psi)
+    table = xphi.table + yphi.table + tuple(map(neg, yphi.table))
 
     def spread(a: PolyMatrix):
-        """a (x) 1_m, as a writer of its rows into a block row at column at."""
+        """a (x) 1_m: its rows' columns at column offset at, and indices,
+        which stand, since x's entries lead the table."""
+        idx = [ks for ks in a.indices for _ in range(m)]
+        return lambda at: ([tuple([j * m + at + p for j in js]) for js in a.columns for p in range(m)], idx)
 
-        def write(rows: list[RowMap], at: int) -> None:
-            for i, arow in enumerate(a.row_maps):
-                items = [(j * m + at, e) for j, e in arow.items()]
-                for p, row in enumerate(rows[i * m : i * m + m]):
-                    for j, e in items:
-                        row[j + p] = e
+    def tile(b: PolyMatrix, offset: int):
+        """1_n (x) b over the entries at offset, as spread does."""
+        idx = [tuple([k + offset for k in ks]) for ks in b.indices] * n
+        return lambda at: ([tuple([q + i for q in js]) for i in range(at, at + nm, m) for js in b.columns], idx)
 
-        return write
+    def assemble(top_left, top_right, bottom_left, bottom_right) -> PolyMatrix:
+        (tlc, tlk), (trc, trk) = top_left(0), top_right(nm)
+        (blc, blk), (brc, brk) = bottom_left(0), bottom_right(nm)
+        columns = [*map(add, tlc, trc), *map(add, blc, brc)]
+        indices = [*map(add, tlk, trk), *map(add, blk, brk)]
+        return _sparse(table, columns, indices, 2 * nm, 2 * nm)
 
-    def tile(b: PolyMatrix):
-        """1_n (x) b, as a writer of its rows into a block row at column at."""
-
-        def write(rows: list[RowMap], at: int) -> None:
-            for i in range(n):
-                shift = i * m + at
-                for row, brow in zip(rows[i * m : i * m + m], b.row_maps):
-                    for q, e in brow.items():
-                        row[q + shift] = e
-
-        return write
-
-    def assemble(*blocks) -> PolyMatrix:
-        rows = [{} for _ in range(2 * nm)]
-        top, bottom = rows[:nm], rows[nm:]
-        for write, half, at in zip(blocks, (top, top, bottom, bottom), (0, nm, 0, nm)):
-            write(half, at)
-        return _sparse(rows, 2 * nm, 2 * nm)
-
-    pk, sk = spread(x.phi), spread(x.psi)  # phi (x) 1_m, psi (x) 1_m
-    kp, ks = tile(y.phi), tile(y.psi)  # 1_n (x) phi', 1_n (x) psi'
-    nkp, nks = tile(-y.phi), tile(-y.psi)
+    at_y, at_neg = len(xphi.table), len(xphi.table) + len(yphi.table)
+    pk, sk = spread(xphi), spread(xpsi)  # phi (x) 1_m, psi (x) 1_m
+    kp, ks = tile(yphi, at_y), tile(ypsi, at_y)  # 1_n (x) phi', 1_n (x) psi'
+    nkp, nks = tile(yphi, at_neg), tile(ypsi, at_neg)
     # Arguments (C, D, G, H, -G, -H, doubling) of `double`; the standard
     # variant doubles (pk, sk, -kp, -ks), whose negations are kp and ks.
     a, b = double(*{

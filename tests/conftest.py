@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from polymf import (
     parse_polynomial,
     run_refined,
 )
+from polymf.matrix import _sparse
 from polymf.standard import standard_step
 
 VARS = ("x", "y", "z")
@@ -72,6 +74,19 @@ def poly_matrices(draw, rows: int = 2, cols: int = 2, entries=None) -> PolyMatri
         entries = polynomials(max_terms=1)
     grid = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
     return PolyMatrix(grid, rows, cols)
+
+
+def relaid(m: PolyMatrix, seed: int) -> PolyMatrix:
+    """m rebuilt from the same (row, column, value) slots over another
+    table: each entry listed twice, as itself and as an equal copy, in a
+    shuffled order, each slot indexing one of the two at random."""
+    rng = random.Random(seed)
+    doubled = list(m.table) + [parse_polynomial(str(e)) for e in m.table]
+    order = list(range(len(doubled)))
+    rng.shuffle(order)
+    moved = {old: new for new, old in enumerate(order)}
+    indices = [tuple(moved[k + len(m.table) * rng.randrange(2)] for k in ks) for ks in m.indices]
+    return _sparse(tuple(doubled[old] for old in order), m.columns, indices, m.rows, m.cols)
 
 
 @pytest.fixture

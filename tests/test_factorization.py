@@ -23,7 +23,9 @@ from polymf import (
     identity,
     identity_morphism,
     is_morphism,
+    kron,
     make_factorization,
+    mat_mul,
     parse_polynomial,
     run_improved,
     run_refined,
@@ -42,7 +44,7 @@ from polymf.factorization import (
     TRIAL_WORK_CAP,
 )
 
-from conftest import factorizations, nonzero_polynomials, poly_matrices, polynomials, scaled_two_product_pair
+from conftest import factorizations, nonzero_polynomials, poly_matrices, polynomials, relaid, scaled_two_product_pair
 
 
 def with_phi_entry(mf, i, j, value):
@@ -348,6 +350,17 @@ class TestExactWorkCap:
         )
         assert factorization._product_work(a, b) == products
 
+    @given(poly_matrices(3, 2, polynomials()), poly_matrices(2, 3, polynomials()), st.integers(0, 2**32))
+    @settings(max_examples=50)
+    def test_estimate_is_the_brute_force_count_on_any_table(self, a, b, seed):
+        for x, y in ((a, b), (relaid(a, seed), relaid(b, seed + 1)), (b, a)):
+            assert factorization._product_work(x, y) == brute_force_work(x, y)
+
+    def test_estimate_is_the_brute_force_count_on_pipeline_pairs(self):
+        for mf in small_pipeline_pairs():
+            for a, b in ((mf.phi, mf.psi), (mf.psi, mf.phi)):
+                assert factorization._product_work(a, b) == brute_force_work(a, b)
+
     def test_paper_pipelines_are_below_the_cap(self):
         """The improved 2048 pair peaks at half the cap, and is still
         checked exactly when asked."""
@@ -363,6 +376,49 @@ class TestExactWorkCap:
         assert not ok and diag.startswith("phi*psi entry (0,0) is ")
         assert len(diag) < 600
         assert f"({good.f.num_terms()} terms)" in diag and f"({mf.f.num_terms()} terms)" in diag
+
+
+def brute_force_work(a, b) -> int:
+    """The term products of a*b, counted slot by slot."""
+    rows_of_b = {}
+    for k, _, e in b.nonzeros():
+        rows_of_b.setdefault(k, []).append(e)
+    return sum(e.num_terms() * f.num_terms() for _, k, e in a.nonzeros() for f in rows_of_b.get(k, []))
+
+
+def small_pipeline_pairs():
+    """The refined, improved and standard pairs of parts I and II."""
+    part1 = (["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]])
+    for doc in (part1, PART2):
+        srp = SummandReducedPoly.from_strings(*doc)
+        for run in (run_refined, run_improved, run_standard):
+            yield run(srp, verify="skip")
+
+
+class TestTableLayout:
+    """A pair whose tables list their values in another order, each twice,
+    checks exactly as the pair does."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relaid_pipeline_pairs_check_alike(self, seed):
+        for mf in small_pipeline_pairs():
+            again = MatrixFactorization(mf.f, relaid(mf.phi, seed), relaid(mf.psi, seed + 1))
+            assert again.phi == mf.phi and hash(again.psi) == hash(mf.psi)
+            assert again.to_dict() == mf.to_dict()
+            assert -again.phi == -mf.phi
+            assert mat_mul(again.phi, again.psi) == mat_mul(mf.phi, mf.psi)
+            assert verify_exact(again) == verify_exact(mf) == (True, "ok")
+            assert verify_randomized(again, trials=2, seed=seed) and verify_randomized(mf, trials=2, seed=seed)
+            wrong = MatrixFactorization(mf.f + Polynomial.const(1), again.phi, again.psi)
+            assert not verify_exact(wrong)[0] and not verify_randomized(wrong, trials=1, seed=seed)
+
+    @given(factorizations(), factorizations(max_steps=1), st.integers(0, 2**32))
+    @settings(max_examples=50, deadline=None)
+    def test_relaid_factorizations_check_alike(self, x, y, seed):
+        again = MatrixFactorization(x.f, relaid(x.phi, seed), relaid(x.psi, seed + 1))
+        assert verify_exact(again)[0] and verify_randomized(again, trials=1, seed=seed)
+        assert kron(again.phi, y.phi) == kron(x.phi, y.phi)
+        assert again.phi.texts() == x.phi.texts()
 
 
 class StopTrial(Exception):

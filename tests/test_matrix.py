@@ -22,7 +22,14 @@ from polymf import (
     zeros,
 )
 
-from conftest import INTEGER_COEFFICIENTS, RATIONAL_COEFFICIENTS, poly_matrices, polynomials, rational_polynomials
+from conftest import (
+    INTEGER_COEFFICIENTS,
+    RATIONAL_COEFFICIENTS,
+    poly_matrices,
+    polynomials,
+    rational_polynomials,
+    relaid,
+)
 
 rational_matrices = poly_matrices(entries=rational_polynomials(max_terms=2))
 
@@ -32,12 +39,17 @@ def m(rows):
 
 
 def assert_sparse(a):
-    """Only nonzero entries are stored, in range, and the dense view
+    """The layout invariants: one (columns, indices) pair per row, the
+    columns strictly increasing and in range, every index in the table,
+    and no zero table entry; and the dense view, with the shape,
     rebuilds the same matrix."""
-    assert len(a.row_maps) == a.rows
-    for row in a.row_maps:
-        assert all(e and 0 <= j < a.cols for j, e in row.items())
-    assert PolyMatrix(a.entries) == a
+    assert len(a.columns) == len(a.indices) == a.rows
+    assert all(a.table)
+    for js, ks in zip(a.columns, a.indices):
+        assert len(js) == len(ks)
+        assert all(0 <= j < a.cols for j in js) and all(j < k for j, k in zip(js, js[1:]))
+        assert all(0 <= k < len(a.table) for k in ks)
+    assert PolyMatrix(a.entries, a.rows, a.cols) == a
 
 
 class TestSparseStorage:
@@ -49,14 +61,14 @@ class TestSparseStorage:
             a.transpose(), -a, a + b, a + (-a), scalar_matrix(a[0, 0], 3),
         ):
             assert_sparse(result)
-        assert (a + (-a)).row_maps == ({}, {})
+        assert list((a + (-a)).nonzeros()) == []
 
     def test_constructors_store_only_nonzeros(self):
         for result in (identity(3), zeros(2, 3), shuffle_matrix(2, 3), from_strings([["0", "x"], ["y", "0"]])):
             assert_sparse(result)
-        assert from_strings([["0", "x"], ["y", "0"]]).row_maps == (
-            {1: parse_polynomial("x")}, {0: parse_polynomial("y")},
-        )
+        assert list(from_strings([["0", "x"], ["y", "0"]]).nonzeros()) == [
+            (0, 1, parse_polynomial("x")), (1, 0, parse_polynomial("y")),
+        ]
 
 
 class TestBasics:
@@ -185,8 +197,7 @@ class TestPackedProduct:
         c = mat_mul(a, b)
         assert (c.rows, c.cols) == (rows, cols)
         assert c == entrywise_product(a, b)
-        if rows:  # the dense view of a 0-row matrix has no column count
-            assert_sparse(c)
+        assert_sparse(c)
         assert_integer_first(c)
 
     def test_empty_shapes(self):
@@ -196,7 +207,7 @@ class TestPackedProduct:
 
     def test_cancelling_rows_store_nothing(self):
         c = mat_mul(m([["x", "y"], ["1/2 x", "1/2 y"], ["x", "0"]]), m([["y", "2y"], ["-x", "-2x"]]))
-        assert c.row_maps == ({}, {}, {0: parse_polynomial("xy"), 1: parse_polynomial("2xy")})
+        assert list(c.nonzeros()) == [(2, 0, parse_polynomial("xy")), (2, 1, parse_polynomial("2xy"))]
         assert_sparse(c)
 
     def test_no_variables(self):
@@ -242,7 +253,7 @@ class TestFromStrings:
 
     def test_texts_that_parse_to_zero_store_nothing(self):
         a = from_strings([["x - x", "x"], [" 0", "0"]])
-        assert a.row_maps == ({1: parse_polynomial("x")}, {})
+        assert list(a.nonzeros()) == [(0, 1, parse_polynomial("x"))]
         assert (a.rows, a.cols) == (2, 2)
 
     @pytest.mark.parametrize(
@@ -340,6 +351,50 @@ class TestSharedEntries:
         for i, j, e in a.nonzeros():
             assert n[i, j] == real(e)
             assert image.setdefault(id(e), n[i, j]) is n[i, j]
+
+
+class TestTableLayout:
+    """Equality, hashing and every operation read the values at the
+    slots, never the table's order or its duplicates."""
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+    def test_dense_view_rebuilds_every_shape(self, shape):
+        rows, cols = shape
+        for a in (zeros(rows, cols), PolyMatrix([[parse_polynomial("x")] * cols] * rows, rows, cols)):
+            assert PolyMatrix(a.entries, a.rows, a.cols) == a
+            assert_sparse(a)
+        assert PolyMatrix([], 0, cols) == zeros(0, cols)
+
+    def test_grid_with_no_rows_needs_its_column_count(self):
+        with pytest.raises(MatrixError):
+            PolyMatrix([])
+
+    @given(st.sampled_from(sorted(SCALES)).flatmap(
+        lambda scale: st.tuples(*(shared_matrices(entries) for entries in SCALES[scale]))
+    ), st.integers(0, 2**32))
+    @settings(max_examples=100)
+    def test_relaid_matrices_give_the_same_results(self, factors, seed):
+        a, b = factors
+        for x in (a, b):
+            again = relaid(x, seed)
+            assert_sparse(again)
+            assert again == x and hash(again) == hash(x)
+            assert -again == -x and again.texts() == x.texts()
+            assert again.transpose() == x.transpose()
+        ra, rb = relaid(a, seed), relaid(b, seed + 1)
+        assert kron(ra, rb) == kron(a, b) and kron(rb, ra) == kron(b, a)
+        assert direct_sum(ra, rb) == direct_sum(a, b)
+        if a.cols == b.rows:
+            assert mat_mul(ra, rb) == mat_mul(a, b)
+        if a.rows == a.cols:
+            assert mat_mul(ra, ra.transpose()) == mat_mul(a, a.transpose())
+
+    def test_tables_in_another_order_are_equal(self):
+        x, y = parse_polynomial("x"), parse_polynomial("y")
+        a = matrix._sparse((x, y), [(0, 1)], [(0, 1)], 1, 2)
+        b = matrix._sparse((y, x, parse_polynomial("x")), [(0, 1)], [(2, 0)], 1, 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != matrix._sparse((y, x), [(0, 1)], [(0, 1)], 1, 2)
 
 
 class TestShuffle:
@@ -488,6 +543,14 @@ class TestKroneckerWithOne:
         nonzeros = sum(1 for _ in a.nonzeros())
         assert sum(1 for _ in right.nonzeros()) == sum(1 for _ in left.nonzeros()) == n * nonzeros
 
+    def test_each_entry_passed_through_is_listed_once(self):
+        """Two ones of b pass each entry of a through: the result's table
+        lists that entry once, so a later product multiplies it once."""
+        x = parse_polynomial("x")
+        one, other_one = parse_polynomial("1"), parse_polynomial("1")
+        k = kron(PolyMatrix([[x]]), matrix._sparse((one, other_one), [(0, 1)], [(0, 1)], 1, 2))
+        assert k == PolyMatrix([[x, x]]) and k.table == (x,) and k[0, 0] is x
+
     def test_ones_inside_a_factor_are_reused(self):
         a = m([["1", "x"], ["y", "1"]])
         b = m([["z", "1"], ["1", "2"]])
@@ -520,8 +583,7 @@ class TestScalarBlocks:
             expected = [scalar_matrix(p, n) if k in scalars else blocks[k] for k in range(4)]
             result = block2x2(*blocks)
             assert result == block2x2(*expected), scalars
-            assert len(result.row_maps) == result.rows
-            assert all(e and 0 <= j < result.cols for _, j, e in result.nonzeros())
+            assert_sparse(result)
             # the scalar's slots hold p itself
             inputs = {id(e) for b in blocks if isinstance(b, PolyMatrix) for _, _, e in b.nonzeros()}
             assert {id(e) for _, _, e in result.nonzeros()} <= inputs | {id(p)}

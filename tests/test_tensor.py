@@ -45,11 +45,18 @@ class TestYoshino:
 
     @pytest.mark.parametrize("variant", YOSHINO_VARIANTS)
     def test_each_variant_negates_two_blocks(self, variant, monkeypatch):
-        negated = []
-        real = PolyMatrix.__neg__
+        """The two negated blocks cost the entries of y, each negated once
+        for both, and no matrix is negated."""
+        x, y = fixtures.pair_m(), fixtures.pair_p()
+        entries = {id(e) for m in (y.phi, y.psi) for _, _, e in m.nonzeros()}
+        negated, calls = [], []
+        real, real_poly = PolyMatrix.__neg__, Polynomial.__neg__
         monkeypatch.setattr(PolyMatrix, "__neg__", lambda m: negated.append(m) or real(m))
-        yoshino(fixtures.pair_m(), fixtures.pair_p(), variant, verify="skip")
-        assert len(negated) == 2
+        monkeypatch.setattr(Polynomial, "__neg__", lambda p: calls.append(p) or real_poly(p))
+        yoshino(x, y, variant, verify="skip")
+        assert negated == []
+        assert len(calls) == len({id(p) for p in calls}) == len(entries)
+        assert {id(p) for p in calls} == entries
 
     @pytest.mark.parametrize("variant", YOSHINO_VARIANTS)
     def test_blocks_reuse_the_input_objects(self, variant, monkeypatch):
