@@ -89,12 +89,14 @@ class MatrixFactorization:
         return self.phi.rows
 
     def to_dict(self) -> dict:
-        return {
-            "f": str(self.f),
-            "size": self.size,
-            "phi": self.phi.texts(),
-            "psi": self.psi.texts(),
-        }
+        phi, psi = self.phi, self.psi
+        if phi.table is psi.table:
+            # an entry both factors use is formatted once
+            texts = {k: str(phi.table[k]) for k in set().union(*phi.indices, *psi.indices)}
+            grids = phi._dense(texts, "0"), psi._dense(texts, "0")
+        else:
+            grids = phi.texts(), psi.texts()
+        return {"f": str(self.f), "size": self.size, "phi": grids[0], "psi": grids[1]}
 
     @staticmethod
     def from_dict(data: dict) -> "MatrixFactorization":

@@ -118,35 +118,17 @@ class Monomial:
             raise PolyError("zero monomials are never materialized")
         _check_key(self.exponents)
 
-    @property
-    def degree(self) -> int:
-        return _degree(self.exponents)
-
-    def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.coeff * other.coeff, _times_key(self.exponents, other.exponents))
-
-    def as_polynomial(self) -> "Polynomial":
-        return Polynomial({self.exponents: self.coeff})
-
     def __str__(self) -> str:
         return _format_term(self.coeff, self.exponents, leading=True)
 
 
-def split_monomial(m: Monomial) -> tuple[Monomial, Monomial]:
-    """Split m = h1 * h2 by the deterministic degree-halving rule.
-
-    The variable powers of m, taken in the fixed variable order, are read
-    as single-variable factors; h1 takes the first ceil(d/2) of them and
-    the coefficient (sign included), h2 takes the rest with coefficient 1.
-    A degree-0 monomial c splits as (c, 1).
-    """
-    k1, k2 = _split_key(m.exponents)
-    return Monomial(m.coeff, k1), Monomial(1, k2)
-
-
 def _split_key(exps: ExpKey) -> tuple[ExpKey, ExpKey]:
-    """The exponent keys of the two halves of split_monomial, cut from
-    exps directly: at most one variable's power is shared by both."""
+    """The exponent keys of the halves h1 * h2 of a term of degree d, by
+    the deterministic degree-halving rule: its variable powers, in the
+    fixed variable order, are read as single-variable factors; h1 takes
+    the first ceil(d/2) of them and the coefficient (sign included), h2
+    the rest with coefficient 1, so a constant c splits as (c, 1).  At
+    most one variable's power is shared by both halves."""
     left = (_degree(exps) + 1) // 2
     for i, (v, e) in enumerate(exps):
         if e >= left:
@@ -196,23 +178,16 @@ class Polynomial:
             return Polynomial.const(1)
         return _wrap({((name, exp),): 1})
 
-    @staticmethod
-    def from_monomials(monomials: Iterable[Monomial]) -> "Polynomial":
-        acc: dict[ExpKey, Coeff] = {}
-        for m in monomials:
-            acc[m.exponents] = acc.get(m.exponents, 0) + m.coeff
-        return _wrap(_settle(acc))
-
     # -- canonical views -------------------------------------------------
 
     @property
     def terms(self) -> tuple[Monomial, ...]:
-        """Monomials in strictly decreasing graded-lex order."""
+        """Monomials in the order of items(): a view for callers only."""
         return tuple(Monomial(c, k) for k, c in self.items())
 
     def items(self) -> list[tuple[ExpKey, Coeff]]:
-        """(exponent key, coefficient) of each term, in the order of terms,
-        with no Monomial built."""
+        """(exponent key, coefficient) of each term, in strictly decreasing
+        graded-lex order."""
         terms = self._terms
         return [(k, terms[k]) for k in self._sorted_keys()]
 
@@ -430,13 +405,6 @@ def _int_of(digits: str) -> int:
         chunk = digits[start : start + _CHUNK]
         value = value * 10 ** len(chunk) + int(chunk)
     return value
-
-
-def count_expanded_monomials(p: Polynomial) -> int:
-    """Number of terms of p in canonical (fully combined) form."""
-    if p.is_zero():
-        raise PolyError("the zero polynomial has no monomial count")
-    return p.num_terms()
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from math import prod
 from typing import Iterable
 
 from .factorization import MatrixFactorization, make_factorization
-from .poly import Monomial, Polynomial, PolyError, parse_polynomial
-from .standard import monomial_pairs, standard_factorize, standard_factorize_polynomial
+from .poly import Coeff, ExpKey, Polynomial, PolyError, _coeff, _times_key, parse_polynomial
+from .standard import _split_pairs, standard_factorize, standard_factorize_polynomial
 from .tensor import mult_tensor, reduced_tensor, yoshino
 
 # Condition-3 checking expands each product; groups beyond this formal
@@ -125,13 +125,13 @@ class SummandReducedPoly:
     def l(self) -> int:
         return len(self.products)
 
-    def monomial_terms(self) -> tuple[Monomial, ...]:
+    def monomial_terms(self) -> tuple[tuple[ExpKey, Coeff], ...]:
+        """The (exponent key, coefficient) of each monomial t_i."""
         out = []
         for t in self.terms:
-            ms = t.terms
-            if len(ms) != 1:
+            if t.num_terms() != 1:
                 raise PolyError(f"term {t} is not a single monomial")
-            out.append(ms[0])
+            out.append(t.items()[0])
         return tuple(out)
 
     def expanded_polynomial(self) -> Polynomial:
@@ -143,17 +143,18 @@ class SummandReducedPoly:
             total = total + g.expanded()
         return total
 
-    def formal_monomials(self) -> list[Monomial]:
-        """The uncombined expansion: the s terms plus, per group, every
-        product of one monomial from each factor.  Length sum_j prod p_ji + s;
-        this is the summand count the standard method operates on."""
+    def formal_monomials(self) -> list[tuple[ExpKey, Coeff]]:
+        """The uncombined expansion as (exponent key, canonical coefficient)
+        pairs: the s terms plus, per group, every product of one monomial
+        from each factor.  Length sum_j prod p_ji + s; this is the summand
+        count the standard method operates on."""
         out = list(self.monomial_terms())
         for g in self.products:
-            for combo in itertools.product(*(f.terms for f in g.factors)):
-                m = combo[0]
-                for other in combo[1:]:
-                    m = m.times(other)
-                out.append(m)
+            for combo in itertools.product(*(f.items() for f in g.factors)):
+                key, c = combo[0]
+                for k, d in combo[1:]:
+                    key, c = _times_key(key, k), c * d
+                out.append((key, _coeff(c)))
         return out
 
 
@@ -195,7 +196,7 @@ def validate_summand_reduced(srp: SummandReducedPoly) -> ValidationReport:
         reason1 = f"s={s} requires at least one product, found {l}"
     results.append(ConditionResult(1, ok1, reason1))
 
-    bad_terms = [str(t) for t in srp.terms if len(t.terms) != 1]
+    bad_terms = [str(t) for t in srp.terms if t.num_terms() != 1]
     results.append(
         ConditionResult(
             2,
@@ -325,7 +326,7 @@ def _pipeline(
     for nxt in group_mfs[1:]:
         combined = yoshino(combined, nxt, yvariant, verify="skip")
     if srp.s >= 1:
-        monomial_mf = standard_factorize(monomial_pairs(list(srp.monomial_terms())), verify="skip")
+        monomial_mf = standard_factorize(_split_pairs(srp.monomial_terms()), verify="skip")
         combined = yoshino(monomial_mf, combined, yvariant, verify="skip")
     # Every step above is a proven construction, built unchecked; the
     # certificate the caller gets is this one check of the returned pair.
@@ -372,7 +373,7 @@ def run_standard(
     _check_valid(srp, strict)
     exponent = standard_exponent(srp.s, (g.monomial_counts for g in srp.products))
     check_cap("standard", exponent, max_monomials)
-    return standard_factorize(monomial_pairs(srp.formal_monomials()), variant, verify=verify)
+    return standard_factorize(_split_pairs(srp.formal_monomials()), variant, verify=verify)
 
 
 def compare_report(

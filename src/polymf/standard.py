@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 from .factorization import MatrixFactorization, make_factorization
 from .matrix import PolyMatrix, _on_one_table, block2x2, scalar_matrix
-from .poly import Coeff, ExpKey, Monomial, Polynomial, PolyError, _coeff, _split_key, _wrap
+from .poly import Coeff, ExpKey, Polynomial, PolyError, _split_key, _wrap
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,10 @@ def standard_factorize(
     return make_factorization(mf.f, mf.phi, mf.psi, verify=verify)
 
 
-def monomial_pairs(monomials: list[Monomial]) -> SummandList:
-    """Split each monomial into a (g, h) pair by the rule of
-    split_monomial; sign travels with g."""
-    return _split_pairs((m.exponents, _coeff(m.coeff)) for m in monomials)
-
-
 def _split_pairs(terms: Iterable[tuple[ExpKey, Coeff]]) -> SummandList:
-    """The (g, h) pairs of split_monomial for terms given as (exponent key,
-    canonical coefficient).  Each half is one term cut from the key, so it
-    is wrapped as it stands and no Monomial is built."""
+    """The (g, h) pair of each (exponent key, canonical coefficient) term,
+    split by the rule of _split_key.  Each half is one term cut from the
+    key, so it is wrapped as it stands."""
     pairs = []
     for key, c in terms:
         k1, k2 = _split_key(key)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from polymf import (
     MatrixFactorization,
-    Monomial,
     Polynomial,
     PolyMatrix,
     SummandReducedPoly,
@@ -33,17 +32,35 @@ RATIONAL_COEFFICIENTS = st.builds(
 
 
 @st.composite
-def monomials(draw, max_degree: int = 2, coefficients=INTEGER_COEFFICIENTS) -> Monomial:
+def monomials(draw, max_degree: int = 2, coefficients=INTEGER_COEFFICIENTS) -> Polynomial:
+    """A one-term polynomial."""
     coeff = draw(coefficients)
     names = draw(st.lists(st.sampled_from(VARS), unique=True, max_size=2))
     exps = tuple(sorted((v, draw(st.integers(1, max_degree))) for v in names))
-    return Monomial(coeff, exps)
+    return Polynomial({exps: coeff})
 
 
 @st.composite
 def polynomials(draw, max_terms: int = 3, coefficients=INTEGER_COEFFICIENTS) -> Polynomial:
     ms = draw(st.lists(monomials(coefficients=coefficients), min_size=0, max_size=max_terms))
-    return Polynomial.from_monomials(ms)
+    return sum(ms, Polynomial.zero())
+
+
+def split_by_flat_list(key, coeff):
+    """The degree-halving rule as first written: flatten the powers of
+    the term (key, coeff) into a list of names and rebuild the key of
+    each half from its slice.  Reference for _split_key and _split_pairs:
+    the (key, coeff) of each half."""
+    flat = [v for v, e in key for _ in range(e)]
+    cut = (len(flat) + 1) // 2
+
+    def rebuild(names):
+        exps = {}
+        for v in names:
+            exps[v] = exps.get(v, 0) + 1
+        return tuple(sorted(exps.items()))
+
+    return (rebuild(flat[:cut]), coeff), (rebuild(flat[cut:]), 1)
 
 
 def rational_polynomials(max_terms: int = 3):

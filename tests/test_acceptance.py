@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from polymf import (
-    Monomial,
     PolyMatrix,
     Polynomial,
     SummandReducedPoly,
@@ -155,13 +154,13 @@ def _random_monomial(rng):
     names = rng.sample(("x", "y", "z"), rng.randint(0, 2))
     exps = tuple(sorted((v, rng.randint(1, 2)) for v in names))
     coeff = Fraction(rng.choice([c for c in range(-3, 4) if c]))
-    return Monomial(coeff, exps)
+    return Polynomial({exps: coeff})
 
 
 def _random_poly(rng, max_terms=2):
     while True:
-        p = Polynomial.from_monomials(
-            _random_monomial(rng) for _ in range(rng.randint(1, max_terms))
+        p = sum(
+            (_random_monomial(rng) for _ in range(rng.randint(1, max_terms))), Polynomial.zero()
         )
         if not p.is_zero():
             return p

@@ -454,6 +454,21 @@ class TestSerialization:
         again = MatrixFactorization.from_dict(doc)
         assert again.f == mf.f and again.phi == mf.phi and again.psi == mf.psi
 
+    def test_shared_table_formats_each_used_entry_once(self, monkeypatch):
+        """The factors of the refined two-product pair share one table:
+        each entry either of them uses is formatted once, into the grids
+        of their own texts()."""
+        mf = run_refined(SummandReducedPoly.from_strings(*TWO_PRODUCT), verify="skip")
+        assert mf.phi.table is mf.psi.table
+        want = {"f": str(mf.f), "size": mf.size, "phi": mf.phi.texts(), "psi": mf.psi.texts()}
+        used = set().union(*mf.phi.indices, *mf.psi.indices)
+        formatted = []
+        real = Polynomial.__str__
+        monkeypatch.setattr(Polynomial, "__str__", lambda q: formatted.append(q) or real(q))
+        assert mf.to_dict() == want
+        # one more call formats f
+        assert len(formatted) == len(used) + 1
+
     def test_size_field_is_checked(self):
         doc = fixtures.pair_m().to_dict()
         doc["size"] = 3

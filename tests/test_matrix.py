@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from polymf import matrix
 from polymf import (
     MatrixError,
-    Monomial,
     PolyMatrix,
     Polynomial,
     block2x2,
@@ -151,14 +150,14 @@ WIDE_VARS = ("a", "b", "x", "x1", "x10", "x2", "y", "z")
 
 
 @st.composite
-def wide_monomials(draw, coefficients) -> Monomial:
+def wide_monomials(draw, coefficients) -> Polynomial:
     names = draw(st.lists(st.sampled_from(WIDE_VARS), unique=True, max_size=len(WIDE_VARS)))
     exps = tuple(sorted((v, draw(st.one_of(st.integers(1, 3), st.integers(999, 1200)))) for v in names))
-    return Monomial(draw(coefficients), exps)
+    return Polynomial({exps: draw(coefficients)})
 
 
 def wide_polynomials(coefficients):
-    return st.lists(wide_monomials(coefficients), max_size=3).map(Polynomial.from_monomials)
+    return st.lists(wide_monomials(coefficients), max_size=3).map(lambda ms: sum(ms, Polynomial.zero()))
 
 
 ENTRY_STRATEGIES = {

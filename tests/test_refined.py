@@ -26,7 +26,8 @@ from polymf import (
     verify_exact,
 )
 from polymf.refined import ConditionResult
-from polymf import STANDARD_VARIANTS, YOSHINO_VARIANTS, Monomial, factorization, refined
+from polymf import STANDARD_VARIANTS, YOSHINO_VARIANTS, factorization, refined
+from polymf.poly import _times_key
 from polymf.refined import check_cap
 
 from conftest import RATIONAL_COEFFICIENTS, monomials
@@ -41,10 +42,10 @@ def small_documents(draw) -> SummandReducedPoly:
     """Documents of 0-2 monomial terms and 1-2 product groups of 1-3
     factors with rational coefficients, at most size 64 by the improved
     pipeline and 8 formal monomials."""
-    terms = draw(st.lists(monomials(coefficients=RATIONAL_COEFFICIENTS).map(Monomial.as_polynomial), max_size=2))
+    terms = draw(st.lists(monomials(coefficients=RATIONAL_COEFFICIENTS), max_size=2))
     factors = st.lists(
-        monomials(coefficients=RATIONAL_COEFFICIENTS), min_size=1, max_size=2, unique_by=lambda m: m.exponents
-    ).map(Polynomial.from_monomials)
+        monomials(coefficients=RATIONAL_COEFFICIENTS), min_size=1, max_size=2, unique_by=lambda m: m.items()[0][0]
+    ).map(lambda ms: sum(ms, Polynomial.zero()))
     groups = draw(st.lists(st.lists(factors, min_size=1, max_size=3), min_size=1, max_size=2))
     doc = SummandReducedPoly(tuple(terms), tuple(ProductGroup(tuple(g)) for g in groups))
     assume(predict_sizes(doc).improved_size <= 64 and len(doc.formal_monomials()) <= 8)
@@ -122,13 +123,13 @@ class TestValidation:
         """Condition 3 counts the combinations of one monomial per factor
         whose product survives in the expansion, as enumerating them does."""
         group = ProductGroup(tuple(parse_polynomial(f) for f in factors))
-        surviving = {m.exponents for m in group.expanded().terms}
+        surviving = {key for key, _ in group.expanded().items()}
         count = 0
-        for combo in itertools.product(*(f.terms for f in group.factors)):
-            key = combo[0]
-            for m in combo[1:]:
-                key = key.times(m)
-            count += key.exponents in surviving
+        for combo in itertools.product(*(f.items() for f in group.factors)):
+            key = combo[0][0]
+            for k, _ in combo[1:]:
+                key = _times_key(key, k)
+            count += key in surviving
         factor_form = sum(group.monomial_counts)
         want = ConditionResult(3, True, "every multi-factor product gains monomials when expanded")
         if count <= factor_form:
@@ -226,6 +227,17 @@ class TestPipelines:
         mf = run_refined(product_only)
         assert mf.size == sizes.refined_size == 2 ** (2 - 1 + 8 - 4)
         assert mf.f == product_only.expanded_polynomial()
+
+    def test_integral_formal_products_store_int_coefficients(self):
+        """Formal products of rational coefficients that are integral
+        (1/2 x * 6z = 3xz) are stored as ints in the entries of the
+        standard pair, and each entry's text parses back to it."""
+        mf = run_standard(srp(["xy"], [["1/2 x + 1/3 y", "6z + 6w"]]))
+        assert mf.size == 16
+        for m in (mf.phi, mf.psi):
+            for _, _, e in m.nonzeros():
+                assert all(type(c) is int for _, c in e.items()), e
+                assert parse_polynomial(str(e)) == e
 
     def test_yoshino_variant_changes_matrices_not_target(self, part1_srp):
         a = run_refined(part1_srp, "standard")

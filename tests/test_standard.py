@@ -14,7 +14,6 @@ from polymf import (
     SummandList,
     block2x2,
     make_factorization,
-    monomial_pairs,
     parse_polynomial,
     scalar_matrix,
     standard_factorize,
@@ -23,7 +22,9 @@ from polymf import (
     verify_exact,
 )
 
-from conftest import factorizations, nonzero_polynomials, polynomials, rational_polynomials
+from polymf.standard import _split_pairs
+
+from conftest import factorizations, nonzero_polynomials, polynomials, rational_polynomials, split_by_flat_list
 
 
 def p(text: str):
@@ -147,7 +148,7 @@ class TestStandardFactorize:
 
     def test_duplicate_summands_allowed(self):
         # the formal expansion keeps colliding monomials separate
-        sl = monomial_pairs(list(p("xy^2z^2").terms) * 2)
+        sl = _split_pairs(p("xy^2z^2").items() * 2)
         mf = standard_factorize(sl)
         assert mf.size == 2 and mf.f == p("2xy^2z^2")
 
@@ -161,9 +162,11 @@ class TestStandardFactorize:
     )
     @settings(max_examples=100, deadline=None)
     def test_polynomial_matches_its_monomial_pairs(self, q, variant):
-        """Splitting p's terms directly gives the pair of the Monomial
-        route, entry for entry."""
+        """Splitting p's terms directly gives the pair of the flat-list
+        reference split, entry for entry."""
         got = standard_factorize_polynomial(q, variant, verify="skip")
-        want = standard_factorize(monomial_pairs(list(q.terms)), variant, verify="skip")
+        halves = [split_by_flat_list(key, c) for key, c in q.items()]
+        sl = SummandList(tuple((Polynomial(dict([g])), Polynomial(dict([h]))) for g, h in halves))
+        want = standard_factorize(sl, variant, verify="skip")
         assert (got.f, got.phi, got.psi) == (want.f, want.phi, want.psi)
         assert got.phi.texts() == want.phi.texts() and got.psi.texts() == want.psi.texts()
