@@ -40,8 +40,8 @@ from .refined import (
     standard_exponent,
     validate_summand_reduced,
 )
-from .standard import standard_factorize_polynomial
-from .tensor import STANDARD_VARIANTS, YOSHINO_VARIANTS, mult_tensor, reduced_tensor
+from .standard import STANDARD_VARIANTS, standard_factorize_polynomial
+from .tensor import YOSHINO_VARIANTS, mult_tensor, reduced_tensor
 
 EXIT_OK = 0
 EXIT_DEMO_FAILURE = 1

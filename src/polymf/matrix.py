@@ -15,9 +15,10 @@ slot, never indices or table order.
 exponents and integer coefficients, with each table entry packed once.
 Negation negates the table and shares the rows; `kron` multiplies each
 pair of table entries once; `block2x2` and `direct_sum` concatenate the
-tables of their blocks and offset the indices.  The two factors of a
-pair built by a standard step or by `yoshino` share one table (see
-`_on_one_table`), so a fold of steps keeps one short table.
+distinct tables of their blocks and offset the indices, so blocks over
+one table keep it.  The six blocks of `yoshino`, and so of a standard
+step, which is one, index one table, so both factors share it and a
+fold of steps keeps one short table.
 """
 
 from __future__ import annotations
@@ -184,16 +185,14 @@ def _shifted(rows: Sequence[Ints], by: int) -> Sequence[Ints]:
     return [tuple([x + by for x in r]) for r in rows] if by else rows
 
 
-def _on_one_table(a: PolyMatrix, b: PolyMatrix, extra: tuple[Polynomial, ...] = ()) -> tuple[PolyMatrix, ...]:
+def _on_one_table(a: PolyMatrix, b: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """a and b over one table: a's, then b's unless b shares it (b's
-    indices shift past a's), then the nonzero extra entries."""
-    shared = b.table is a.table
-    if shared and not extra:
+    indices shift past a's)."""
+    if b.table is a.table:
         return a, b
-    table = a.table + (() if shared else b.table) + extra
-    indices = b.indices if shared else _shifted(b.indices, len(a.table))
-    a = _sparse(table, a.columns, a.indices, a.rows, a.cols)
-    return a, _sparse(table, b.columns, indices, b.rows, b.cols)
+    table = a.table + b.table
+    indices = _shifted(b.indices, len(a.table))
+    return _sparse(table, a.columns, a.indices, a.rows, a.cols), _sparse(table, b.columns, indices, b.rows, b.cols)
 
 
 def from_strings(rows: Iterable[list[str]]) -> PolyMatrix:
@@ -404,60 +403,29 @@ def direct_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return _sparse(a.table, columns, a.indices + b.indices, a.rows + b.rows, a.cols + b.cols)
 
 
-def block2x2(
-    a: PolyMatrix | Polynomial,
-    b: PolyMatrix | Polynomial,
-    c: PolyMatrix | Polynomial,
-    d: PolyMatrix | Polynomial,
-) -> PolyMatrix:
+def block2x2(a: PolyMatrix, b: PolyMatrix, c: PolyMatrix, d: PolyMatrix) -> PolyMatrix:
     """Assemble [[a, b], [c, d]] from conformable blocks.
 
-    A block may be a Polynomial p, standing for p times the identity: it
-    is sized by the matrices beside it, so the other block of its block
-    row and of its block column must be matrices, and the slot must be
-    square.  The table is the distinct tables of the matrix blocks, then
-    each nonzero scalar that is not an entry object of them, and each
-    block's indices shift by its table's offset.  An output row joins the
-    left block's row and the right block's at shifted columns; a scalar
-    block adds its one diagonal entry (none when p is zero).
+    The table is the distinct tables of the blocks, in block order (the
+    one table itself when the blocks share it), and each block's indices
+    shift by its table's offset.  An output row joins the left block's
+    row and the right block's, whose columns shift by the left width.
     """
-    sa, sb, sc, sd = (isinstance(x, Polynomial) for x in (a, b, c, d))
-    # scalars on one diagonal only: each has a matrix beside it both ways
-    if (sa or sd) and (sb or sc):
-        raise MatrixError("a block row or block column of two scalar blocks has no size")
-    top, bottom = (b if sa else a).rows, (d if sc else c).rows
-    left, right = (c if sa else a).cols, (d if sb else b).cols
-    slots = ((a, sa, top, left), (b, sb, top, right), (c, sc, bottom, left), (d, sd, bottom, right))
-    for block, scalar, rows, cols in slots:
-        # a scalar block fits a square slot
-        if ((rows, rows) if scalar else (block.rows, block.cols)) != (rows, cols):
-            raise MatrixError("non-conformable blocks")
-    # each block's rows: columns shifted to its block column, and indices
-    table: tuple[Polynomial, ...] = ()
-    starts: list[tuple[tuple[Polynomial, ...], int]] = []  # each distinct table, and its offset
-    rows: list[tuple[Sequence[Ints], Sequence[Ints] | Polynomial]] = []
-    for x, scalar, n, at in ((a, sa, top, 0), (b, sb, top, left), (c, sc, bottom, 0), (d, sd, bottom, left)):
-        if scalar:
-            rows.append(([(i,) for i in range(at, at + n)], x))
-            continue
-        for t, offset in starts:
+    top, bottom, left, right = a.rows, c.rows, a.cols, b.cols
+    if (b.rows, d.rows, c.cols, d.cols) != (top, bottom, left, right):
+        raise MatrixError("non-conformable blocks")
+    tables: list[tuple[Polynomial, ...]] = []
+    rows: list[tuple[Sequence[Ints], Sequence[Ints]]] = []
+    for x, at in ((a, 0), (b, left), (c, 0), (d, left)):
+        offset = 0
+        for t in tables:
             if t is x.table:
                 break
+            offset += len(t)
         else:
-            offset = len(table)
-            starts.append((x.table, offset))
-            table += x.table
+            tables.append(x.table)
         rows.append((_shifted(x.columns, at), _shifted(x.indices, offset)))
-    for r, (cols, x) in enumerate(rows):
-        if isinstance(x, Polynomial):
-            # a standard step's scalars end the table its blocks share
-            k = len(table) - 1
-            while k >= 0 and table[k] is not x:
-                k -= 1
-            if k < 0 and x:
-                k = len(table)
-                table += (x,)
-            rows[r] = (cols, ((k,),) * len(cols)) if x else (((),) * len(cols),) * 2
+    table = tables[0] if len(tables) == 1 else tuple(chain.from_iterable(tables))
     (lc, lk), (rc, rk), (lc2, lk2), (rc2, rk2) = rows
     columns = [*map(add, lc, rc), *map(add, lc2, rc2)]
     return _sparse(table, columns, [*map(add, lk, rk), *map(add, lk2, rk2)], top + bottom, left + right)

@@ -5,20 +5,28 @@ doubling step produces a factorization of f + g*h:
 
     ([[C, -g*I], [h*I, D]], [[D, g*I], [-h*I, C]])
 
+That is the additive tensor product (`yoshino`) of (C, D) with the 1x1
+pair ([-g], [-h]) of g*h, in its standard variant.  The variants permute
+block rows/columns: v1 swaps the rows of the first matrix and the
+columns of the second, v2 the other way around; they are the Yoshino
+variants v1 and v3 of (C, D) with ([h], [g]).
+
 Folding steps over a summand list g1*h1 + ... + gk*hk, starting from the
-1x1 pair ([g1], [h1]), yields factors of size 2^(k-1).  The variants
-permute block rows/columns: v1 swaps the rows of the first matrix and
-the columns of the second, v2 the other way around.
+1x1 pair ([g1], [h1]), yields factors of size 2^(k-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .factorization import MatrixFactorization, make_factorization
-from .matrix import PolyMatrix, _on_one_table, block2x2, scalar_matrix
+from .matrix import _sparse
 from .poly import Coeff, ExpKey, Polynomial, PolyError, _split_key, _wrap
+from .tensor import yoshino
+
+_AS_YOSHINO = {"standard": ("standard", True), "v1": ("v1", False), "v2": ("v3", False)}
+STANDARD_VARIANTS = tuple(_AS_YOSHINO)
 
 
 @dataclass(frozen=True)
@@ -40,28 +48,14 @@ class SummandList:
         return Polynomial.dot(self.pairs)
 
 
-def double(
-    c, d, g, h, ng, nh, variant: str, assemble: Callable[..., PolyMatrix]
-) -> tuple[PolyMatrix, PolyMatrix]:
-    """The doubled pair ([[C, -G], [H, D]], [[D, G], [-H, C]]), or its
-    variant v1 (rows of the first matrix and columns of the second
-    interchanged) or v2 (the other way around).
-
-    This is the one table of block layouts, for both doublings: each
-    factor is assemble(top_left, top_right, bottom_left, bottom_right),
-    with block2x2 for a standard step and the row builder of `yoshino`
-    for the additive tensor product, and the blocks are whatever that
-    assembler takes.  The caller passes ng = -G and nh = -H, so it can
-    negate whatever is cheapest: a polynomial for a scalar block, a small
-    matrix for a Kronecker block.  Nothing is negated here.
-    """
-    if variant == "standard":
-        return assemble(c, ng, h, d), assemble(d, g, nh, c)
-    if variant == "v1":
-        return assemble(h, d, c, ng), assemble(g, d, c, nh)
-    if variant == "v2":
-        return assemble(ng, c, d, h), assemble(nh, c, d, g)
-    raise ValueError(f"unknown standard-method variant {variant!r}")
+def _one_by_one(f: Polynomial, a: Polynomial, b: Polynomial) -> MatrixFactorization:
+    """The 1x1 pair ([a], [b]) of f = a*b over one table of its nonzero
+    entries, unchecked."""
+    table = tuple(filter(None, (a, b)))
+    # each factor's one row: column 0 at its entry's table index, if stored
+    phi, psi = (_sparse(table, [(0,) if e else ()], [(k,) if e else ()], 1, 1)
+                for e, k in ((a, 0), (b, len(table) - 1)))
+    return make_factorization(f, phi, psi, verify="skip")
 
 
 def standard_step(
@@ -72,16 +66,15 @@ def standard_step(
     *,
     verify: str = "auto",
 ) -> MatrixFactorization:
-    """One doubling step: a factorization of mf.f + g*h of size 2n.
-
-    The blocks G = g*I and H = h*I go to block2x2 as the polynomials g,
-    h, -g and -h, which it places on the diagonal of their blocks: no
-    scalar matrix is built, and two polynomials are negated, not two
-    matrices.  Both factors share one table, mf's and then those four."""
-    ng, nh = -g, -h
-    c, d = _on_one_table(mf.phi, mf.psi, tuple(filter(None, (g, h, ng, nh))))
-    p, q = double(c, d, g, h, ng, nh, variant, block2x2)
-    return make_factorization(mf.f + g * h, p, q, verify=verify)
+    """One doubling step: a factorization of mf.f + g*h of size 2n, the
+    additive tensor product of mf with a 1x1 pair of g*h (see the module
+    docstring).  Both factors share one table: mf's, then the pair's
+    nonzero entries and their negations."""
+    if variant not in _AS_YOSHINO:
+        raise ValueError(f"unknown standard-method variant {variant!r}")
+    yvariant, negated = _AS_YOSHINO[variant]
+    a, b = (-g, -h) if negated else (h, g)
+    return yoshino(mf, _one_by_one(g * h, a, b), yvariant, verify=verify)
 
 
 def standard_factorize(
@@ -92,7 +85,7 @@ def standard_factorize(
     Size of the result is 2^(k-1) for k summands.
     """
     (g1, h1), *rest = sl.pairs
-    mf = make_factorization(g1 * h1, scalar_matrix(g1, 1), scalar_matrix(h1, 1), verify="skip")
+    mf = _one_by_one(g1 * h1, g1, h1)
     for g, h in rest:
         mf = standard_step(mf, g, h, variant, verify="skip")
     # only the returned pair is certified; the steps are proven

@@ -3,7 +3,8 @@
 Three families of constructions:
 
 * the additive tensor product (with three variants), turning
-  factorizations of f and g into one of f + g, of size 2nm;
+  factorizations of f and g into one of f + g, of size 2nm, of which a
+  standard-method step is the case m = 1;
 * the multiplicative tensor product and its variant, producing a
   factorization of f*g of size 2nm;
 * the reduced multiplicative tensor product, a single Kronecker pair
@@ -16,7 +17,7 @@ verification is the arbiter.
 
 from __future__ import annotations
 
-from operator import add, neg
+from operator import neg
 
 from .factorization import (
     MatrixFactorization,
@@ -26,7 +27,6 @@ from .factorization import (
 )
 from .matrix import (
     PolyMatrix,
-    Ints,
     _on_one_table,
     _sparse,
     block2x2,
@@ -35,10 +35,17 @@ from .matrix import (
     shuffle_matrix,
     zeros,
 )
-from .standard import double
 
-YOSHINO_VARIANTS = ("standard", "v1", "v2", "v3")
-STANDARD_VARIANTS = ("standard", "v1", "v2")
+# The blocks (top left, top right, bottom left, bottom right) of phi and
+# of psi in each variant, for P = phi (x) 1_m, S = psi (x) 1_m,
+# KP = 1_n (x) phi', KS = 1_n (x) psi' and their negations -KP and -KS.
+_LAYOUTS = {
+    "standard": (("P", "KP", "-KS", "S"), ("S", "-KP", "KS", "P")),
+    "v1": (("KP", "S", "P", "-KS"), ("KS", "S", "P", "-KP")),
+    "v2": (("S", "-KS", "KP", "P"), ("P", "KS", "-KP", "S")),
+    "v3": (("-KS", "P", "S", "KP"), ("-KP", "P", "S", "KS")),
+}
+YOSHINO_VARIANTS = tuple(_LAYOUTS)
 
 
 def yoshino(
@@ -50,54 +57,47 @@ def yoshino(
 ) -> MatrixFactorization:
     """Additive tensor product: a factorization of f + g of size 2nm.
 
-    Each variant is a doubling (C, D, G, H) of the standard method (see
-    `double`) of the Kronecker blocks phi (x) 1_m, psi (x) 1_m,
-    1_n (x) phi' and 1_n (x) psi'.  No block is built: row i*m + p of a
-    factor is written once, from row i of phi or psi at columns j*m + p
-    and row p of an m x m input at columns i*m + q, each shifted by its
-    block's column offset.  Both factors share one table: the entries of
-    x, those of y and their negations, so the negated blocks cost y's
-    table, not its nonzeros.  No polynomial is multiplied.
+    Each variant places the Kronecker blocks phi (x) 1_m, psi (x) 1_m,
+    1_n (x) phi', 1_n (x) psi' and the negations of the last two by its
+    `_LAYOUTS` entry, through block2x2.  No Kronecker product is taken:
+    row i*m + p of phi (x) 1_m is row i of phi at columns j*m + p, and
+    row i*m + p of 1_n (x) phi' is row p of phi' at columns i*m + q.
+    All six blocks index one table: the entries of x, those of y and
+    their negations, so the negated blocks cost y's table, not its
+    nonzeros, and both factors share it.  No polynomial is multiplied.
     """
-    if variant not in YOSHINO_VARIANTS:
+    if variant not in _LAYOUTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {YOSHINO_VARIANTS}")
     n, m = x.size, y.size
     nm = n * m
     xphi, xpsi = _on_one_table(x.phi, x.psi)
     yphi, ypsi = _on_one_table(y.phi, y.psi)
     table = xphi.table + yphi.table + tuple(map(neg, yphi.table))
-
-    def spread(a: PolyMatrix):
-        """a (x) 1_m: its rows' columns at column offset at, and indices,
-        which stand, since x's entries lead the table."""
-        idx = [ks for ks in a.indices for _ in range(m)]
-        return lambda at: ([tuple([j * m + at + p for j in js]) for js in a.columns for p in range(m)], idx)
-
-    def tile(b: PolyMatrix, offset: int):
-        """1_n (x) b over the entries at offset, as spread does."""
-        idx = [tuple([k + offset for k in ks]) for ks in b.indices] * n
-        return lambda at: ([tuple([q + i for q in js]) for i in range(at, at + nm, m) for js in b.columns], idx)
-
-    def assemble(top_left, top_right, bottom_left, bottom_right) -> PolyMatrix:
-        (tlc, tlk), (trc, trk) = top_left(0), top_right(nm)
-        (blc, blk), (brc, brk) = bottom_left(0), bottom_right(nm)
-        columns = [*map(add, tlc, trc), *map(add, blc, brc)]
-        indices = [*map(add, tlk, trk), *map(add, blk, brk)]
-        return _sparse(table, columns, indices, 2 * nm, 2 * nm)
-
     at_y, at_neg = len(xphi.table), len(xphi.table) + len(yphi.table)
-    pk, sk = spread(xphi), spread(xpsi)  # phi (x) 1_m, psi (x) 1_m
-    kp, ks = tile(yphi, at_y), tile(ypsi, at_y)  # 1_n (x) phi', 1_n (x) psi'
-    nkp, nks = tile(yphi, at_neg), tile(ypsi, at_neg)
-    # Arguments (C, D, G, H, -G, -H, doubling) of `double`; the standard
-    # variant doubles (pk, sk, -kp, -ks), whose negations are kp and ks.
-    a, b = double(*{
-        "standard": (pk, sk, nkp, nks, kp, ks, "standard"),
-        "v1": (pk, sk, ks, kp, nks, nkp, "v1"),
-        "v2": (sk, pk, ks, kp, nks, nkp, "standard"),
-        "v3": (pk, sk, ks, kp, nks, nkp, "v2"),
-    }[variant], assemble)
-    return make_factorization(x.f + y.f, a, b, verify=verify)
+
+    def spread(a: PolyMatrix) -> PolyMatrix:
+        """a (x) 1_m, whose indices stand, since x's entries lead the table."""
+        if m == 1:  # a standard step's: a itself
+            return _sparse(table, a.columns, a.indices, nm, nm)
+        columns = [tuple([j * m + p for j in js]) for js in a.columns for p in range(m)]
+        return _sparse(table, columns, [ks for ks in a.indices for _ in range(m)], nm, nm)
+
+    def tiles(b: PolyMatrix) -> list[PolyMatrix]:
+        """1_n (x) b over y's entries, and over their negations."""
+        if m == 1:  # a standard step's: b's entry, if stored, on the diagonal
+            columns = list(zip(range(n))) if b.columns[0] else b.columns * n
+        else:
+            columns = [tuple([q + i for q in js]) for i in range(0, nm, m) for js in b.columns]
+        return [
+            _sparse(table, columns, [tuple([k + at for k in ks]) for ks in b.indices] * n, nm, nm)
+            for at in (at_y, at_neg)
+        ]
+
+    blocks = {"P": spread(xphi), "S": spread(xpsi)}
+    blocks["KP"], blocks["-KP"] = tiles(yphi)
+    blocks["KS"], blocks["-KS"] = tiles(ypsi)
+    phi, psi = (block2x2(*map(blocks.__getitem__, layout)) for layout in _LAYOUTS[variant])
+    return make_factorization(x.f + y.f, phi, psi, verify=verify)
 
 
 def mult_tensor(

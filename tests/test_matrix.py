@@ -428,9 +428,19 @@ class TestBlocksAndEvaluation:
         a = block2x2(identity(1), zeros(1, 1), zeros(1, 1), identity(1))
         assert a == identity(2)
 
-    def test_block2x2_shape_check(self):
+    @pytest.mark.parametrize(
+        "k, shape",
+        [(1, (2, 3)), (3, (5, 3)), (2, (4, 1)), (3, (4, 1))],
+        ids=["a_b_rows", "c_d_rows", "a_c_columns", "b_d_columns"],
+    )
+    def test_block2x2_shape_check(self, k, shape):
+        """Blocks of 1x2, 1x3, 4x2 and 4x3, with block k reshaped so that
+        exactly one pair of neighbours disagrees."""
+        blocks = [zeros(1, 2), zeros(1, 3), zeros(4, 2), zeros(4, 3)]
+        block2x2(*blocks)
+        blocks[k] = zeros(*shape)
         with pytest.raises(MatrixError):
-            block2x2(identity(2), identity(1), identity(1), identity(2))
+            block2x2(*blocks)
 
     def test_direct_sum_shapes(self):
         d = direct_sum(zeros(1, 2), zeros(3, 1))
@@ -559,45 +569,3 @@ class TestKroneckerWithOne:
         )
         assert k[0, 1] is b[0, 1]  # 1 * 1
         assert k[0, 0] is b[0, 0] and k[0, 3] is a[0, 1]
-
-
-class TestScalarBlocks:
-    """block2x2 takes a Polynomial p as the block p*I, sized by the
-    matrices beside it."""
-
-    @given(st.data(), polynomials(max_terms=2), st.integers(0, 2))
-    @settings(max_examples=100)
-    def test_equals_the_scalar_matrix_in_each_position(self, data, p, n):
-        placements = [(k,) for k in range(4)] + [(0, 3), (1, 2)]
-        for scalars in placements:
-            # block k sits in block row k // 2 and block column k % 2
-            heights = [data.draw(st.integers(0, 2)) for _ in range(2)]
-            widths = [data.draw(st.integers(0, 2)) for _ in range(2)]
-            for k in scalars:
-                heights[k // 2] = widths[k % 2] = n
-            blocks = [
-                p if k in scalars else data.draw(poly_matrices(heights[k // 2], widths[k % 2]))
-                for k in range(4)
-            ]
-            expected = [scalar_matrix(p, n) if k in scalars else blocks[k] for k in range(4)]
-            result = block2x2(*blocks)
-            assert result == block2x2(*expected), scalars
-            assert_sparse(result)
-            # the scalar's slots hold p itself
-            inputs = {id(e) for b in blocks if isinstance(b, PolyMatrix) for _, _, e in b.nonzeros()}
-            assert {id(e) for _, _, e in result.nonzeros()} <= inputs | {id(p)}
-
-    def test_non_conformable_placements_raise(self):
-        x, y = parse_polynomial("x"), parse_polynomial("y")
-        square, tall = zeros(2, 2), zeros(3, 2)
-        for blocks in (
-            (x, zeros(2, 1), zeros(3, 3), zeros(3, 1)),  # slot of x is 2 x 3
-            (x, square, square, tall),  # d beside c is 3 rows, c is 2
-            (x, y, square, square),  # two scalars in the top block row
-            (square, square, x, y),  # two scalars in the bottom block row
-            (x, square, y, square),  # two scalars in the left block column
-            (square, x, square, y),  # two scalars in the right block column
-            (x, tall, square, square),  # b beside x is 3 rows, the column is 2 wide
-        ):
-            with pytest.raises(MatrixError):
-                block2x2(*blocks)

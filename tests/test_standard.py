@@ -76,10 +76,28 @@ class TestStandardStep:
         stepped = standard_step(seed, p("z"), p("z"), variant)
         assert verify_exact(stepped)[0]
 
-    def test_unknown_variant(self):
+    def test_unknown_variant(self, monkeypatch):
+        """It is refused before any polynomial is multiplied or negated."""
+
+        def never(*args):
+            raise AssertionError("the step was built")
+
         seed = make_factorization(p("xy"), PolyMatrix([[p("x")]]), PolyMatrix([[p("y")]]))
+        monkeypatch.setattr(Polynomial, "__mul__", never)
+        monkeypatch.setattr(Polynomial, "__neg__", never)
         with pytest.raises(ValueError):
             standard_step(seed, p("z"), p("z"), "v3")
+
+    @pytest.mark.parametrize("variant", STANDARD_VARIANTS)
+    @pytest.mark.parametrize("g, h", [("0", "z"), ("z", "0"), ("0", "0")], ids=["zero_g", "zero_h", "both"])
+    def test_zero_summand(self, variant, g, h):
+        """A zero g or h adds nothing to f: the step is a certified pair of
+        mf.f, its factors share one table, and no zero is stored."""
+        mf = standard_factorize_polynomial(p("xy + x^2 + 2y^3"), verify="skip")
+        stepped = standard_step(mf, p(g), p(h), variant, verify="exact")
+        assert stepped.f == mf.f and stepped.size == 2 * mf.size
+        assert stepped.phi.table is stepped.psi.table
+        assert all(stepped.phi.table)
 
     @given(factorizations(max_steps=1), nonzero_polynomials(), nonzero_polynomials())
     @settings(max_examples=50, deadline=None)
