@@ -37,7 +37,6 @@ from .refined import (
     run_improved,
     run_refined,
     run_standard,
-    standard_exponent,
     validate_summand_reduced,
 )
 from .standard import STANDARD_VARIANTS, standard_factorize_polynomial
@@ -115,14 +114,16 @@ def _is_string_list(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-def _parse_problem(text: str) -> SummandReducedPoly | Polynomial:
+def _parse_problem(text: str) -> SummandReducedPoly:
     """JSON input must be a structured document: an object whose "terms"
     is a list of strings and whose "products" is a list of lists of
-    strings.  Anything else is polynomial text.  Only ASCII whitespace
-    is stripped, as the parser ignores no other."""
+    strings.  Anything else is polynomial text, read as the terms-only
+    document of its canonical monomials.  Only ASCII whitespace is
+    stripped, as the parser ignores no other."""
     stripped = text.strip(" \t\n\r\f\v")
     if not stripped.startswith(("{", "[")):
-        return parse_polynomial(stripped)
+        p = parse_polynomial(stripped)
+        return SummandReducedPoly(tuple(Polynomial({key: c}) for key, c in p.items()), ())
     doc = json.loads(stripped)
     if not isinstance(doc, dict):
         raise PolyError("a structured document must be a JSON object")
@@ -193,39 +194,28 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
     predicted = None
     try:
-        if isinstance(problem, Polynomial):
-            if args.method != "standard":
-                print(
-                    "error: the refined and improved pipelines need a structured "
-                    "summand-reduced document, not plain polynomial text",
-                    file=sys.stderr,
-                )
-                return EXIT_PARSE
-            check_cap("standard", standard_exponent(problem.num_terms()), args.max_standard_monomials)
-            mf = standard_factorize_polynomial(problem, args.standard_variant, verify="skip")
+        # predict_sizes refuses a document with no product group; the
+        # standard method still builds its terms, under its own cap.
+        if problem.l or args.method != "standard":
+            report = predict_sizes(problem)
+            check_cap(args.method, getattr(report, f"{args.method}_exponent"), args.max_standard_monomials)
+            predicted = report.to_dict()
+        if args.method == "refined":
+            mf = run_refined(
+                problem, args.yoshino_variant, verify="skip", strict=args.strict_validate
+            )
+        elif args.method == "improved":
+            mf = run_improved(
+                problem, args.yoshino_variant, verify="skip", strict=args.strict_validate
+            )
         else:
-            # predict_sizes refuses a document with no product group; the
-            # standard method still builds its terms, under its own cap.
-            if problem.l or args.method != "standard":
-                report = predict_sizes(problem)
-                check_cap(args.method, getattr(report, f"{args.method}_exponent"), args.max_standard_monomials)
-                predicted = report.to_dict()
-            if args.method == "refined":
-                mf = run_refined(
-                    problem, args.yoshino_variant, verify="skip", strict=args.strict_validate
-                )
-            elif args.method == "improved":
-                mf = run_improved(
-                    problem, args.yoshino_variant, verify="skip", strict=args.strict_validate
-                )
-            else:
-                mf = run_standard(
-                    problem,
-                    args.standard_variant,
-                    max_monomials=args.max_standard_monomials,
-                    verify="skip",
-                    strict=args.strict_validate,
-                )
+            mf = run_standard(
+                problem,
+                args.standard_variant,
+                max_monomials=args.max_standard_monomials,
+                verify="skip",
+                strict=args.strict_validate,
+            )
         # built unchecked, so that the one certificate is the one reported
         record = certify(mf, args.verify, args.trials, args.seed)
     except CapExceededError as exc:
@@ -273,9 +263,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     try:
         problem = _parse_problem(_read_input(args.input))
-        if isinstance(problem, Polynomial):
-            print("error: predict needs a structured summand-reduced document", file=sys.stderr)
-            return EXIT_PARSE
         try:
             report = predict_sizes(problem)
         except ValidationFailure:
@@ -307,7 +294,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return _emit(args.output, text)
 
 
-def _demo_cases() -> list[tuple[str, Callable[[], None]]]:
+def _demo_cases() -> list[tuple[str, Callable[[], object], object]]:
+    """Each row: a name, a computation, and the value the paper gives."""
     part1 = SummandReducedPoly.from_strings(
         ["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]]
     )
@@ -318,80 +306,36 @@ def _demo_cases() -> list[tuple[str, Callable[[], None]]]:
         ["zy"],
         [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
     )
+    telescoping = SummandReducedPoly.from_strings(["zx"], [["x - y", "x^4 + x^3y + x^2y^2 + xy^3 + y^4"]])
 
-    def check(cond: bool, message: str) -> None:
-        if not cond:
-            raise AssertionError(message)
+    def standard_size(text: str) -> int:
+        return standard_factorize_polynomial(parse_polynomial(text)).size
 
-    def intro_pair() -> None:
-        check(verify_exact(fixtures.simple_quadratic())[0], "x^2+4 pair fails")
-
-    def standard_sizes() -> None:
-        h = standard_factorize_polynomial(parse_polynomial("xy + z^2"))
-        g = standard_factorize_polynomial(parse_polynomial("xy^2 + x^2z + yz^2"))
-        check(h.size == 2 and g.size == 4, "standard-method sizes differ from 2 and 4")
-
-    def reduced_sizes() -> None:
-        mp = reduced_tensor(fixtures.pair_m(), fixtures.pair_p())
-        pn = reduced_tensor(fixtures.pair_p(), fixtures.pair_n())
-        tmp = mult_tensor(fixtures.pair_m(), fixtures.pair_p())
-        check(
-            mp.size == 8 and pn.size == 16 and tmp.size == 16,
-            "tensor product sizes differ from 8/16/16",
-        )
-
-    def part1_pipelines() -> None:
-        sizes = (
-            run_refined(part1).size,
-            run_improved(part1).size,
-            run_standard(part1).size,
-        )
-        check(sizes == (16, 32, 64), f"part-I pipeline sizes {sizes} != (16, 32, 64)")
-
-    def part1_fixture() -> None:
-        check(verify_exact(fixtures.part1_pair())[0], "16x16 fixture fails")
-
-    def part2_pipeline() -> None:
-        mf = run_refined(part2)
-        sizes = predict_sizes(part2)
-        check(mf.size == 32, f"part-II refined size {mf.size} != 32")
-        check(
-            sizes.standard_size == 512 and sizes.ratio_refined_vs_standard == 16,
-            "part-II predictions differ from 512 and ratio 16",
-        )
-
-    def part2_fixture() -> None:
-        check(verify_exact(fixtures.part2_pair())[0], "32x32 fixture fails")
-
-    def two_product_prediction() -> None:
-        sizes = predict_sizes(two_product)
-        check(
-            (sizes.standard_size, sizes.improved_size, sizes.refined_size)
-            == (2**15, 2**11, 2**9)
-            and sizes.ratio_refined_vs_improved == 4,
-            "two-product predictions differ from 2^15/2^11/2^9 ratio 4",
-        )
-
-    def non_examples() -> None:
-        a = validate_summand_reduced(SummandReducedPoly.from_strings(["x^7", "-y^5"], []))
-        b = validate_summand_reduced(
-            SummandReducedPoly.from_strings(
-                ["zx"], [["x - y", "x^4 + x^3y + x^2y^2 + xy^3 + y^4"]]
-            )
-        )
-        check(1 in a.failed_conditions(), "x^m - y^n should fail condition 1")
-        check(3 in b.failed_conditions(), "telescoping product should fail condition 3")
+    def failed(srp: SummandReducedPoly) -> list[int]:
+        return validate_summand_reduced(srp).failed_conditions()
 
     return [
-        ("intro x^2+4 pair", intro_pair),
-        ("standard method sizes (h=2, g=4)", standard_sizes),
-        ("tensor product sizes (8, 16, 16)", reduced_sizes),
-        ("part-I pipelines (16, 32, 64)", part1_pipelines),
-        ("part-I 16x16 fixture verifies", part1_fixture),
-        ("part-II refined (32) and predictions", part2_pipeline),
-        ("part-II 32x32 fixture verifies", part2_fixture),
-        ("two-product size predictions", two_product_prediction),
-        ("non-example validation", non_examples),
+        ("intro x^2+4 pair", lambda: verify_exact(fixtures.simple_quadratic())[0], True),
+        ("standard method sizes (h=2, g=4)",
+         lambda: (standard_size("xy + z^2"), standard_size("xy^2 + x^2z + yz^2")), (2, 4)),
+        ("tensor product sizes (8, 16, 16)",
+         lambda: (reduced_tensor(fixtures.pair_m(), fixtures.pair_p()).size,
+                  reduced_tensor(fixtures.pair_p(), fixtures.pair_n()).size,
+                  mult_tensor(fixtures.pair_m(), fixtures.pair_p()).size), (8, 16, 16)),
+        ("part-I pipelines (16, 32, 64)",
+         lambda: (run_refined(part1).size, run_improved(part1).size, run_standard(part1).size), (16, 32, 64)),
+        ("part-I 16x16 fixture verifies", lambda: verify_exact(fixtures.part1_pair())[0], True),
+        ("part-II refined (32) and predictions",
+         lambda: (run_refined(part2).size, predict_sizes(part2).standard_size,
+                  predict_sizes(part2).ratio_refined_vs_standard), (32, 512, 16)),
+        ("part-II 32x32 fixture verifies", lambda: verify_exact(fixtures.part2_pair())[0], True),
+        ("two-product size predictions",
+         lambda: tuple(predict_sizes(two_product).to_dict()[key] for key in
+                       ("standard_size", "improved_size", "refined_size", "ratio_refined_vs_improved")),
+         (2**15, 2**11, 2**9, 4)),
+        ("non-example validation",
+         lambda: (1 in failed(SummandReducedPoly.from_strings(["x^7", "-y^5"], [])), 3 in failed(telescoping)),
+         (True, True)),
     ]
 
 
@@ -399,13 +343,16 @@ def cmd_demo(args: argparse.Namespace) -> int:
     cases = _demo_cases()
     failures = 0
     lines = []
-    for name, case in cases:
+    for name, computation, want in cases:
         try:
-            case()
+            got = computation()
+        except (VerificationError, PolyError, MatrixError) as exc:
+            got = exc
+        if got == want:
             lines.append(f"pass  {name}")
-        except (AssertionError, VerificationError, PolyError, MatrixError) as exc:
+        else:
             failures += 1
-            lines.append(f"FAIL  {name}: {exc}")
+            lines.append(f"FAIL  {name}: got {got}, expected {want}")
     lines.append(f"{len(cases) - failures}/{len(cases)} demo cases passed")
     return _emit(args.output, "\n".join(lines), EXIT_OK if failures == 0 else EXIT_DEMO_FAILURE)
 

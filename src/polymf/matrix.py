@@ -93,6 +93,8 @@ class PolyMatrix:
 
     def __getitem__(self, idx: tuple[int, int]) -> Polynomial:
         i, j = idx
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows} rows")
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range for {self.cols} columns")
         js = self.columns[i]

@@ -172,6 +172,8 @@ class Polynomial:
     @staticmethod
     def variable(name: str, exp: int = 1) -> "Polynomial":
         check_var_name(name)
+        if type(exp) is not int:
+            raise PolyError(f"exponent of {name} must be an int, got {exp!r}")
         if exp < 0:
             raise PolyError(f"negative exponent {exp} for {name}")
         if exp == 0:

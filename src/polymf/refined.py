@@ -368,10 +368,12 @@ def run_standard(
     Raises CapExceededError (through check_cap, carrying the predicted size)
     if the formal monomial count, s + sum_j prod_i p_ji, exceeds max_monomials;
     the count is taken from the factors' term counts before any monomial
-    is built.
+    is built.  Raises PolyError for a document with no formal monomial.
     """
     _check_valid(srp, strict)
     exponent = standard_exponent(srp.s, (g.monomial_counts for g in srp.products))
+    if exponent < 0:
+        raise PolyError("cannot factor the zero polynomial")
     check_cap("standard", exponent, max_monomials)
     return standard_factorize(_split_pairs(srp.formal_monomials()), variant, verify=verify)
 
@@ -380,7 +382,6 @@ def compare_report(
     srp: SummandReducedPoly,
     *,
     methods: tuple[str, ...] = ("refined", "improved"),
-    yvariant: str = "standard",
     max_monomials: int = 13,
     verify: str = "auto",
     strict: bool = False,
@@ -394,8 +395,8 @@ def compare_report(
     _check_valid(srp, strict)
     constructed: dict[str, int] = {}
     runners = {
-        "refined": lambda: run_refined(srp, yvariant, verify=verify),
-        "improved": lambda: run_improved(srp, yvariant, verify=verify),
+        "refined": lambda: run_refined(srp, verify=verify),
+        "improved": lambda: run_improved(srp, verify=verify),
         "standard": lambda: run_standard(srp, max_monomials=max_monomials, verify=verify),
     }
     for method in methods:

@@ -85,6 +85,12 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
+def write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
 def assert_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -184,19 +190,19 @@ class TestFactorize:
 
     @pytest.mark.parametrize("terms, extra", [(13, []), (14, ["--max-standard-monomials", "14"])])
     def test_plain_text_within_the_gate_is_built(self, tmp_path, monkeypatch, terms, extra):
-        """The gate lets the text through; a stand-in construction keeps
-        the run small."""
+        """The text reaches the standard method as its terms-only
+        document; a stand-in construction keeps the run small."""
         built = []
 
-        def stand_in(p, variant, verify):
-            built.append(p.num_terms())
+        def stand_in(srp, variant, *, max_monomials, verify, strict):
+            built.append((srp.s, srp.l))
             return fixtures.pair_m()
 
         src = tmp_path / "poly.txt"
         src.write_text(" + ".join(f"x{i}" for i in range(1, terms + 1)))
-        monkeypatch.setattr(cli, "standard_factorize_polynomial", stand_in)
+        monkeypatch.setattr(cli, "run_standard", stand_in)
         assert run(["factorize", "--input", str(src), "--method", "standard", *extra]) == 0
-        assert built == [terms]
+        assert built == [(terms, 0)]
 
     def test_exact_work_cap_exit_code(self, tmp_path, capsys):
         """Size 8192 at 14 summands per row: a forced exact check would
@@ -720,6 +726,74 @@ class TestDemo:
         out = capsys.readouterr().out
         assert "9/9 demo cases passed" in out
         assert "FAIL" not in out
+
+    def test_a_wrong_value_fails_its_cases(self, monkeypatch):
+        """A refined pipeline that returns the 2x2 pair M fails the two
+        cases that build refined sizes, and only those."""
+        monkeypatch.setattr(cli, "run_refined", lambda *args, **kwargs: fixtures.pair_m())
+        code, out, err = run_captured(["demo"])
+        assert (code, err) == (cli.EXIT_DEMO_FAILURE, "")
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+            "FAIL  part-I pipelines (16, 32, 64)", "FAIL  part-II refined (32) and predictions"]
+        assert any(line.startswith("FAIL  part-I pipelines (16, 32, 64): got ") for line in lines)
+        assert lines[-1] == "7/9 demo cases passed"
+
+
+# Polynomial text and its terms-only document: the canonical monomials of
+# the text, in canonical order, with no product group.
+TEXT_AND_DOCUMENT = [
+    ("xy + z^2 + 3/2 w^3", {"terms": ["3/2w^3", "xy", "z^2"], "products": []}),
+    ("x^2 + 4 + x^2", {"terms": ["2x^2", "4"], "products": []}),
+    ("x - 1/3", {"terms": ["x", "-1/3"], "products": []}),
+]
+
+
+class TestTextIsATermsOnlyDocument:
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("variant", ["standard", "v1", "v2"])
+    @pytest.mark.parametrize("text, doc", TEXT_AND_DOCUMENT, ids=["rational", "combined", "constant"])
+    def test_standard_method_output_is_the_same(self, tmp_path, text, doc, variant, fmt):
+        outs = [run_captured(["factorize", "--input", source, "--method", "standard",
+                              "--standard-variant", variant, "--format", fmt])
+                for source in (write_text(tmp_path, "poly.txt", text), write_json(tmp_path, "doc.json", doc))]
+        assert outs[0] == outs[1] and outs[0][0] == 0 and outs[0][2] == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["predict"],
+        ["factorize", "--method", "refined"],
+        ["factorize", "--method", "improved"],
+        ["factorize", "--method", "standard", "--strict-validate"],
+        ["predict", "--strict-validate"],
+    ], ids=["predict", "refined", "improved", "strict", "predict_strict"])
+    def test_refusals_are_the_same(self, tmp_path, argv):
+        text, doc = TEXT_AND_DOCUMENT[0]
+        outs = [run_captured([*argv, "--input", source])
+                for source in (write_text(tmp_path, "poly.txt", text), write_json(tmp_path, "doc.json", doc))]
+        assert outs[0] == outs[1]
+        code, out, err = outs[0]
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err.startswith("error: input is not summand-reduced:\n") and err.count("error:") == 1
+
+    def test_cap_refuses_text_before_any_monomial_is_built(self, tmp_path, monkeypatch):
+        """x1 + ... + x14 is refused at exponent 13, as its document is."""
+        def never(*args, **kwargs):
+            raise AssertionError("construction started")
+
+        monkeypatch.setattr(SummandReducedPoly, "formal_monomials", never)
+        names = [f"x{i}" for i in range(1, 15)]
+        outs = [run_captured(["factorize", "--input", source, "--method", "standard"])
+                for source in (write_text(tmp_path, "poly.txt", " + ".join(names)),
+                               write_json(tmp_path, "doc.json", {"terms": names, "products": []}))]
+        assert outs[0] == outs[1] == (cli.EXIT_CAP, "", "error: standard construction skipped: predicted size "
+                                      "8192 exceeds 2^12 (raise --max-standard-monomials to allow it)\n")
+
+    @pytest.mark.parametrize("source", ["0", "x - x", json.dumps({"terms": [], "products": []})],
+                             ids=["zero", "cancelled", "empty_document"])
+    def test_zero_polynomial_is_refused(self, tmp_path, source):
+        path = write_text(tmp_path, "input.txt", source)
+        assert run_captured(["factorize", "--input", path, "--method", "standard"]) == (
+            cli.EXIT_PARSE, "", "error: cannot factor the zero polynomial\n")
 
 
 

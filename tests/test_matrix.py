@@ -80,6 +80,12 @@ class TestBasics:
         with pytest.raises(AttributeError):
             a.rows = 3
 
+    @pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (5, 0), (0, -1), (0, 2)])
+    def test_indices_are_range_checked(self, i, j):
+        a = m([["x", "y"], ["z", "0"]])
+        with pytest.raises(IndexError, match="row" if i not in (0, 1) else "column"):
+            a[i, j]
+
     def test_transpose_involution(self):
         a = m([["x", "y"], ["z", "0"]])
         assert a.transpose().transpose() == a

@@ -80,6 +80,18 @@ class TestParsing:
         assert p("1" * 5000).as_constant() == (10**5000 - 1) // 9
 
 
+class TestVariable:
+    @pytest.mark.parametrize("exp", [2.0, True, False, "2", Fraction(2)])
+    def test_exponent_must_be_an_int(self, exp):
+        with pytest.raises(PolyError, match="must be an int"):
+            Polynomial.variable("x", exp)
+
+    @pytest.mark.parametrize("exp", [0, 1, 2, 7])
+    def test_text_round_trips(self, exp):
+        q = Polynomial.variable("x", exp)
+        assert parse_polynomial(str(q)) == q
+
+
 class TestCanonicalForm:
     def test_graded_lex_order(self):
         q = p("y + x^2 + xy + 1")

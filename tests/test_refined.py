@@ -270,6 +270,11 @@ class TestPipelines:
         tiny = srp(["z^2"], [["x", "y"]])
         assert run_standard(tiny).size == 2
 
+    @pytest.mark.parametrize("doc", [SummandReducedPoly((), ()), SummandReducedPoly.from_strings([], [])])
+    def test_standard_method_refuses_the_zero_polynomial(self, doc):
+        with pytest.raises(PolyError, match="^cannot factor the zero polynomial$"):
+            run_standard(doc)
+
     def test_pipeline_needs_a_product(self):
         with pytest.raises(ValidationFailure):
             run_refined(srp(["x^2"], []))
