@@ -16,9 +16,10 @@ exponents and integer coefficients, with each table entry packed once.
 Negation negates the table and shares the rows; `kron` multiplies each
 pair of table entries once; `block2x2` and `direct_sum` concatenate the
 distinct tables of their blocks and offset the indices, so blocks over
-one table keep it.  The six blocks of `yoshino`, and so of a standard
-step, which is one, index one table, so both factors share it and a
-fold of steps keeps one short table.
+one table keep it.  The six blocks of `yoshino` index one table, and
+so do the rows of a standard step (Yoshino's product with a 1x1 pair,
+written directly), so both factors share it and a fold of steps keeps
+one short table.
 """
 
 from __future__ import annotations

@@ -330,7 +330,15 @@ def _pipeline(
         combined = yoshino(monomial_mf, combined, yvariant, verify="skip")
     # Every step above is a proven construction, built unchecked; the
     # certificate the caller gets is this one check of the returned pair.
-    return make_factorization(combined.f, combined.phi, combined.psi, verify=verify)
+    return _certified(combined, verify)
+
+
+def _certified(mf: MatrixFactorization, verify: str) -> MatrixFactorization:
+    """mf certified in mode verify; a pair of f = 0 (terms that cancel)
+    is refused first, as zero has no factorization to report."""
+    if mf.f.is_zero():
+        raise PolyError("cannot factor the zero polynomial")
+    return make_factorization(mf.f, mf.phi, mf.psi, verify=verify)
 
 
 def run_refined(
@@ -368,14 +376,16 @@ def run_standard(
     Raises CapExceededError (through check_cap, carrying the predicted size)
     if the formal monomial count, s + sum_j prod_i p_ji, exceeds max_monomials;
     the count is taken from the factors' term counts before any monomial
-    is built.  Raises PolyError for a document with no formal monomial.
+    is built.  Raises PolyError for a document with no formal monomial,
+    and for one whose formal monomials sum to zero.
     """
     _check_valid(srp, strict)
     exponent = standard_exponent(srp.s, (g.monomial_counts for g in srp.products))
     if exponent < 0:
         raise PolyError("cannot factor the zero polynomial")
     check_cap("standard", exponent, max_monomials)
-    return standard_factorize(_split_pairs(srp.formal_monomials()), variant, verify=verify)
+    mf = standard_factorize(_split_pairs(srp.formal_monomials()), variant, verify="skip")
+    return _certified(mf, verify)
 
 
 def compare_report(

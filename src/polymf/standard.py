@@ -9,7 +9,9 @@ That is the additive tensor product (`yoshino`) of (C, D) with the 1x1
 pair ([-g], [-h]) of g*h, in its standard variant.  The variants permute
 block rows/columns: v1 swaps the rows of the first matrix and the
 columns of the second, v2 the other way around; they are the Yoshino
-variants v1 and v3 of (C, D) with ([h], [g]).
+variants v1 and v3 of (C, D) with ([h], [g]).  A step writes these
+blocks directly (`_STEPS`), without building the 1x1 pair or Yoshino's
+Kronecker blocks.
 
 Folding steps over a summand list g1*h1 + ... + gk*hk, starting from the
 1x1 pair ([g1], [h1]), yields factors of size 2^(k-1).
@@ -18,15 +20,22 @@ Folding steps over a summand list g1*h1 + ... + gk*hk, starting from the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable
 
 from .factorization import MatrixFactorization, make_factorization
-from .matrix import _sparse
+from .matrix import _on_one_table, _shifted, _sparse
 from .poly import Coeff, ExpKey, Polynomial, PolyError, _split_key, _wrap
-from .tensor import yoshino
 
-_AS_YOSHINO = {"standard": ("standard", True), "v1": ("v1", False), "v2": ("v3", False)}
-STANDARD_VARIANTS = tuple(_AS_YOSHINO)
+# The blocks (top left, top right, bottom left, bottom right) of phi and
+# of psi in each variant, for mf's factors C and D; an entry name stands
+# for that entry times I.
+_STEPS = {
+    "standard": (("C", "-g", "h", "D"), ("D", "g", "-h", "C")),
+    "v1": (("h", "D", "C", "-g"), ("g", "D", "C", "-h")),
+    "v2": (("-g", "C", "D", "h"), ("-h", "C", "D", "g")),
+}
+STANDARD_VARIANTS = tuple(_STEPS)
 
 
 @dataclass(frozen=True)
@@ -66,15 +75,37 @@ def standard_step(
     *,
     verify: str = "auto",
 ) -> MatrixFactorization:
-    """One doubling step: a factorization of mf.f + g*h of size 2n, the
-    additive tensor product of mf with a 1x1 pair of g*h (see the module
-    docstring).  Both factors share one table: mf's, then the pair's
-    nonzero entries and their negations."""
-    if variant not in _AS_YOSHINO:
+    """One doubling step: a factorization of mf.f + g*h of size 2n, laid
+    out by `_STEPS` (see the module docstring).
+
+    Output row i joins the left block's row i and the right block's,
+    whose columns shift by n; row i of a diagonal block is column i at
+    its entry, or empty for a zero entry.  Both factors share one table:
+    mf's, then the nonzero ones of g, h, -g and -h, so g and h are
+    negated once each."""
+    if variant not in _STEPS:
         raise ValueError(f"unknown standard-method variant {variant!r}")
-    yvariant, negated = _AS_YOSHINO[variant]
-    a, b = (-g, -h) if negated else (h, g)
-    return yoshino(mf, _one_by_one(g * h, a, b), yvariant, verify=verify)
+    n = mf.size
+    c, d = _on_one_table(mf.phi, mf.psi)
+    table = c.table
+    # each block's rows: (columns as a left block, as a right block, indices)
+    rows = {"C": (c.columns, _shifted(c.columns, n), c.indices),
+            "D": (d.columns, _shifted(d.columns, n), d.indices)}
+    diagonal = list(zip(range(n))), list(zip(range(n, 2 * n)))
+    for name, e in (("g", g), ("h", h), ("-g", -g), ("-h", -h)):
+        if e:
+            rows[name] = (*diagonal, ((len(table),),) * n)
+            table += (e,)
+        else:
+            rows[name] = (((),) * n,) * 3
+
+    def factor(layout):
+        (lc, _, lk), (_, rc, rk), (lc2, _, lk2), (_, rc2, rk2) = map(rows.__getitem__, layout)
+        columns = [*map(add, lc, rc), *map(add, lc2, rc2)]
+        return _sparse(table, columns, [*map(add, lk, rk), *map(add, lk2, rk2)], 2 * n, 2 * n)
+
+    phi, psi = map(factor, _STEPS[variant])
+    return make_factorization(mf.f + g * h, phi, psi, verify=verify)
 
 
 def standard_factorize(

@@ -4,7 +4,8 @@ Three families of constructions:
 
 * the additive tensor product (with three variants), turning
   factorizations of f and g into one of f + g, of size 2nm, of which a
-  standard-method step is the case m = 1;
+  standard-method step is the case m = 1 (`standard.standard_step`
+  writes that case directly);
 * the multiplicative tensor product and its variant, producing a
   factorization of f*g of size 2nm;
 * the reduced multiplicative tensor product, a single Kronecker pair
@@ -77,17 +78,12 @@ def yoshino(
 
     def spread(a: PolyMatrix) -> PolyMatrix:
         """a (x) 1_m, whose indices stand, since x's entries lead the table."""
-        if m == 1:  # a standard step's: a itself
-            return _sparse(table, a.columns, a.indices, nm, nm)
         columns = [tuple([j * m + p for j in js]) for js in a.columns for p in range(m)]
         return _sparse(table, columns, [ks for ks in a.indices for _ in range(m)], nm, nm)
 
     def tiles(b: PolyMatrix) -> list[PolyMatrix]:
         """1_n (x) b over y's entries, and over their negations."""
-        if m == 1:  # a standard step's: b's entry, if stored, on the diagonal
-            columns = list(zip(range(n))) if b.columns[0] else b.columns * n
-        else:
-            columns = [tuple([q + i for q in js]) for i in range(0, nm, m) for js in b.columns]
+        columns = [tuple([q + i for q in js]) for i in range(0, nm, m) for js in b.columns]
         return [
             _sparse(table, columns, [tuple([k + at for k in ks]) for ks in b.indices] * n, nm, nm)
             for at in (at_y, at_neg)

@@ -180,7 +180,7 @@ class TestFactorize:
 
         src = tmp_path / "poly.txt"
         src.write_text(" + ".join(f"x{i}" for i in range(1, 15)))
-        monkeypatch.setattr(cli, "standard_factorize_polynomial", never)
+        monkeypatch.setattr(refined, "standard_factorize", never)
         start = time.perf_counter()
         code = run(["factorize", "--input", str(src), "--method", "standard"])
         assert time.perf_counter() - start < 1.0
@@ -788,11 +788,16 @@ class TestTextIsATermsOnlyDocument:
         assert outs[0] == outs[1] == (cli.EXIT_CAP, "", "error: standard construction skipped: predicted size "
                                       "8192 exceeds 2^12 (raise --max-standard-monomials to allow it)\n")
 
-    @pytest.mark.parametrize("source", ["0", "x - x", json.dumps({"terms": [], "products": []})],
-                             ids=["zero", "cancelled", "empty_document"])
-    def test_zero_polynomial_is_refused(self, tmp_path, source):
+    @pytest.mark.parametrize("source, method", [
+        ("0", "standard"),
+        ("x - x", "standard"),
+        (json.dumps({"terms": [], "products": []}), "standard"),
+        (json.dumps({"terms": ["x", "-x"], "products": []}), "standard"),
+        (json.dumps({"terms": ["x"], "products": [["x", "-1"]]}), "refined"),
+    ], ids=["zero", "cancelled", "empty_document", "cancelling_terms", "cancelling_product"])
+    def test_zero_polynomial_is_refused(self, tmp_path, source, method):
         path = write_text(tmp_path, "input.txt", source)
-        assert run_captured(["factorize", "--input", path, "--method", "standard"]) == (
+        assert run_captured(["factorize", "--input", path, "--method", method]) == (
             cli.EXIT_PARSE, "", "error: cannot factor the zero polynomial\n")
 
 

@@ -49,6 +49,7 @@ def small_documents(draw) -> SummandReducedPoly:
     groups = draw(st.lists(st.lists(factors, min_size=1, max_size=3), min_size=1, max_size=2))
     doc = SummandReducedPoly(tuple(terms), tuple(ProductGroup(tuple(g)) for g in groups))
     assume(predict_sizes(doc).improved_size <= 64 and len(doc.formal_monomials()) <= 8)
+    assume(doc.expanded_polynomial())  # terms that cancel are refused
     return doc
 
 
@@ -274,6 +275,19 @@ class TestPipelines:
     def test_standard_method_refuses_the_zero_polynomial(self, doc):
         with pytest.raises(PolyError, match="^cannot factor the zero polynomial$"):
             run_standard(doc)
+
+    @pytest.mark.parametrize("run, terms, products", [
+        (run_standard, ["x", "-x"], []),
+        (run_refined, ["x"], [["x", "-1"]]),
+        (run_improved, ["x"], [["x", "-1"]]),
+    ], ids=["standard", "refined", "improved"])
+    def test_terms_that_cancel_are_refused_before_certifying(self, monkeypatch, run, terms, products):
+        def never(*args, **kwargs):
+            raise AssertionError("a pair of zero was certified")
+
+        monkeypatch.setattr(factorization, "certify", never)
+        with pytest.raises(PolyError, match="^cannot factor the zero polynomial$"):
+            run(srp(terms, products))
 
     def test_pipeline_needs_a_product(self):
         with pytest.raises(ValidationFailure):

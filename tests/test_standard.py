@@ -22,7 +22,8 @@ from polymf import (
     verify_exact,
 )
 
-from polymf.standard import _split_pairs
+from polymf.standard import _one_by_one, _split_pairs
+from polymf.tensor import yoshino
 
 from conftest import factorizations, nonzero_polynomials, polynomials, rational_polynomials, split_by_flat_list
 
@@ -116,6 +117,35 @@ class TestStandardStep:
             stepped = standard_step(mf, g, h, variant, verify="skip")
             assert stepped.phi == block2x2(*phi_blocks), variant
             assert stepped.psi == block2x2(*psi_blocks), variant
+
+    @given(factorizations(), nonzero_polynomials(), nonzero_polynomials())
+    @settings(max_examples=50, deadline=None)
+    def test_each_variant_is_yoshino_with_a_one_by_one_pair(self, mf, g, h):
+        """A step is the additive tensor product of mf with a 1x1 pair of
+        g*h: ([-g], [-h]) in Yoshino's standard variant, and ([h], [g])
+        in Yoshino's v1 and v3 for the step's v1 and v2."""
+        references = {"standard": ("standard", -g, -h), "v1": ("v1", h, g), "v2": ("v3", h, g)}
+        assert references.keys() == set(STANDARD_VARIANTS)
+        for variant, (yvariant, a, b) in references.items():
+            stepped = standard_step(mf, g, h, variant, verify="skip")
+            want = yoshino(mf, _one_by_one(g * h, a, b), yvariant, verify="skip")
+            assert (stepped.f, stepped.phi, stepped.psi) == (want.f, want.phi, want.psi), variant
+
+    @pytest.mark.parametrize("variant", STANDARD_VARIANTS)
+    def test_negates_g_and_h_once_each(self, monkeypatch, variant):
+        """Two negations per step: the table needs -g and -h, nothing else."""
+        negated = []
+        real = Polynomial.__neg__
+
+        def spy(q):
+            negated.append(q)
+            return real(q)
+
+        mf = standard_factorize_polynomial(p("xy + x^2 + 2y^3"), verify="skip")
+        g, h = p("z + 1"), p("3w")
+        monkeypatch.setattr(Polynomial, "__neg__", spy)
+        standard_step(mf, g, h, variant, verify="skip")
+        assert len(negated) == 2 and set(negated) == {g, h}
 
     def test_negates_polynomials_not_matrices(self, monkeypatch):
         def never(m):
