@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .matrix import PolyMatrix, MatrixError, from_strings, identity, mat_mul, scalar_matrix
+from .matrix import PolyMatrix, MatrixError, _sparse, from_strings, identity, mat_mul, scalar_matrix
 from .poly import Polynomial, parse_polynomial
 
 # certify checks exactly up to this size and by randomized point checks
@@ -100,21 +100,37 @@ class MatrixFactorization:
 
     @staticmethod
     def from_dict(data: dict) -> "MatrixFactorization":
-        """Read a document written by `to_dict`, without verifying it."""
+        """Read a document written by `to_dict`, without verifying it.
+
+        The rows of phi and then psi are read as one grid, so each
+        distinct entry text is parsed once, and both factors index one
+        table, as a pipeline pair's do."""
         if not isinstance(data, dict):
             raise MatrixError("a factorization document must be a JSON object")
         if not isinstance(data["f"], str):
             raise MatrixError("'f' must be a string")
-        for name in ("phi", "psi"):
+        phi, psi = data["phi"], data["psi"]
+        for name, rows in (("phi", phi), ("psi", psi)):
             # from_strings checks the rows and their entries as it parses
-            if not isinstance(data[name], list):
+            if not isinstance(rows, list):
                 raise MatrixError(f"{name!r} must be a list of rows of strings")
-        if not data["phi"]:
+        if not phi:
             raise MatrixError("a factorization has at least one row")
+        if len(psi) != len(phi):
+            raise MatrixError(f"factor size mismatch: phi has {len(phi)} rows, psi has {len(psi)}")
+        if type(phi[0]) is list:
+            # the two grids are read as one, every row as wide as phi's first
+            width = len(phi[0])
+            for name, rows in (("phi", phi), ("psi", psi)):
+                for i, row in enumerate(rows):
+                    if type(row) is list and len(row) != width:
+                        raise MatrixError(f"{name} row {i} has {len(row)} entries, phi row 0 has {width}")
+        f = parse_polynomial(data["f"])
+        grid, n = from_strings(phi + psi), len(phi)
         mf = MatrixFactorization(
-            parse_polynomial(data["f"]),
-            from_strings(data["phi"]),
-            from_strings(data["psi"]),
+            f,
+            _sparse(grid.table, grid.columns[:n], grid.indices[:n], n, grid.cols),
+            _sparse(grid.table, grid.columns[n:], grid.indices[n:], n, grid.cols),
         )
         size = data.get("size", mf.size)
         if type(size) is not int or size != mf.size:
@@ -174,7 +190,8 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
     """Check phi*psi = psi*phi = f*I by exact symbolic products.
 
     Computes phi*psi, and psi*phi only when f = 0 (see the module
-    docstring for why one order suffices otherwise).  Returns (True, "ok")
+    docstring for why one order suffices otherwise), and compares each
+    distinct value of a product with f once.  Returns (True, "ok")
     or (False, diagnostics naming the first offending entry and its value,
     quoted to at most DIAGNOSTIC_CHARS characters).
 
@@ -193,10 +210,12 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
     f = mf.f._terms
     for name, a, b in orders:
         product = mat_mul(a, b)
-        table = product.table
+        # each distinct value of the product is compared with f once; the
+        # terms dicts compare as the values do
+        is_f = [e._terms == f for e in product.table]
         for i, (js, ks) in enumerate(zip(product.columns, product.indices)):
-            # row i must be f*e_i; the terms dicts compare as the values do
-            if (js == (i,) and table[ks[0]]._terms == f) if f else not js:
+            # row i must be f*e_i
+            if (js == (i,) and is_f[ks[0]]) if f else not js:
                 continue
             expected = {i: mf.f}
             j = min(j for j in {*js, i} if product[i, j] != expected.get(j, Polynomial.zero()))

@@ -1,7 +1,9 @@
 """Small hand-checked factorizations used by the demo and the tests.
 
-Each fixture is a function that builds its pair from literal entries
-and verifies it exactly, so every call re-proves the identity.
+Each fixture is a function that reads its pair from literal entries,
+as `MatrixFactorization.from_dict` reads a document (both factors over
+one table), and verifies it exactly, so every call re-proves the
+identity.
 The two composite pairs assemble the building blocks exactly the way the
 refined pipeline does: reduced multiplicative tensor inside the product,
 one additive tensor step for the monomial part.
@@ -9,16 +11,14 @@ one additive tensor step for the monomial part.
 
 from __future__ import annotations
 
-from .factorization import MatrixFactorization, make_factorization
-from .matrix import from_strings
-from .poly import parse_polynomial
+from .factorization import MatrixFactorization, certify
 from .tensor import reduced_tensor, yoshino
 
 
 def _mf(f: str, phi: list[list[str]], psi: list[list[str]]) -> MatrixFactorization:
-    return make_factorization(
-        parse_polynomial(f), from_strings(phi), from_strings(psi), verify="exact"
-    )
+    mf = MatrixFactorization.from_dict({"f": f, "phi": phi, "psi": psi})
+    certify(mf, "exact")
+    return mf
 
 
 def simple_quadratic() -> MatrixFactorization:

@@ -12,14 +12,18 @@ list a value twice: equality and hashing compare the values at each
 slot, never indices or table order.
 
 `mat_mul`, which every exact check runs, multiplies over packed
-exponents and integer coefficients, with each table entry packed once.
+exponents and integer coefficients, with each table entry packed once,
+and decodes each distinct value of the product once, into a table that
+lists it once (a product equal to f*I stores f once).
 Negation negates the table and shares the rows; `kron` multiplies each
 pair of table entries once; `block2x2` and `direct_sum` concatenate the
 distinct tables of their blocks and offset the indices, so blocks over
 one table keep it.  The six blocks of `yoshino` index one table, and
 so do the rows of a standard step (Yoshino's product with a 1x1 pair,
 written directly), so both factors share it and a fold of steps keeps
-one short table.
+one short table.  A pair read from a document shares one table too:
+`MatrixFactorization.from_dict` parses both grids in one `from_strings`
+call.
 """
 
 from __future__ import annotations
@@ -267,32 +271,67 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     Coefficients are scaled to ints by each matrix's denominator lcm, so
     each output row is one dict from packed key to int sum.
 
-    Each table entry is profiled and packed once per call (a table a and
-    b share, once), into a list every slot reads by its index.  Only the
-    nonzero sums are decoded, each distinct exponent key and scaled sum
-    once per call; the product's table holds each nonzero once.
+    Each distinct table (a table a and b share, once) is profiled in one
+    pass and its entries packed once per call, into a list every slot
+    reads by its index.  A row's nonzero sums are grouped by column, and
+    an output entry is found by its packed {key: sum} terms, bucketed by
+    their two sums: each distinct value is decoded once per call (each
+    packed key and scaled sum in it, once per call too), and every slot
+    holding it indexes one table entry.  So the product's table lists
+    each distinct value once, and a product equal to f*I stores f once.
     """
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    shared = a.table is b.table
-    keys_a, top_a, scale_a = _profile(a.table)
-    keys_b, top_b, scale_b = (keys_a, top_a, scale_a) if shared else _profile(b.table)
+    tables = (a.table,) if a.table is b.table else (a.table, b.table)
+    keys: set[ExpKey] = set()
+    tops: list[dict[str, int]] = []
+    scales: list[int] = []
+    for t in tables:
+        # the table's exponent keys, the highest exponent of each
+        # variable in them, and the lcm of its coefficient denominators
+        seen: set[ExpKey] = set()
+        denominators = {1}
+        for e in t:
+            terms = e._terms
+            seen.update(terms)
+            denominators.update(map(_denominator, terms.values()))
+        top: dict[str, int] = {}
+        for k in seen:
+            for v, x in k:
+                if x > top.get(v, 0):
+                    top[v] = x
+        keys |= seen
+        tops.append(top)
+        scales.append(lcm(*denominators))
+    top_a, top_b = tops[0], tops[-1]
     digits = [(v, top_a.get(v, 0) + top_b.get(v, 0) + 1) for v in sorted(top_a.keys() | top_b.keys())]
     place: dict[str, int] = {}
     radix = 1
     for v, width in digits:
         place[v] = radix
         radix *= width
-    packs = {k: sum(x * place[v] for v, x in k) for k in keys_a | keys_b}
-    packed_a = [_packed(e, packs, scale_a) for e in a.table]
-    packed_b = packed_a if shared else [_packed(e, packs, scale_b) for e in b.table]
+    packs: dict[ExpKey, int] = {}
+    for k in keys:
+        packed = 0
+        for v, x in k:
+            packed += x * place[v]
+        packs[k] = packed
+    pack = packs.__getitem__
+    packed_tables = [
+        [list(zip(map(pack, e._terms), e._terms.values())) for e in t] if s == 1 else
+        [[(packs[k], c.numerator * (s // c.denominator)) for k, c in e._terms.items()] for e in t]
+        for t, s in zip(tables, scales)
+    ]
+    packed_a, packed_b = packed_tables[0], packed_tables[-1]
     b_rows = [
         [(j * radix + key, c) for j, k in zip(js, ks) for key, c in packed_b[k]]
         for js, ks in zip(b.columns, b.indices)
     ]
-    scale = scale_a * scale_b
-    decoded: dict[int, ExpKey] = {}
-    coeffs: dict[int, Coeff] = {}
+    scale = scales[0] * scales[-1]
+    decode = _Memo(lambda packed: _unpack(packed, digits)).__getitem__
+    coeff = _Memo(lambda c: _coeff(Fraction(c, scale))).__getitem__
+    # (sum of packed keys, sum of scaled sums) -> [(packed terms, table index)]
+    index: dict[tuple[int, int], list[tuple[dict[int, int], int]]] = {}
     table: list[Polynomial] = []
     columns, indices = [], []
     for acols, aidx in zip(a.columns, a.indices):
@@ -304,52 +343,43 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                 for kb, cb in brow:
                     key = ka + kb
                     acc[key] = get(key, 0) + ca * cb
-        terms: dict[int, dict[ExpKey, Coeff]] = {}
+        sums: dict[int, dict[int, int]] = {}
         for key, c in acc.items():
-            if not c:
-                continue
-            j, packed = divmod(key, radix)
-            exps = decoded.get(packed)
-            if exps is None:
-                exps = decoded[packed] = _unpack(packed, digits)
-            if scale != 1:
-                q = coeffs.get(c)
-                if q is None:
-                    q = coeffs[c] = _coeff(Fraction(c, scale))
-                c = q
-            if j not in terms:
-                terms[j] = {}
-            terms[j][exps] = c
-        js = sorted(terms)
-        indices.append(tuple(range(len(table), len(table) + len(js))))
+            if c:
+                j, packed = divmod(key, radix)
+                if j in sums:
+                    sums[j][packed] = c
+                else:
+                    sums[j] = {packed: c}
+        js = sorted(sums)
+        ks = []
+        for j in js:
+            entry = sums[j]
+            bucket = index.setdefault((sum(entry), sum(entry.values())), [])
+            for other, k in bucket:
+                if other == entry:
+                    break
+            else:
+                k = len(table)
+                bucket.append((entry, k))
+                values = entry.values() if scale == 1 else map(coeff, entry.values())
+                table.append(_wrap(dict(zip(map(decode, entry), values))))
+            ks.append(k)
         columns.append(tuple(js))
-        table += [_wrap(terms[j]) for j in js]
+        indices.append(tuple(ks))
     return _sparse(tuple(table), columns, indices, a.rows, b.cols)
 
 
-def _profile(entries: Iterable[Polynomial]) -> tuple[set[ExpKey], dict[str, int], int]:
-    """The distinct exponent keys of the entries' terms, the highest
-    exponent of each variable in them, and the lcm of the coefficient
-    denominators."""
-    keys: set[ExpKey] = set()
-    denominators = {1}
-    for e in entries:
-        keys.update(e._terms)
-        denominators.update(map(_denominator, e._terms.values()))
-    top: dict[str, int] = {}
-    for k in keys:
-        for v, x in k:
-            if x > top.get(v, 0):
-                top[v] = x
-    return keys, top, lcm(*denominators)
+class _Memo(dict):
+    """A dict that computes, keeps and returns the value of a missing key:
+    its __getitem__ computes each value once, and looks it up in C after."""
 
+    def __init__(self, compute):
+        self.compute = compute
 
-def _packed(p: Polynomial, packs: dict[ExpKey, int], scale: int) -> list[tuple[int, int]]:
-    """The terms of p as (packed exponents, coefficient * scale), all ints."""
-    t = p._terms
-    if scale == 1:
-        return list(zip(map(packs.__getitem__, t), t.values()))
-    return [(packs[k], c.numerator * (scale // c.denominator)) for k, c in t.items()]
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 def _unpack(packed: int, digits: list[tuple[str, int]]) -> ExpKey:

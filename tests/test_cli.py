@@ -422,6 +422,8 @@ class TestVerify:
         {"f": "x^2", "size": 2, "phi": [["x", 0], ["0", "x"]], "psi": [["x", "0"], ["0", "x"]]},
         {"f": "x^2", "size": 2, "phi": [["x", "0"], ["0", "x"]], "psi": [["x", None], ["0", "x"]]},
         {"f": "x^2", "size": 2, "phi": [["x", "0"], "0x"], "psi": [["x", "0"], ["0", "x"]]},
+        {"f": "x^2", "size": 2, "phi": [["x", "0"], ["0", "x"]], "psi": [["x", "0"], ["0", "x"], ["x", "0"]]},
+        {"f": "x^2", "size": 2, "phi": [["x", "0"], ["0", "x"]], "psi": [["x", "0", "0"], ["0", "x", "0"]]},
     ])
     def test_malformed_pair_document_rejected(self, tmp_path, capsys, doc):
         assert run(["verify", "--input", write_json(tmp_path, "mf.json", doc)]) == 2

@@ -35,7 +35,7 @@ from polymf import (
     verify_exact,
     verify_randomized,
 )
-from polymf import factorization, fixtures
+from polymf import factorization, fixtures, matrix
 from polymf.factorization import (
     COORDINATE_BOUND,
     DEFAULT_TRIALS,
@@ -59,11 +59,26 @@ def pair_p_case():
     return good, with_phi_entry(good, 2, 1, parse_polynomial("x^3"))
 
 
+PART1 = (["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]])
 PART2 = (["x^5y^2"], [["xy^2 + x^2z + yz^2", "x^2z + y^2 + y^2z"]])
 TWO_PRODUCT = (
     ["zy"],
     [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
 )
+
+# Pipeline pairs of the paper corpus and the no-monomial document, up to
+# the refined two-product pair (512).
+NO_MONOMIAL = ([], [["xy + z^2", "x + y"], ["x + z", "y + z"]])
+PIPELINE_PAIRS = [
+    (run_refined, PART1), (run_improved, PART1), (run_standard, PART1),
+    (run_refined, PART2), (run_improved, PART2),
+    (run_refined, TWO_PRODUCT),
+    (run_refined, NO_MONOMIAL), (run_improved, NO_MONOMIAL),
+]
+PIPELINE_IDS = [
+    "refined-part1", "improved-part1", "standard-part1", "refined-part2", "improved-part2",
+    "refined-two_product", "refined-no_monomial", "improved-no_monomial",
+]
 
 
 def plus_one_case(run, doc, size):
@@ -83,8 +98,7 @@ def improved_128_case(products):
 def paper_pairs():
     """The pipelines' pairs of the paper corpus: part I, part II and the
     two-product example (up to size 2048)."""
-    part1 = (["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]])
-    for doc in (part1, PART2, TWO_PRODUCT):
+    for doc in (PART1, PART2, TWO_PRODUCT):
         srp = SummandReducedPoly.from_strings(*doc)
         yield run_refined(srp, verify="skip")
         yield run_improved(srp, verify="skip")
@@ -96,6 +110,13 @@ class TestVerifyExact:
     def test_intro_pair(self):
         ok, diag = verify_exact(fixtures.simple_quadratic())
         assert ok and diag == "ok"
+
+    @pytest.mark.parametrize("run, doc", PIPELINE_PAIRS, ids=PIPELINE_IDS)
+    def test_a_pipeline_product_stores_f_once(self, run, doc):
+        mf = run(SummandReducedPoly.from_strings(*doc), verify="skip")
+        product = mat_mul(mf.phi, mf.psi)
+        assert product.table == (mf.f,)
+        assert product == scalar_matrix(mf.f, mf.size)
 
     def test_failure_names_the_entry(self):
         mf = MatrixFactorization(
@@ -474,6 +495,64 @@ class TestSerialization:
         doc["size"] = 3
         with pytest.raises(MatrixError):
             MatrixFactorization.from_dict(doc)
+
+    @given(factorizations())
+    @settings(max_examples=60, deadline=None)
+    def test_random_pairs_read_back_over_one_table(self, mf):
+        assert_reads_back(mf)
+
+    @pytest.mark.parametrize("run, doc", PIPELINE_PAIRS, ids=PIPELINE_IDS)
+    def test_pipeline_pairs_read_back_over_one_table(self, run, doc):
+        assert_reads_back(run(SummandReducedPoly.from_strings(*doc), verify="skip"))
+
+    def test_factors_that_share_no_text(self):
+        """phi and psi share no entry text (psi writes w as "1w" and
+        x + 1 as "1 + x"): each of the eight texts is parsed once, into
+        one table that lists w and x + 1 twice."""
+        doc = {"f": "xw + w - yz", "size": 2, "phi": [["x + 1", "y"], ["z", "w"]],
+               "psi": [["1w", "-y"], ["-z", "1 + x"]]}
+        mf = read_once(doc)
+        assert len(mf.phi.table) == 8 and len(set(mf.phi.table)) == 6
+        assert certify(mf) == {"mode": "exact"}
+        assert_reads_back(mf)
+
+    @pytest.mark.parametrize("psi", [
+        [["y", "z"], ["-z", "x"], ["x", "y"]],
+        [["y", "z", "0"], ["-z", "x", "0"]],
+        [["y", "z"], ["-z", "x", "0"]],
+    ], ids=["one_more_row", "one_column_wider", "a_later_row_wider"])
+    def test_factor_shapes_are_checked_before_any_entry_is_read(self, monkeypatch, psi):
+        doc = {**fixtures.pair_m().to_dict(), "psi": psi}
+        read = []
+        monkeypatch.setattr(factorization, "from_strings", lambda rows: read.append(rows))
+        with pytest.raises(MatrixError, match=r"phi has 2 rows, psi has 3|psi row [01] has 3 entries, phi row 0 has 2"):
+            MatrixFactorization.from_dict(doc)
+        assert read == []
+
+
+def read_once(doc):
+    """from_dict(doc), checked to make one from_strings call, which parses
+    each distinct entry text other than "0" once, into one table that
+    both factors index."""
+    reads, parsed = [], []
+    real_read, real_parse = factorization.from_strings, matrix.parse_polynomial
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(factorization, "from_strings", lambda rows: reads.append(rows) or real_read(rows))
+        patch.setattr(matrix, "parse_polynomial", lambda text: parsed.append(text) or real_parse(text))
+        mf = MatrixFactorization.from_dict(doc)
+    texts = {text for grid in (doc["phi"], doc["psi"]) for row in grid for text in row} - {"0"}
+    assert len(reads) == 1
+    assert sorted(parsed) == sorted(texts)
+    assert mf.phi.table is mf.psi.table
+    return mf
+
+
+def assert_reads_back(mf):
+    """mf, written by to_dict and read back, is equal to mf and gets its
+    certificate."""
+    again = read_once(json.loads(json.dumps(mf.to_dict())))
+    assert again == mf
+    assert certify(again) == certify(mf)
 
 
 class TestMorphisms:

@@ -83,3 +83,25 @@ def test_pipeline_pair_is_unchanged(run, doc, variant):
 def test_mult_tensor_variant_pair_is_unchanged():
     mf = mult_tensor_variant(fixtures.pair_m(), fixtures.pair_p(), verify="skip")
     assert digest(mf) == "2d51401cb7e59decdf7659cc444560914f55e10367ff13c702111bd9b23982e9"
+
+
+# The fixtures' documents: reading a fixture's two grids into one table
+# must not move a byte of them.
+FIXTURE_DIGESTS = {
+    "simple_quadratic": "9cea8cc7f38013058db6e670413eae6d6a278d3188c0f8a96c32c48795bad512",
+    "pair_m": "0cedc481b7a37442db8303759e8fb0c39e8ce93dcaae1fa55a051737dceec9e3",
+    "pair_p": "961ffbaa49c3ff843eec20f512d82f15a6d26e907140da43781ee7823d136c0c",
+    "pair_n": "f5973c18cfe7d4c51e43ce00d70e7bbf6558ac0f61be94153f5321bf14e36f45",
+    "pair_y": "3db00aac6ea8913f3df7d76c6b7a97a747fdebf636f559369757e3a68e8a48f3",
+    "pair_q": "3015c34a8d8e68e4fa85d8dff7a68b60fe9f2b6a161fbc8f0444ecd7fb5c0ba8",
+    "pair_l": "57916b89be981a830ce4cd93afc49edf183f8d31873e61ac7817324346a3ba18",
+    "part1_pair": "ecde8def4c08be88b7a42c87800e83111fc2b9bae1778ea8946540aa43c7290b",
+    "part2_pair": "7a28376d33bec2a0b90ea9d097811f60ac2453b361322c588d7c25fd4abf6e8e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
+def test_fixture_pair_is_unchanged(name):
+    mf = getattr(fixtures, name)()
+    assert mf.phi.table is mf.psi.table
+    assert digest(mf) == FIXTURE_DIGESTS[name]

@@ -1,5 +1,7 @@
 """Polynomial matrices: products, Kronecker structure, shuffles."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +192,11 @@ def assert_integer_first(a):
             assert (type(term.coeff) is int) == (term.coeff.denominator == 1), term
 
 
+def assert_distinct_table(c):
+    """No two entries of a product's table are equal."""
+    assert len(set(c.table)) == len(c.table)
+
+
 class TestPackedProduct:
     @pytest.mark.parametrize("kind", sorted(ENTRY_STRATEGIES))
     @given(data=st.data())
@@ -199,11 +206,14 @@ class TestPackedProduct:
         entries = ENTRY_STRATEGIES[kind]
         a = data.draw(poly_matrices(rows, inner, entries=entries))
         b = data.draw(poly_matrices(inner, cols, entries=entries))
-        c = mat_mul(a, b)
-        assert (c.rows, c.cols) == (rows, cols)
-        assert c == entrywise_product(a, b)
-        assert_sparse(c)
-        assert_integer_first(c)
+        # unshared tables, and the two over one table
+        for x, y in ((a, b), matrix._on_one_table(a, b)):
+            c = mat_mul(x, y)
+            assert (c.rows, c.cols) == (rows, cols)
+            assert c == entrywise_product(a, b)
+            assert_sparse(c)
+            assert_integer_first(c)
+            assert_distinct_table(c)
 
     def test_empty_shapes(self):
         assert mat_mul(zeros(0, 3), zeros(3, 2)) == zeros(0, 2)
@@ -214,6 +224,13 @@ class TestPackedProduct:
         c = mat_mul(m([["x", "y"], ["1/2 x", "1/2 y"], ["x", "0"]]), m([["y", "2y"], ["-x", "-2x"]]))
         assert list(c.nonzeros()) == [(2, 0, parse_polynomial("xy")), (2, 1, parse_polynomial("2xy"))]
         assert_sparse(c)
+
+    def test_values_with_equal_sums_stay_apart(self):
+        # x + 2y and 2x + y have equal sums of packed keys and of
+        # coefficients, so the product looks them up in one bucket.
+        c = mat_mul(m([["x", "y"]]), m([["1", "2"], ["2", "1"]]))
+        assert c == m([["x + 2y", "2x + y"]])
+        assert_distinct_table(c)
 
     def test_no_variables(self):
         c = mat_mul(m([["2", "1/3"], ["0", "-1"]]), m([["3", "0"], ["6", "1/2"]]))
@@ -490,27 +507,32 @@ class TestProductOfSharedEntries:
             assert c == entrywise_product(x, y)
             assert_sparse(c)
             assert_integer_first(c)
+            assert_distinct_table(c)
 
     def test_each_distinct_object_is_packed_once(self, monkeypatch):
-        """The packing and the profile see the distinct entry objects of
-        each factor, not its stored nonzeros."""
+        """The packing and the profile read the terms of the distinct
+        entry objects of each factor, however many slots hold them: a
+        factor with twice the nonzeros over the same objects reads each
+        object exactly as often."""
         x, y = m([["x + 1/2 y", "z"], ["0", "x + 1/2 y"]]), m([["y", "2"], ["2", "y"]])
-        a, b = kron(x, identity(3)), kron(identity(3), y)
-        assert entry_objects(a) == 2 and entry_objects(b) == 2
-        assert sum(1 for _ in a.nonzeros()) == 9 and sum(1 for _ in b.nonzeros()) == 12
-        packed, profiled = [], []
-        real_packed, real_profile = matrix._packed, matrix._profile
+        slot = Polynomial.__dict__["_terms"]
+        reads = Counter()
 
-        def profile(entries):
-            entries = list(entries)
-            profiled.append(len(entries))
-            return real_profile(entries)
+        def terms_reads(k):
+            a, b = kron(x, identity(k)), kron(identity(k), y)
+            assert entry_objects(a) == 2 and entry_objects(b) == 2
+            assert sum(1 for _ in a.nonzeros()) == 3 * k and sum(1 for _ in b.nonzeros()) == 4 * k
+            reads.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Polynomial, "_terms", property(lambda p: reads.update([id(p)]) or slot.__get__(p),
+                                                             slot.__set__))
+                c = mat_mul(a, b)
+            assert c == entrywise_product(a, b)
+            counts = {i: reads[i] for i in {id(e) for e in (*a.table, *b.table)}}
+            assert all(counts.values())
+            return counts
 
-        monkeypatch.setattr(matrix, "_packed", lambda p, *args: packed.append(p) or real_packed(p, *args))
-        monkeypatch.setattr(matrix, "_profile", profile)
-        assert mat_mul(a, b) == entrywise_product(a, b)
-        assert profiled == [2, 2]
-        assert len(packed) == len({id(p) for p in packed}) == 4
+        assert terms_reads(3) == terms_reads(6)
 
     def test_each_distinct_sum_is_converted_once(self, monkeypatch):
         """A rational product turns each distinct scaled sum into its
