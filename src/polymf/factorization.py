@@ -19,9 +19,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import lcm
-from operator import mul
+from operator import mul, neg
 
-from .matrix import PolyMatrix, MatrixError, _sparse, from_strings, identity, mat_mul, scalar_matrix
+from .matrix import (
+    MatrixError,
+    PolyMatrix,
+    _by_code,
+    _odd_codes,
+    _slot_texts,
+    _sparse,
+    from_strings,
+    identity,
+    mat_mul,
+    scalar_matrix,
+)
 from .poly import Polynomial, parse_polynomial
 
 # certify checks exactly up to this size and by randomized point checks
@@ -91,8 +102,8 @@ class MatrixFactorization:
     def to_dict(self) -> dict:
         phi, psi = self.phi, self.psi
         if phi.table is psi.table:
-            # an entry both factors use is formatted once
-            texts = {k: str(phi.table[k]) for k in set().union(*phi.indices, *psi.indices)}
+            # a value and sign both factors use is formatted once
+            texts = _slot_texts(phi.table, phi.indices + psi.indices)
             grids = phi._dense(texts, "0"), psi._dense(texts, "0")
         else:
             grids = phi.texts(), psi.texts()
@@ -211,11 +222,11 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
     for name, a, b in orders:
         product = mat_mul(a, b)
         # each distinct value of the product is compared with f once; the
-        # terms dicts compare as the values do
+        # terms dicts compare as the values do, and mat_mul writes even codes
         is_f = [e._terms == f for e in product.table]
         for i, (js, ks) in enumerate(zip(product.columns, product.indices)):
             # row i must be f*e_i
-            if (js == (i,) and is_f[ks[0]]) if f else not js:
+            if (js == (i,) and is_f[ks[0] >> 1]) if f else not js:
                 continue
             expected = {i: mf.f}
             j = min(j for j in {*js, i} if product[i, j] != expected.get(j, Polynomial.zero()))
@@ -229,11 +240,19 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
 def _product_work(a: PolyMatrix, b: PolyMatrix) -> int:
     """The term products mat_mul(a, b) makes: for each stored a[i,k], its
     terms times all the terms of row k of b.  O(nnz) to compute, and it
-    counts the terms of each table entry once."""
-    terms_a = [len(e._terms) for e in a.table]
-    terms_b = terms_a if b.table is a.table else [len(e._terms) for e in b.table]
+    counts the terms of each table entry once, for both of its codes."""
+    terms_a = _term_counts(a.table)
+    terms_b = terms_a if b.table is a.table else _term_counts(b.table)
     row_terms = [sum(map(terms_b.__getitem__, ks)) for ks in b.indices]
     return sum([terms_a[ia] * row_terms[k] for js, ks in zip(a.columns, a.indices) for k, ia in zip(js, ks)])
+
+
+def _term_counts(table: tuple[Polynomial, ...]) -> list[int]:
+    """The term count of the entry each slot code reads, by the code."""
+    counts = [len(e._terms) for e in table]
+    out = [0] * (2 * len(counts))
+    out[::2] = out[1::2] = counts
+    return out
 
 
 def _quote(p: Polynomial) -> str:
@@ -259,8 +278,9 @@ def verify_randomized(
     coordinates uniform in [-B, B] for B = COORDINATE_BOUND, evaluates f
     and each distinct value once at x, and checks phi(x)*(psi(x)*r) =
     f(x)*r over the stored nonzeros, which read the values through their
-    table indices, in ints scaled by the lcm of the values' denominators:
-    O(nnz) work per trial.  Deterministic given the seed.  Never fails on
+    slot codes, in ints scaled by the lcm of the values' denominators (an
+    odd code's value is the negated int of its entry's): O(nnz) work per
+    trial.  Deterministic given the seed.  Never fails on
     a valid factorization.
 
     If phi*psi != f*I, some entry of (phi*psi - f*I)*r, read as a
@@ -283,9 +303,15 @@ def verify_randomized(
     phi, psi = mf.phi, mf.psi
     # each table entry's index into distinct, the values evaluated per trial
     index: dict[Polynomial, int] = {}
+    shared = psi.table is phi.table
     phi_at = [index.setdefault(e, len(index)) for e in phi.table]
-    psi_at = phi_at if psi.table is phi.table else [index.setdefault(e, len(index)) for e in psi.table]
+    psi_at = phi_at if shared else [index.setdefault(e, len(index)) for e in psi.table]
     distinct = list(index)
+    # the slot codes each factor uses; per table, its entries' indices into
+    # distinct and the odd codes of its factors, negated once per trial
+    phi_used, psi_used = set().union(*phi.indices), set().union(*psi.indices)
+    tables = [(phi_at, _odd_codes((phi_used, psi_used)))] if shared else [
+        (phi_at, _odd_codes((phi_used,))), (psi_at, _odd_codes((psi_used,)))]
     bits = [p.value_bits(COORDINATE_BOUND) for p in distinct]
     f_bits = mf.f.value_bits(COORDINATE_BOUND)
     top = max([f_bits, *bits])
@@ -295,7 +321,8 @@ def verify_randomized(
             f"reach {top} bits, over the cap of {EVALUATION_BIT_CAP}"
         )
     both_orders = mf.f.is_zero()
-    work = _trial_work(mf.size, f_bits, _extent(phi, phi_at, bits), _extent(psi, psi_at, bits), both_orders)
+    extents = (_extent(phi, phi_used, phi_at, bits), _extent(psi, psi_used, psi_at, bits))
+    work = _trial_work(mf.size, f_bits, *extents, both_orders)
     if work > TRIAL_WORK_CAP:
         raise EvaluationCapError(
             f"randomized verification skipped: one trial may take {work} products "
@@ -320,7 +347,8 @@ def verify_randomized(
         if scale != 1:
             values = [x.numerator * (scale // x.denominator) for x in values]
         want = fval.numerator * (scale * scale // fval.denominator)
-        phi_values, psi_values = ([values[k] for k in at] for at in (phi_at, psi_at))
+        by_code = [_by_code([values[k] for k in at], odd, neg) for at, odd in tables]
+        phi_values, psi_values = by_code[0], by_code[-1]
         if _apply(phi, phi_values, _apply(psi, psi_values, r)) != [want * x for x in r]:
             return False
         if both_orders and any(_apply(psi, psi_values, _apply(phi, phi_values, r))):
@@ -328,12 +356,11 @@ def verify_randomized(
     return True
 
 
-def _extent(m: PolyMatrix, at: list[int], bits: list[int]) -> tuple[int, int]:
+def _extent(m: PolyMatrix, used: set[int], at: list[int], bits: list[int]) -> tuple[int, int]:
     """The stored nonzeros of m, and the most value bits of any of them,
-    from the bits of each distinct value and its index at[k] for table
-    entry k."""
-    used = set().union(*m.indices)
-    return sum(map(len, m.indices)), max((bits[at[k]] for k in used), default=0)
+    from the slot codes m uses, the bits of each distinct value and its
+    index at[k] for table entry k."""
+    return sum(map(len, m.indices)), max((bits[at[k >> 1]] for k in used), default=0)
 
 
 def _trial_work(
@@ -369,7 +396,7 @@ def _words(bits: int) -> int:
 
 
 def _apply(m: PolyMatrix, values: list[int], v: list[int]) -> list[int]:
-    """The matrix m, with the value values[k] for table entry k, times the
+    """The matrix m, with the value values[k] for slot code k, times the
     vector v."""
     get_value, get_v = values.__getitem__, v.__getitem__
     return [sum(map(mul, map(get_value, ks), map(get_v, js))) for js, ks in zip(m.columns, m.indices)]

@@ -2,28 +2,38 @@
 
 A matrix stores `table`, a tuple of nonzero entries, and for each row i
 the pair (columns[i], indices[i]): its nonzero columns, strictly
-increasing, and the table index of the entry at each.  The paper's pairs
-are sparse (the standard method puts exactly k nonzeros in each row of a
-size-2^(k-1) pair) and their nonzeros hold a few distinct entries, so
-every operation walks the stored nonzeros, never the n^2 slots, and
-makes or reads each table entry once, never once per slot.  Matrices
-are immutable, so they share tables and row tuples freely.  A table may
-list a value twice: equality and hashing compare the values at each
-slot, never indices or table order.
+increasing, and the slot code of the entry at each.  Slot code 2k reads
+table[k] and 2k + 1 reads -table[k]: the sign is a bit of the index, so
+negating a slot is k ^ 1 and a table never lists an entry's negation.
+The paper's pairs are sparse (the standard method puts exactly k
+nonzeros in each row of a size-2^(k-1) pair) and their nonzeros hold a
+few distinct entries, so every operation walks the stored nonzeros,
+never the n^2 slots, and makes or reads each table entry once, never
+once per slot.  Matrices are immutable, so they share tables and row
+tuples freely.  A table may list a value twice: equality and hashing
+compare the values at each slot, never codes or table order.  A reader
+of values (`nonzeros`, `entries`, ==) negates an entry once per call for
+each odd code the rows use, and `texts` derives the text of a negation
+from its entry's.
 
 `mat_mul`, which every exact check runs, multiplies over packed
-exponents and integer coefficients, with each table entry packed once,
+exponents and integer coefficients, with each table entry packed once
+and its negation packed from that on the first read of an odd code,
 and decodes each distinct value of the product once, into a table that
-lists it once (a product equal to f*I stores f once).
-Negation negates the table and shares the rows; `kron` multiplies each
-pair of table entries once; `block2x2` and `direct_sum` concatenate the
-distinct tables of their blocks and offset the indices, so blocks over
-one table keep it.  The six blocks of `yoshino` index one table, and
-so do the rows of a standard step (Yoshino's product with a 1x1 pair,
-written directly), so both factors share it and a fold of steps keeps
-one short table.  A pair read from a document shares one table too:
-`MatrixFactorization.from_dict` parses both grids in one `from_strings`
-call.
+lists it once (a product equal to f*I stores f once).  Constructors,
+`from_strings` and `mat_mul` write even codes only.  Negation negates
+the table and shares the rows; `kron` multiplies each pair of used
+table entries once and gives each slot the xor of its two sign bits;
+`block2x2` and `direct_sum` concatenate the distinct tables of their
+blocks and shift the codes by twice the length of the tables before,
+so blocks over one table keep it.  The six blocks of `yoshino` index
+one table, the entries of its two inputs, and its negated blocks are
+the same codes with the bit flipped; so do the rows of a standard step
+(Yoshino's product with a 1x1 pair, written directly), whose -g and -h
+are the odd codes of g and h.  So both factors share one table, and a
+fold of steps keeps it short and negates no polynomial.  A pair read
+from a document shares one table too: `MatrixFactorization.from_dict`
+parses both grids in one `from_strings` call.
 """
 
 from __future__ import annotations
@@ -33,10 +43,10 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import add, attrgetter, neg
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 # mat_mul reads and builds term dicts directly (see Polynomial._terms).
-from .poly import Coeff, ExpKey, Polynomial, _coeff, _wrap, parse_polynomial
+from .poly import Coeff, ExpKey, Polynomial, _coeff, _negated_text, _wrap, parse_polynomial
 
 
 class MatrixError(ValueError):
@@ -52,8 +62,8 @@ _denominator = attrgetter("denominator")
 
 class PolyMatrix:
     """Immutable rows x cols matrix of canonical polynomials: a `table` of
-    nonzero entries, and per row its `columns` and the `indices` into
-    table of their entries."""
+    nonzero entries, and per row its `columns` and the `indices`, the
+    slot codes of their entries (2k for table[k], 2k + 1 for -table[k])."""
 
     __slots__ = ("rows", "cols", "table", "columns", "indices")
 
@@ -78,10 +88,14 @@ class PolyMatrix:
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
         """Dense read-only view, built on each access."""
-        return tuple(map(tuple, self._dense(self.table, _ZERO)))
+        return tuple(map(tuple, self._dense(self._values(), _ZERO)))
+
+    def _values(self) -> list[Polynomial | None]:
+        """The value of each slot code the rows use, read by the code."""
+        return _by_code(self.table, _odd_codes(self.indices), neg)
 
     def _dense(self, values, fill) -> list[list]:
-        """The grid of values[k] at each slot storing k, fill elsewhere."""
+        """The grid of values[k] at each slot of code k, fill elsewhere."""
         out = []
         for js, ks in zip(self.columns, self.indices):
             line = [fill] * self.cols
@@ -93,8 +107,9 @@ class PolyMatrix:
     def nonzeros(self) -> Iterator[tuple[int, int, Polynomial]]:
         """The stored entries as (row, column, entry), row by row with
         the columns increasing."""
+        values = self._values()
         for i, (js, ks) in enumerate(zip(self.columns, self.indices)):
-            yield from ((i, j, self.table[k]) for j, k in zip(js, ks))
+            yield from ((i, j, values[k]) for j, k in zip(js, ks))
 
     def __getitem__(self, idx: tuple[int, int]) -> Polynomial:
         i, j = idx
@@ -104,13 +119,16 @@ class PolyMatrix:
             raise IndexError(f"column {j} out of range for {self.cols} columns")
         js = self.columns[i]
         p = bisect_left(js, j)
-        return self.table[self.indices[i][p]] if p < len(js) and js[p] == j else _ZERO
+        if p == len(js) or js[p] != j:
+            return _ZERO
+        k = self.indices[i][p]
+        return -self.table[k >> 1] if k & 1 else self.table[k >> 1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix) or (self.rows, self.cols) != (other.rows, other.cols):
             return False
         # where the columns agree, the slots pair up in one flat pass
-        flat = (list(map(m.table.__getitem__, chain.from_iterable(m.indices))) for m in (self, other))
+        flat = (list(map(m._values().__getitem__, chain.from_iterable(m.indices))) for m in (self, other))
         return self.columns == other.columns and next(flat) == next(flat)
 
     def __hash__(self) -> int:
@@ -127,7 +145,8 @@ class PolyMatrix:
         return _from_row_maps(out, self.cols, self.rows)
 
     def __neg__(self) -> "PolyMatrix":
-        """Negates each table entry once and shares the rows."""
+        """Negates each table entry once and shares the rows, codes and
+        sign bits alike."""
         return _sparse(tuple(map(neg, self.table)), self.columns, self.indices, self.rows, self.cols)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -143,8 +162,8 @@ class PolyMatrix:
 
     def texts(self) -> list[list[str]]:
         """The dense grid of entry texts, "0" where no entry is stored:
-        str once per table entry the rows use."""
-        return self._dense({k: str(self.table[k]) for k in set().union(*self.indices)}, "0")
+        str once per distinct value the rows use (see `_slot_texts`)."""
+        return self._dense(_slot_texts(self.table, self.indices), "0")
 
     def render(self) -> str:
         """Text form: rows on lines, entries comma-separated."""
@@ -178,13 +197,36 @@ def _from_row_maps(
     row_maps: Iterable[dict[int, Polynomial]], rows: int, cols: int, m: PolyMatrix | None = None
 ) -> PolyMatrix:
     """A matrix from {column: nonzero entry} maps whose columns increase,
-    with one table entry per distinct value."""
+    with one table entry per distinct value, at even codes."""
     index: dict[Polynomial, int] = {}
     columns, indices = [], []
     for row in row_maps:
         columns.append(tuple(row))
-        indices.append(tuple([index.setdefault(e, len(index)) for e in row.values()]))
+        indices.append(tuple([2 * index.setdefault(e, len(index)) for e in row.values()]))
     return _sparse(tuple(index), columns, indices, rows, cols, m)
+
+
+def _odd_codes(rows: Iterable[Ints]) -> list[int]:
+    """The odd slot codes that rows use, each once."""
+    return [k for k in set().union(*rows) if k & 1]
+
+
+def _by_code(values: Sequence, odd: Iterable[int], negate: Callable) -> list:
+    """A list read by slot code: values[k] at 2k, negate(values[k]) at
+    each odd code 2k + 1 of odd, and None at the other odd codes."""
+    out = [None] * (2 * len(values))
+    out[::2] = values
+    for k in odd:
+        out[k] = negate(values[k >> 1])
+    return out
+
+
+def _slot_texts(table: Sequence[Polynomial], rows: Iterable[Ints]) -> dict[int, str]:
+    """The text of each slot code that rows use.  Each distinct value is
+    formatted once, and the text of its negation is derived from that
+    text once, without negating the value."""
+    texts = _Memo(lambda key: _negated_text(texts[0, key[1]]) if key[0] else str(key[1]))
+    return {k: texts[k & 1, table[k >> 1]] for k in set().union(*rows)}
 
 
 def _shifted(rows: Sequence[Ints], by: int) -> Sequence[Ints]:
@@ -194,11 +236,11 @@ def _shifted(rows: Sequence[Ints], by: int) -> Sequence[Ints]:
 
 def _on_one_table(a: PolyMatrix, b: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """a and b over one table: a's, then b's unless b shares it (b's
-    indices shift past a's)."""
+    codes shift past a's)."""
     if b.table is a.table:
         return a, b
     table = a.table + b.table
-    indices = _shifted(b.indices, len(a.table))
+    indices = _shifted(b.indices, 2 * len(a.table))
     return _sparse(table, a.columns, a.indices, a.rows, a.cols), _sparse(table, b.columns, indices, b.rows, b.cols)
 
 
@@ -207,13 +249,13 @@ def from_strings(rows: Iterable[list[str]]) -> PolyMatrix:
     strings of one length, in one pass.
 
     "0" slots are skipped unparsed; every other distinct text is parsed
-    once per call into one table entry, which its slots index (most
+    once per call into one table entry, whose even code its slots hold (most
     entries of a serialized pair are "0" or repeats of a few
     polynomials).  A text that parses to zero (" 0", "x - x") stores
     nothing.  Raises MatrixError for a row that is not a list of strings
     or whose length differs from the first row's.
     """
-    index: dict[str, int | None] = {}  # text -> table index, None for zero
+    index: dict[str, int | None] = {}  # text -> slot code, None for zero
     table: list[Polynomial] = []
 
     def entry(text: str) -> int | None:
@@ -221,7 +263,7 @@ def from_strings(rows: Iterable[list[str]]) -> PolyMatrix:
             _not_text()
         if text not in index:
             p = parse_polynomial(text)
-            index[text] = len(table) if p else None
+            index[text] = 2 * len(table) if p else None
             table.extend([p] if p else [])
         return index[text]
 
@@ -273,12 +315,15 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
     Each distinct table (a table a and b share, once) is profiled in one
     pass and its entries packed once per call, into a list every slot
-    reads by its index.  A row's nonzero sums are grouped by column, and
+    reads by its code; an odd code's negated entry is packed from its
+    entry's packing by flipping the sums, on the first read of the code,
+    so a product of factors with no odd code packs no negation.  A row's
+    nonzero sums are grouped by column, and
     an output entry is found by its packed {key: sum} terms, bucketed by
     their two sums: each distinct value is decoded once per call (each
     packed key and scaled sum in it, once per call too), and every slot
-    holding it indexes one table entry.  So the product's table lists
-    each distinct value once, and a product equal to f*I stores f once.
+    holding it holds one even code.  So the product's table lists each
+    distinct value once, and a product equal to f*I stores f once.
     """
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
@@ -317,20 +362,26 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             packed += x * place[v]
         packs[k] = packed
     pack = packs.__getitem__
+    # each table's packed terms by slot code: `packed[k] or negate(k)`
+    # reads them, and packs an odd code on its first read
     packed_tables = [
-        [list(zip(map(pack, e._terms), e._terms.values())) for e in t] if s == 1 else
-        [[(packs[k], c.numerator * (s // c.denominator)) for k, c in e._terms.items()] for e in t]
+        _by_code(
+            [list(zip(map(pack, e._terms), e._terms.values())) for e in t] if s == 1 else
+            [[(packs[k], c.numerator * (s // c.denominator)) for k, c in e._terms.items()] for e in t],
+            (), None,
+        )
         for t, s in zip(tables, scales)
     ]
     packed_a, packed_b = packed_tables[0], packed_tables[-1]
+    negate_a, negate_b = _negating(packed_a), _negating(packed_b)
     b_rows = [
-        [(j * radix + key, c) for j, k in zip(js, ks) for key, c in packed_b[k]]
+        [(j * radix + key, c) for j, k in zip(js, ks) for key, c in packed_b[k] or negate_b(k)]
         for js, ks in zip(b.columns, b.indices)
     ]
     scale = scales[0] * scales[-1]
     decode = _Memo(lambda packed: _unpack(packed, digits)).__getitem__
     coeff = _Memo(lambda c: _coeff(Fraction(c, scale))).__getitem__
-    # (sum of packed keys, sum of scaled sums) -> [(packed terms, table index)]
+    # (sum of packed keys, sum of scaled sums) -> [(packed terms, slot code)]
     index: dict[tuple[int, int], list[tuple[dict[int, int], int]]] = {}
     table: list[Polynomial] = []
     columns, indices = [], []
@@ -339,7 +390,7 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         get = acc.get
         for k, ia in zip(acols, aidx):
             brow = b_rows[k]
-            for ka, ca in packed_a[ia]:
+            for ka, ca in packed_a[ia] or negate_a(ia):
                 for kb, cb in brow:
                     key = ka + kb
                     acc[key] = get(key, 0) + ca * cb
@@ -360,7 +411,7 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                 if other == entry:
                     break
             else:
-                k = len(table)
+                k = 2 * len(table)
                 bucket.append((entry, k))
                 values = entry.values() if scale == 1 else map(coeff, entry.values())
                 table.append(_wrap(dict(zip(map(decode, entry), values))))
@@ -368,6 +419,18 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         columns.append(tuple(js))
         indices.append(tuple(ks))
     return _sparse(tuple(table), columns, indices, a.rows, b.cols)
+
+
+def _negating(packed: list) -> Callable[[int], list[tuple[int, int]]]:
+    """The function that packs odd code k of packed, a table's packed
+    terms by slot code: the terms of its entry with every sum negated,
+    stored in packed and returned."""
+
+    def negate(k: int) -> list[tuple[int, int]]:
+        terms = packed[k] = [(key, -c) for key, c in packed[k - 1]]
+        return terms
+
+    return negate
 
 
 class _Memo(dict):
@@ -398,27 +461,41 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Kronecker product with row-major blocks: block (i,j) is a[i,j] * b.
 
     Each pair of a used table entry of a and one of b (every row of a
-    meets every row of b) is multiplied once, before any row is written,
-    and every slot of that product indexes it.  A product with the
-    constant one is the other entry object itself: kron(a, identity(m))
-    and kron(identity(n), b) multiply no polynomial and hold exactly the
-    entry objects of a or b (where such an entry is one too, either one
-    may be held).  Products of nonzero polynomials are nonzero.
+    meets every row of b) is multiplied once, whatever the signs of the
+    slots that use them, before any row is written; every slot of that
+    product holds its code, with the xor of the two slots' sign bits.  A
+    product with the constant one is the other entry object itself:
+    kron(a, identity(m)) and kron(identity(n), b) multiply no polynomial
+    and hold exactly the table entries of a or b (where such an entry is
+    one too, either one may be held).  Products of nonzero polynomials
+    are nonzero.
     """
     ta, tb, width = a.table, b.table, b.cols
-    made: list[list[int]] = [[]] * len(ta)  # made[ia][ib]: the table index of ta[ia] * tb[ib]
-    kept: dict[tuple[int, int], int] = {}  # (0, ia), (1, ib) or (2, k): where ta[ia], tb[ib] or a product is
-    ones = [(ib, tb[ib].is_one()) for ib in set().union(*b.indices)]
+    # made[ka][kb]: the slot code of the product of the slots of codes ka and kb
+    made: list[list[int]] = [[]] * (2 * len(ta))
+    kept: dict[tuple[int, int], int] = {}  # (0, x) or (1, y): the code of ta[x] or tb[y], passed through
+    ones = [(y, 2 * y, tb[y].is_one()) for y in {k >> 1 for k in set().union(*b.indices)}]
     table: list[Polynomial] = []
-    for ia in set().union(*a.indices):
-        x, row = ta[ia], [0] * len(tb)
-        made[ia], x_one = row, x.is_one()
-        for ib, y_one in ones:
-            # a product with one is the other entry, listed once however often
-            key = (1, ib) if x_one else (0, ia) if y_one else (2, len(table))
-            k = row[ib] = kept.setdefault(key, len(table))
-            if k == len(table):
-                table.append(tb[ib] if x_one else x if y_one else x * tb[ib])
+    used = set().union(*a.indices)
+    for x in {k >> 1 for k in used}:
+        e, row = ta[x], [0] * (2 * len(tb))
+        made[2 * x], x_one = row, e.is_one()
+        for y, at, y_one in ones:
+            if x_one or y_one:
+                # a product with one is the other entry, listed once however often
+                key = (1, y) if x_one else (0, x)
+                k = kept.get(key)
+                if k is None:
+                    k = kept[key] = 2 * len(table)
+                    table.append(tb[y] if x_one else e)
+            else:
+                k = 2 * len(table)
+                table.append(e * tb[y])
+            row[at] = k
+            row[at + 1] = k + 1
+    for k in used:
+        if k & 1:
+            made[k] = [c ^ 1 for c in made[k - 1]]
     columns, indices = [], []
     for acols, aidx in zip(a.columns, a.indices):
         offsets = [j * width for j in acols]
@@ -440,8 +517,8 @@ def block2x2(a: PolyMatrix, b: PolyMatrix, c: PolyMatrix, d: PolyMatrix) -> Poly
     """Assemble [[a, b], [c, d]] from conformable blocks.
 
     The table is the distinct tables of the blocks, in block order (the
-    one table itself when the blocks share it), and each block's indices
-    shift by its table's offset.  An output row joins the left block's
+    one table itself when the blocks share it), and each block's codes
+    shift by twice its table's offset.  An output row joins the left block's
     row and the right block's, whose columns shift by the left width.
     """
     top, bottom, left, right = a.rows, c.rows, a.cols, b.cols
@@ -454,7 +531,7 @@ def block2x2(a: PolyMatrix, b: PolyMatrix, c: PolyMatrix, d: PolyMatrix) -> Poly
         for t in tables:
             if t is x.table:
                 break
-            offset += len(t)
+            offset += 2 * len(t)
         else:
             tables.append(x.table)
         rows.append((_shifted(x.columns, at), _shifted(x.indices, offset)))

@@ -378,6 +378,16 @@ def _format_term(coeff: Coeff, exps: ExpKey, leading: bool) -> str:
     return f" {sign} {body}"
 
 
+def _negated_text(text: str) -> str:
+    """str(-p) read from text = str(p) for a nonzero p, without building
+    -p: a term's text holds no space, so the words of text are the
+    leading term, then each sign and its term ("x - 2y" gives "-x + 2y")."""
+    words = text.split(" ")
+    words[0] = words[0][1:] if words[0][0] == "-" else f"-{words[0]}"
+    words[1::2] = ["-" if sign == "+" else "+" for sign in words[1::2]]
+    return " ".join(words)
+
+
 # Python converts an int of more than sys.get_int_max_str_digits() digits
 # (4300 by default, never below 640) to or from decimal text only in
 # pieces, so numerals go through these two in chunks of _CHUNK digits:

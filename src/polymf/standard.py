@@ -61,9 +61,9 @@ def _one_by_one(f: Polynomial, a: Polynomial, b: Polynomial) -> MatrixFactorizat
     """The 1x1 pair ([a], [b]) of f = a*b over one table of its nonzero
     entries, unchecked."""
     table = tuple(filter(None, (a, b)))
-    # each factor's one row: column 0 at its entry's table index, if stored
+    # each factor's one row: column 0 at its entry's code, if stored
     phi, psi = (_sparse(table, [(0,) if e else ()], [(k,) if e else ()], 1, 1)
-                for e, k in ((a, 0), (b, len(table) - 1)))
+                for e, k in ((a, 0), (b, 2 * len(table) - 2)))
     return make_factorization(f, phi, psi, verify="skip")
 
 
@@ -81,8 +81,9 @@ def standard_step(
     Output row i joins the left block's row i and the right block's,
     whose columns shift by n; row i of a diagonal block is column i at
     its entry, or empty for a zero entry.  Both factors share one table:
-    mf's, then the nonzero ones of g, h, -g and -h, so g and h are
-    negated once each."""
+    mf's, then the nonzero ones of g and h.  The rows of -g and -h hold
+    the codes of g and h with the sign bit set, so no polynomial is
+    negated."""
     if variant not in _STEPS:
         raise ValueError(f"unknown standard-method variant {variant!r}")
     n = mf.size
@@ -92,12 +93,13 @@ def standard_step(
     rows = {"C": (c.columns, _shifted(c.columns, n), c.indices),
             "D": (d.columns, _shifted(d.columns, n), d.indices)}
     diagonal = list(zip(range(n))), list(zip(range(n, 2 * n)))
-    for name, e in (("g", g), ("h", h), ("-g", -g), ("-h", -h)):
+    for name, e in (("g", g), ("h", h)):
         if e:
-            rows[name] = (*diagonal, ((len(table),),) * n)
+            k = 2 * len(table)
+            rows[name], rows[f"-{name}"] = ((*diagonal, ((code,),) * n) for code in (k, k + 1))
             table += (e,)
         else:
-            rows[name] = (((),) * n,) * 3
+            rows[name] = rows[f"-{name}"] = (((),) * n,) * 3
 
     def factor(layout):
         (lc, _, lk), (_, rc, rk), (lc2, _, lk2), (_, rc2, rk2) = map(rows.__getitem__, layout)

@@ -18,8 +18,6 @@ verification is the arbiter.
 
 from __future__ import annotations
 
-from operator import neg
-
 from .factorization import (
     MatrixFactorization,
     Morphism,
@@ -63,9 +61,10 @@ def yoshino(
     `_LAYOUTS` entry, through block2x2.  No Kronecker product is taken:
     row i*m + p of phi (x) 1_m is row i of phi at columns j*m + p, and
     row i*m + p of 1_n (x) phi' is row p of phi' at columns i*m + q.
-    All six blocks index one table: the entries of x, those of y and
-    their negations, so the negated blocks cost y's table, not its
-    nonzeros, and both factors share it.  No polynomial is multiplied.
+    All six blocks index one table, the entries of x and then those of
+    y, and both factors share it.  A negated block holds the codes of
+    its positive twin with the sign bit flipped, so no polynomial is
+    multiplied or negated.
     """
     if variant not in _LAYOUTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {YOSHINO_VARIANTS}")
@@ -73,20 +72,21 @@ def yoshino(
     nm = n * m
     xphi, xpsi = _on_one_table(x.phi, x.psi)
     yphi, ypsi = _on_one_table(y.phi, y.psi)
-    table = xphi.table + yphi.table + tuple(map(neg, yphi.table))
-    at_y, at_neg = len(xphi.table), len(xphi.table) + len(yphi.table)
+    table = xphi.table + yphi.table
+    at_y = 2 * len(xphi.table)
 
     def spread(a: PolyMatrix) -> PolyMatrix:
-        """a (x) 1_m, whose indices stand, since x's entries lead the table."""
+        """a (x) 1_m, whose codes stand, since x's entries lead the table."""
         columns = [tuple([j * m + p for j in js]) for js in a.columns for p in range(m)]
         return _sparse(table, columns, [ks for ks in a.indices for _ in range(m)], nm, nm)
 
     def tiles(b: PolyMatrix) -> list[PolyMatrix]:
-        """1_n (x) b over y's entries, and over their negations."""
+        """1_n (x) b over y's entries, and its negation: the same codes
+        with the sign bit flipped."""
         columns = [tuple([q + i for q in js]) for i in range(0, nm, m) for js in b.columns]
         return [
-            _sparse(table, columns, [tuple([k + at for k in ks]) for ks in b.indices] * n, nm, nm)
-            for at in (at_y, at_neg)
+            _sparse(table, columns, [tuple([(k ^ flip) + at_y for k in ks]) for ks in b.indices] * n, nm, nm)
+            for flip in (0, 1)
         ]
 
     blocks = {"P": spread(xphi), "S": spread(xpsi)}

@@ -96,14 +96,32 @@ def poly_matrices(draw, rows: int = 2, cols: int = 2, entries=None) -> PolyMatri
 def relaid(m: PolyMatrix, seed: int) -> PolyMatrix:
     """m rebuilt from the same (row, column, value) slots over another
     table: each entry listed twice, as itself and as an equal copy, in a
-    shuffled order, each slot indexing one of the two at random."""
+    shuffled order, each slot indexing one of the two at random with its
+    own sign bit."""
     rng = random.Random(seed)
     doubled = list(m.table) + [parse_polynomial(str(e)) for e in m.table]
     order = list(range(len(doubled)))
     rng.shuffle(order)
     moved = {old: new for new, old in enumerate(order)}
-    indices = [tuple(moved[k + len(m.table) * rng.randrange(2)] for k in ks) for ks in m.indices]
+    indices = [
+        tuple(2 * moved[(k >> 1) + len(m.table) * rng.randrange(2)] + (k & 1) for k in ks) for ks in m.indices
+    ]
     return _sparse(tuple(doubled[old] for old in order), m.columns, indices, m.rows, m.cols)
+
+
+def flipped(m: PolyMatrix, flips) -> PolyMatrix:
+    """m over its own table with the sign bit of each slot flipped where
+    flips, a sequence of bits over its stored slots row by row, is 1."""
+    bits = iter(flips)
+    return _sparse(m.table, m.columns, [tuple(k ^ next(bits) for k in ks) for ks in m.indices], m.rows, m.cols)
+
+
+def materialized(m: PolyMatrix) -> PolyMatrix:
+    """m at even codes only: its table followed by the negation of each
+    entry, with each odd code 2k + 1 moved to that negation's code."""
+    n = len(m.table)
+    indices = [tuple(k + 2 * n - 1 if k & 1 else k for k in ks) for ks in m.indices]
+    return _sparse(m.table + tuple(-e for e in m.table), m.columns, indices, m.rows, m.cols)
 
 
 @pytest.fixture

@@ -17,8 +17,10 @@ from polymf import (
     PolyMatrix,
     SummandReducedPoly,
     VerificationError,
+    block2x2,
     certify,
     compose,
+    direct_sum,
     from_strings,
     identity,
     identity_morphism,
@@ -44,7 +46,16 @@ from polymf.factorization import (
     TRIAL_WORK_CAP,
 )
 
-from conftest import factorizations, nonzero_polynomials, poly_matrices, polynomials, relaid, scaled_two_product_pair
+from conftest import (
+    factorizations,
+    flipped,
+    materialized,
+    nonzero_polynomials,
+    poly_matrices,
+    polynomials,
+    relaid,
+    scaled_two_product_pair,
+)
 
 
 def with_phi_entry(mf, i, j, value):
@@ -214,8 +225,13 @@ class TestVerifyRandomized:
 
     @pytest.mark.parametrize("trials", [1, 3])
     def test_evaluates_each_distinct_entry_once_per_trial(self, monkeypatch, trials):
+        """One evaluation per distinct table value and one of f, per trial:
+        a slot of the negation of an entry negates its entry's int."""
         good, _ = improved_128_case([["xy + z^2", "x + y"], ["x + z", "y + z"]])
-        distinct = {e for m in (good.phi, good.psi) for _, _, e in m.nonzeros()}
+        distinct = set(good.phi.table) | set(good.psi.table)
+        values = {e for m in (good.phi, good.psi) for _, _, e in m.nonzeros()}
+        # the slots hold more values than the tables: the negations are codes
+        assert values <= distinct | {-e for e in distinct} and len(values) > len(distinct)
         evaluate = Polynomial.evaluate
         calls = []
 
@@ -442,6 +458,49 @@ class TestTableLayout:
         assert again.phi.texts() == x.phi.texts()
 
 
+class TestSignBits:
+    """A matrix whose slots negate their entries by the sign bit of their
+    codes reads, computes and checks as its materialized twin, which holds
+    those negations in its table at even codes."""
+
+    @given(factorizations(), factorizations(max_steps=1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_flipped_matrices_agree_with_their_materialized_twins(self, mf, other, data):
+        def bits(count):
+            return data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+
+        def random_flips(m):
+            return flipped(m, bits(sum(map(len, m.indices))))
+
+        phi, psi, y = random_flips(mf.phi), random_flips(mf.psi), random_flips(other.phi)
+        pairs = [(m, materialized(m)) for m in (phi, psi, y)]
+        for m, twin in pairs:
+            assert m == twin and hash(m) == hash(twin) and -m == -twin
+            assert list(m.nonzeros()) == list(twin.nonzeros())
+            assert all(m[i, j] == twin[i, j] for i in range(m.rows) for j in range(m.cols))
+            assert m.texts() == twin.texts() and m.transpose() == twin.transpose()
+        (a, ta), (b, tb), (c, tc) = pairs
+        assert a + b == ta + tb and a + -a == ta + -ta
+        assert mat_mul(a, b) == mat_mul(ta, tb) and mat_mul(b, a) == mat_mul(tb, ta)
+        assert kron(a, c) == kron(ta, tc) and kron(c, b) == kron(tc, tb)
+        assert block2x2(a, b, -b, a) == block2x2(ta, tb, -tb, ta)
+        assert direct_sum(a, c) == direct_sum(ta, tc) and direct_sum(c, c) == direct_sum(tc, tc)
+        # one sign per index, on phi's rows and psi's columns, keeps the pair valid
+        signs = bits(mf.size)
+        valid = MatrixFactorization(
+            mf.f,
+            flipped(mf.phi, [signs[i] for i, js in enumerate(mf.phi.columns) for _ in js]),
+            flipped(mf.psi, [signs[j] for js in mf.psi.columns for j in js]),
+        )
+        seed = data.draw(st.integers(0, 2**32))
+        for pair in (valid, MatrixFactorization(mf.f, phi, psi)):
+            twin = MatrixFactorization(pair.f, materialized(pair.phi), materialized(pair.psi))
+            assert verify_exact(pair) == verify_exact(twin)
+            assert verify_randomized(pair, trials=2, seed=seed) == verify_randomized(twin, trials=2, seed=seed)
+            assert pair.to_dict() == twin.to_dict()
+        assert verify_exact(valid) == (True, "ok")
+
+
 class StopTrial(Exception):
     """Raised in place of a trial once its work is estimated."""
 
@@ -477,18 +536,23 @@ class TestSerialization:
 
     def test_shared_table_formats_each_used_entry_once(self, monkeypatch):
         """The factors of the refined two-product pair share one table:
-        each entry either of them uses is formatted once, into the grids
-        of their own texts()."""
+        each distinct value either of them uses is formatted once, whatever
+        the codes and signs that read it, into the grids of their own
+        texts(); a negation's text is derived from its value's."""
         mf = run_refined(SummandReducedPoly.from_strings(*TWO_PRODUCT), verify="skip")
         assert mf.phi.table is mf.psi.table
         want = {"f": str(mf.f), "size": mf.size, "phi": mf.phi.texts(), "psi": mf.psi.texts()}
         used = set().union(*mf.phi.indices, *mf.psi.indices)
-        formatted = []
-        real = Polynomial.__str__
+        values = {mf.phi.table[k >> 1] for k in used}
+        assert len(values) < len(used)
+        formatted, negated = [], []
+        real, real_neg = Polynomial.__str__, Polynomial.__neg__
         monkeypatch.setattr(Polynomial, "__str__", lambda q: formatted.append(q) or real(q))
+        monkeypatch.setattr(Polynomial, "__neg__", lambda q: negated.append(q) or real_neg(q))
         assert mf.to_dict() == want
         # one more call formats f
-        assert len(formatted) == len(used) + 1
+        assert len(formatted) == len(set(formatted)) == len(values) + 1
+        assert negated == []
 
     def test_size_field_is_checked(self):
         doc = fixtures.pair_m().to_dict()

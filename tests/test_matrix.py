@@ -41,15 +41,16 @@ def m(rows):
 
 def assert_sparse(a):
     """The layout invariants: one (columns, indices) pair per row, the
-    columns strictly increasing and in range, every index in the table,
-    and no zero table entry; and the dense view, with the shape,
-    rebuilds the same matrix."""
+    columns strictly increasing and in range, every slot code reading a
+    table entry (2k for table[k], 2k + 1 for its negation), and no zero
+    table entry; and the dense view, with the shape, rebuilds the same
+    matrix."""
     assert len(a.columns) == len(a.indices) == a.rows
     assert all(a.table)
     for js, ks in zip(a.columns, a.indices):
         assert len(js) == len(ks)
         assert all(0 <= j < a.cols for j in js) and all(j < k for j, k in zip(js, js[1:]))
-        assert all(0 <= k < len(a.table) for k in ks)
+        assert all(0 <= k < 2 * len(a.table) for k in ks)
     assert PolyMatrix(a.entries, a.rows, a.cols) == a
 
 
@@ -413,10 +414,10 @@ class TestTableLayout:
 
     def test_tables_in_another_order_are_equal(self):
         x, y = parse_polynomial("x"), parse_polynomial("y")
-        a = matrix._sparse((x, y), [(0, 1)], [(0, 1)], 1, 2)
-        b = matrix._sparse((y, x, parse_polynomial("x")), [(0, 1)], [(2, 0)], 1, 2)
+        a = matrix._sparse((x, y), [(0, 1)], [(0, 2)], 1, 2)
+        b = matrix._sparse((y, x, parse_polynomial("x")), [(0, 1)], [(4, 0)], 1, 2)
         assert a == b and hash(a) == hash(b)
-        assert a != matrix._sparse((y, x), [(0, 1)], [(0, 1)], 1, 2)
+        assert a != matrix._sparse((y, x), [(0, 1)], [(0, 2)], 1, 2)
 
 
 class TestShuffle:
@@ -585,7 +586,7 @@ class TestKroneckerWithOne:
         lists that entry once, so a later product multiplies it once."""
         x = parse_polynomial("x")
         one, other_one = parse_polynomial("1"), parse_polynomial("1")
-        k = kron(PolyMatrix([[x]]), matrix._sparse((one, other_one), [(0, 1)], [(0, 1)], 1, 2))
+        k = kron(PolyMatrix([[x]]), matrix._sparse((one, other_one), [(0, 1)], [(0, 2)], 1, 2))
         assert k == PolyMatrix([[x, x]]) and k.table == (x,) and k[0, 0] is x
 
     def test_ones_inside_a_factor_are_reused(self):

@@ -16,7 +16,7 @@ from polymf import (
     parse_polynomial,
 )
 
-from polymf.poly import _coeff, _split_key, _times_key
+from polymf.poly import _coeff, _negated_text, _split_key, _times_key
 from polymf.standard import _split_pairs
 
 from conftest import polynomials, rational_polynomials, split_by_flat_list
@@ -115,6 +115,16 @@ class TestCanonicalForm:
     @settings(max_examples=100)
     def test_str_round_trips(self, q):
         assert parse_polynomial(str(q)) == q
+
+    @given(st.one_of(polynomials(max_terms=4), rational_polynomials(max_terms=4)).filter(bool))
+    @settings(max_examples=100)
+    def test_negated_text_is_the_text_of_the_negation(self, q):
+        assert _negated_text(str(q)) == str(-q)
+        assert _negated_text(_negated_text(str(q))) == str(q)
+
+    def test_negated_text_of_long_numerals(self):
+        q = p(f"-{'9' * 5000}/7 x^12 + y - 1")
+        assert _negated_text(str(q)) == str(-q) == f"{'9' * 5000}/7*x^12 - y + 1"
 
     def test_constructor_refuses_a_name_the_parser_refuses(self):
         # it would print 3*x"y^2, which does not parse

@@ -22,7 +22,7 @@ from polymf import (
     verify_exact,
 )
 
-from polymf.standard import _one_by_one, _split_pairs
+from polymf.standard import _STEPS, _one_by_one, _split_pairs
 from polymf.tensor import yoshino
 
 from conftest import factorizations, nonzero_polynomials, polynomials, rational_polynomials, split_by_flat_list
@@ -133,7 +133,8 @@ class TestStandardStep:
 
     @pytest.mark.parametrize("variant", STANDARD_VARIANTS)
     def test_negates_g_and_h_once_each(self, monkeypatch, variant):
-        """Two negations per step: the table needs -g and -h, nothing else."""
+        """-g and -h are the codes of g and h with the sign bit set: the
+        table gains g and h, nothing else, and no polynomial is negated."""
         negated = []
         real = Polynomial.__neg__
 
@@ -144,8 +145,19 @@ class TestStandardStep:
         mf = standard_factorize_polynomial(p("xy + x^2 + 2y^3"), verify="skip")
         g, h = p("z + 1"), p("3w")
         monkeypatch.setattr(Polynomial, "__neg__", spy)
-        standard_step(mf, g, h, variant, verify="skip")
-        assert len(negated) == 2 and set(negated) == {g, h}
+        stepped = standard_step(mf, g, h, variant, verify="skip")
+        assert negated == []
+        table, n = stepped.phi.table, mf.size
+        assert stepped.psi.table is table and table == mf.phi.table + (g, h)
+        at = 2 * len(mf.phi.table)  # the code of g; h's follows it
+        codes = {"g": at, "-g": at + 1, "h": at + 2, "-h": at + 3}
+        for m, layout in zip((stepped.phi, stepped.psi), _STEPS[variant]):
+            for position, name in enumerate(layout):
+                if name in codes:
+                    top, left = divmod(position, 2)
+                    for i in range(n):
+                        row = zip(m.columns[top * n + i], m.indices[top * n + i])
+                        assert (left * n + i, codes[name]) in row
 
     def test_negates_polynomials_not_matrices(self, monkeypatch):
         def never(m):

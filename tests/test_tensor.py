@@ -30,6 +30,15 @@ from polymf import fixtures, matrix, tensor
 from conftest import factorizations, nonzero_polynomials
 
 
+def quadrant(m, position, half):
+    """The (column, slot code) pairs of each row of block position of m
+    (0 top left, 1 top right, 2 bottom left, 3 bottom right), columns
+    counted from the block's left edge."""
+    top, left = divmod(position, 2)
+    rows = zip(m.columns[top * half:(top + 1) * half], m.indices[top * half:(top + 1) * half])
+    return [[(j - left * half, k) for j, k in zip(js, ks) if left * half <= j < (left + 1) * half] for js, ks in rows]
+
+
 class TestYoshino:
     def test_size_and_target(self):
         x, y = fixtures.pair_m(), fixtures.pair_p()
@@ -45,18 +54,24 @@ class TestYoshino:
 
     @pytest.mark.parametrize("variant", YOSHINO_VARIANTS)
     def test_each_variant_negates_two_blocks(self, variant, monkeypatch):
-        """The two negated blocks cost the entries of y, each negated once
-        for both, and no matrix is negated."""
+        """The two negated blocks are the blocks of y's entries with every
+        sign bit flipped: no polynomial and no matrix is negated, and the
+        table holds the entries of x and y, each once."""
         x, y = fixtures.pair_m(), fixtures.pair_p()
-        entries = {id(e) for m in (y.phi, y.psi) for _, _, e in m.nonzeros()}
         negated, calls = [], []
         real, real_poly = PolyMatrix.__neg__, Polynomial.__neg__
         monkeypatch.setattr(PolyMatrix, "__neg__", lambda m: negated.append(m) or real(m))
         monkeypatch.setattr(Polynomial, "__neg__", lambda p: calls.append(p) or real_poly(p))
-        yoshino(x, y, variant, verify="skip")
-        assert negated == []
-        assert len(calls) == len({id(p) for p in calls}) == len(entries)
-        assert {id(p) for p in calls} == entries
+        t = yoshino(x, y, variant, verify="skip")
+        assert negated == [] and calls == []
+        assert t.phi.table is t.psi.table and t.phi.table == x.phi.table + y.phi.table
+        blocks = {}
+        for m, layout in zip((t.phi, t.psi), tensor._LAYOUTS[variant]):
+            for position, name in enumerate(layout):
+                blocks[name] = quadrant(m, position, x.size * y.size)
+        for name in ("KP", "KS"):
+            assert all(k % 2 == 0 for row in blocks[name] for _, k in row)
+            assert blocks[f"-{name}"] == [[(j, k ^ 1) for j, k in row] for row in blocks[name]]
 
     @pytest.mark.parametrize("variant", YOSHINO_VARIANTS)
     def test_blocks_reuse_the_input_objects(self, variant, monkeypatch):
