@@ -118,6 +118,9 @@ class MatrixFactorization:
         table, as a pipeline pair's do."""
         if not isinstance(data, dict):
             raise MatrixError("a factorization document must be a JSON object")
+        for key in ("f", "phi", "psi"):
+            if key not in data:
+                raise MatrixError(f"a factorization document needs the key {key!r}")
         if not isinstance(data["f"], str):
             raise MatrixError("'f' must be a string")
         phi, psi = data["phi"], data["psi"]

@@ -20,8 +20,11 @@ from its entry's.
 exponents and integer coefficients, with each table entry packed once
 and its negation packed from that on the first read of an odd code,
 and decodes each distinct value of the product once, into a table that
-lists it once (a product equal to f*I stores f once).  Constructors,
-`from_strings` and `mat_mul` write even codes only.  Negation negates
+lists it once (a product equal to f*I stores f once).  Constructors and
+`mat_mul` write even codes only; `from_strings` writes an odd code for a
+one-term text whose sign twin it read before ("-x^2y" after "x^2y", or
+the reverse), so a document's table lists one entry per value up to
+sign, as a pipeline's does.  Negation negates
 the table and shares the rows; `kron` multiplies each pair of used
 table entries once and gives each slot the xor of its two sign bits;
 `block2x2` and `direct_sum` concatenate the distinct tables of their
@@ -225,8 +228,8 @@ def _slot_texts(table: Sequence[Polynomial], rows: Iterable[Ints]) -> dict[int, 
     """The text of each slot code that rows use.  Each distinct value is
     formatted once, and the text of its negation is derived from that
     text once, without negating the value."""
-    texts = _Memo(lambda key: _negated_text(texts[0, key[1]]) if key[0] else str(key[1]))
-    return {k: texts[k & 1, table[k >> 1]] for k in set().union(*rows)}
+    texts, negated = _Memo(str), _Memo(_negated_text)
+    return {k: negated[texts[table[k >> 1]]] if k & 1 else texts[table[k >> 1]] for k in set().union(*rows)}
 
 
 def _shifted(rows: Sequence[Ints], by: int) -> Sequence[Ints]:
@@ -248,36 +251,60 @@ def from_strings(rows: Iterable[list[str]]) -> PolyMatrix:
     """Parse a grid of polynomial texts, given as rows that are lists of
     strings of one length, in one pass.
 
-    "0" slots are skipped unparsed; every other distinct text is parsed
-    once per call into one table entry, whose even code its slots hold (most
-    entries of a serialized pair are "0" or repeats of a few
-    polynomials).  A text that parses to zero (" 0", "x - x") stores
-    nothing.  Raises MatrixError for a row that is not a list of strings
-    or whose length differs from the first row's.
+    "0" slots are skipped unparsed, and every other slot finds its code
+    by one dict lookup done in C, which reads a text seen before as that
+    text's code (most entries of a serialized pair are "0" or repeats of
+    a few polynomials).  A new text is read onto the sign bit: a text
+    with no "+" and no "-" after its first character is one term, and if
+    its sign twin (the same text with a leading "-" removed or added)
+    was read before, it takes the twin's code xor 1 unparsed, as the
+    grammar reads "-t" as -t.  Every other new text is parsed into one
+    table entry, whose even code its slots hold.  A text that parses to
+    zero (" 0", "x - x"), or whose twin did ("-0"), stores nothing.
+    Raises MatrixError for a row that is not a list of strings or whose
+    length differs from the first row's.
     """
-    index: dict[str, int | None] = {}  # text -> slot code, None for zero
     table: list[Polynomial] = []
 
-    def entry(text: str) -> int | None:
+    def code(text: str) -> int | None:
+        """The slot code of a text not seen before, None for zero."""
         if type(text) is not str:
             _not_text()
-        if text not in index:
-            p = parse_polynomial(text)
-            index[text] = 2 * len(table) if p else None
-            table.extend([p] if p else [])
-        return index[text]
+        if "+" not in text and text.find("-", 1) < 0:
+            twin = text[1:] if text[:1] == "-" else f"-{text}"
+            if twin in codes:
+                k = codes[twin]
+                return None if k is None else k ^ 1
+        p = parse_polynomial(text)
+        if not p:
+            return None
+        table.append(p)
+        return 2 * len(table) - 2
 
+    codes = _Memo(code)  # text -> slot code, None for zero
+    codes["0"] = None  # the twin of "-0"
+    lookup = codes.__getitem__
     columns, indices, cols = [], [], None
-    for row in rows:
-        if type(row) is not list:
-            _not_text()
-        if cols is None:
-            cols = len(row)
-        elif len(row) != cols:
-            raise MatrixError(f"row {len(columns)} has {len(row)} entries, row 0 has {cols}")
-        pairs = [(j, k) for j, text in enumerate(row) if text != "0" and (k := entry(text)) is not None]
-        columns.append(tuple([j for j, _ in pairs]))
-        indices.append(tuple([k for _, k in pairs]))
+    try:
+        for row in rows:
+            if type(row) is not list:
+                _not_text()
+            if cols is None:
+                cols = len(row)
+            elif len(row) != cols:
+                raise MatrixError(f"row {len(columns)} has {len(row)} entries, row 0 has {cols}")
+            js = [j for j, text in enumerate(row) if text != "0"]
+            try:
+                ks = list(map(lookup, map(row.__getitem__, js)))
+            except TypeError:  # an unhashable entry
+                _not_text()
+            if None in ks:
+                js = [j for j, k in zip(js, ks) if k is not None]
+                ks = [k for k in ks if k is not None]
+            columns.append(tuple(js))
+            indices.append(tuple(ks))
+    finally:
+        del codes.compute  # code reads codes: leave no reference cycle
     return _sparse(tuple(table), columns, indices, len(columns), cols or 0)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: verbs, formats, exit codes, round trips."""
 
 import decimal
+import gc
 import hashlib
 import io
 import json
@@ -429,6 +430,22 @@ class TestVerify:
         assert run(["verify", "--input", write_json(tmp_path, "mf.json", doc)]) == 2
         assert_error_line(capsys)
 
+    @pytest.mark.parametrize("key", ["f", "phi", "psi"])
+    def test_missing_key_is_named(self, tmp_path, capsys, key):
+        doc = fixtures.pair_m().to_dict()
+        del doc[key]
+        assert run(["verify", "--input", write_json(tmp_path, "mf.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot parse factorization file: a factorization document needs the key {key!r}\n"
+
+    @pytest.mark.parametrize("entry, code", [("-y", 0), ("y", 3)], ids=["twin", "twin_sign_dropped"])
+    def test_sign_twins_are_verified(self, tmp_path, entry, code):
+        """psi's "-y" reads as the negation of phi's "y" (phi's "- y" is
+        no twin of "y"): the pair verifies, and the same pair with that
+        sign dropped fails."""
+        doc = {"f": "x^2 + y^2", "phi": [["x", "- y"], ["y", "x"]], "psi": [["x", "y"], [entry, "x"]]}
+        assert run(["verify", "--input", write_json(tmp_path, "mf.json", doc), "--output", str(tmp_path / "v.txt")]) == code
+
     def test_corrupted_randomized_pair_fails(self, tmp_path, capsys):
         mf = run_improved(
             SummandReducedPoly.from_strings(NO_MONOMIAL["terms"], NO_MONOMIAL["products"]),
@@ -515,6 +532,33 @@ class TestVerify:
         assert run(["verify", "--input", str(path), "--format", "structured"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] is True and doc["mode"] == "exact"
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("argv", [
+        ["factorize", "--method", "refined"],
+        ["factorize", "--method", "improved"],
+        ["factorize", "--method", "standard"],
+        ["verify", "--verify", "exact"],
+        ["verify", "--verify", "randomized"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+    def test_a_call_leaves_no_cycle(self, part1_file, tmp_path, argv):
+        """factorize and verify free everything they make by reference
+        counts: with the cycle collector off around a call, it then finds
+        nothing to collect."""
+        pair = str(tmp_path / "pair.json")
+        run(["factorize", "--input", part1_file, "--format", "structured", "--output", pair])
+        source = part1_file if argv[0] == "factorize" else pair
+        argv = [*argv, "--input", source, "--output", str(tmp_path / "out.txt")]
+        run(argv)  # a first call may set up what later calls reuse
+        gc.collect()
+        gc.disable()
+        try:
+            code = run(argv)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert (code, garbage) == (0, 0)
 
 
 def write_with_open_w(path: str, text: str) -> None:

@@ -571,14 +571,63 @@ class TestSerialization:
 
     def test_factors_that_share_no_text(self):
         """phi and psi share no entry text (psi writes w as "1w" and
-        x + 1 as "1 + x"): each of the eight texts is parsed once, into
-        one table that lists w and x + 1 twice."""
+        x + 1 as "1 + x"): "-y" and "-z" read as the sign twins of "y"
+        and "z", and each of the other six texts is parsed once, into one
+        table that lists w and x + 1 twice."""
         doc = {"f": "xw + w - yz", "size": 2, "phi": [["x + 1", "y"], ["z", "w"]],
                "psi": [["1w", "-y"], ["-z", "1 + x"]]}
         mf = read_once(doc)
-        assert len(mf.phi.table) == 8 and len(set(mf.phi.table)) == 6
+        assert len(mf.phi.table) == 6 and len(set(mf.phi.table)) == 4
         assert certify(mf) == {"mode": "exact"}
         assert_reads_back(mf)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sign_twins_read_onto_one_entry(self, data):
+        """One-term texts, each written with and without a leading "-"
+        and scattered over a pair in random order, read back equal to
+        their entry-by-entry parse, over a table of one entry per twin
+        pair; an entry that is not a string, put anywhere, is refused."""
+        texts = data.draw(st.lists(unsigned_terms(), min_size=1, max_size=8, unique=True))
+        texts += [f"-{text}" for text in texts]
+        n = data.draw(st.integers(1, 3).filter(lambda n: 2 * n * n >= len(texts)))
+        slots = data.draw(st.permutations(texts + ["0"] * (2 * n * n - len(texts))))
+        phi, psi = ([slots[k:k + n] for k in range(at, at + n * n, n)] for at in (0, n * n))
+        doc = {"f": "1", "phi": phi, "psi": psi}
+        mf = read_once(doc)
+        for grid, factor in ((phi, mf.phi), (psi, mf.psi)):
+            assert factor == PolyMatrix([[parse_polynomial(text) for text in row] for row in grid])
+        assert len(mf.phi.table) == len(texts) // 2
+        bad = data.draw(st.one_of(st.integers(), st.none(), st.floats(), st.lists(st.just("x"), max_size=1),
+                                  st.dictionaries(st.just("x"), st.just("x"))))
+        k = data.draw(st.integers(0, 2 * n * n - 1))
+        doc[("phi", "psi")[k // (n * n)]][k % (n * n) // n][k % n] = bad
+        with pytest.raises(MatrixError, match="list of rows of strings"):
+            MatrixFactorization.from_dict(doc)
+
+    def test_texts_of_more_than_one_term_are_no_twins(self):
+        """ "-x + y" is the negation of "x - y", and " -x" of "x", but
+        neither pair is one term with and without a leading "-"; nor is
+        "-x - y" with "x - y", or "x + y" with "-x + y".  All six texts
+        are parsed, into six table entries."""
+        phi = [["x - y", "-x + y", "-x - y"], [" -x", "x", "x + y"], ["0", "0", "0"]]
+        mf = read_once({"f": "0", "phi": phi, "psi": [["0"] * 3] * 3})
+        assert len(mf.phi.table) == 6 and all(k % 2 == 0 for ks in mf.phi.indices for k in ks)
+        assert mf.phi == PolyMatrix([[parse_polynomial(text) for text in row] for row in phi])
+        assert mf.phi[0, 1] == -mf.phi[0, 0] and mf.phi[1, 0] == -mf.phi[1, 1]
+
+    def test_a_zero_twin_reads_as_zero(self):
+        """ "-0" is the twin of "0", and "-0x" of "0x", which parses to
+        zero: none of them stores an entry, and "-0x" is not parsed."""
+        mf = read_once({"f": "x", "phi": [["-0", "0x", "-0x"]] * 3, "psi": [["x", "0", "0"]] * 3})
+        assert mf.phi.columns == ((),) * 3 and len(mf.phi.table) == 1
+
+    @pytest.mark.parametrize("key", ["f", "phi", "psi"])
+    def test_a_missing_key_is_named(self, key):
+        doc = fixtures.pair_m().to_dict()
+        del doc[key]
+        with pytest.raises(MatrixError, match=f"needs the key '{key}'"):
+            MatrixFactorization.from_dict(doc)
 
     @pytest.mark.parametrize("psi", [
         [["y", "z"], ["-z", "x"], ["x", "y"]],
@@ -596,19 +645,49 @@ class TestSerialization:
 
 def read_once(doc):
     """from_dict(doc), checked to make one from_strings call, which parses
-    each distinct entry text other than "0" once, into one table that
-    both factors index."""
+    each distinct entry text other than "0" once, in reading order, into
+    one table that both factors index, except a one-term text whose sign
+    twin was read before (see `twin_of`)."""
     reads, parsed = [], []
     real_read, real_parse = factorization.from_strings, matrix.parse_polynomial
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(factorization, "from_strings", lambda rows: reads.append(rows) or real_read(rows))
         patch.setattr(matrix, "parse_polynomial", lambda text: parsed.append(text) or real_parse(text))
         mf = MatrixFactorization.from_dict(doc)
-    texts = {text for grid in (doc["phi"], doc["psi"]) for row in grid for text in row} - {"0"}
+    seen, texts = {"0"}, []
+    for text in (text for grid in (doc["phi"], doc["psi"]) for row in grid for text in row):
+        if text not in seen and twin_of(text) not in seen:
+            texts.append(text)
+        seen.add(text)
     assert len(reads) == 1
-    assert sorted(parsed) == sorted(texts)
+    assert parsed == texts
     assert mf.phi.table is mf.psi.table
     return mf
+
+
+@st.composite
+def unsigned_terms(draw):
+    """The text of one nonzero term with no sign: a coefficient written
+    as an integer, a fraction or not at all, then powers, joined and
+    surrounded by random spacing."""
+    space = st.text(alphabet=" \t\n", max_size=2)
+    numerator, denominator = draw(st.integers(1, 99)), draw(st.integers(1, 12))
+    coefficient = draw(st.sampled_from(["", str(numerator), f"{numerator}{draw(space)}/{draw(space)}{denominator}"]))
+    powers = draw(st.lists(st.sampled_from(["x", "y", "z^2", "x1", "y ^ 3", "z^0"]), min_size=0 if coefficient else 1,
+                           max_size=3))
+    text = coefficient
+    for power in powers:
+        text += (draw(st.sampled_from(["*", " * ", " ", ""])) if text else "") + power
+    return draw(space) + text + draw(space)
+
+
+def twin_of(text):
+    """The sign twin of a one-term text (no "+", and no "-" after its
+    first character): the text with a leading "-" removed or added.  None
+    for any other text."""
+    if "+" in text or "-" in text[1:]:
+        return None
+    return text[1:] if text.startswith("-") else "-" + text
 
 
 def assert_reads_back(mf):

@@ -280,8 +280,8 @@ class TestFromStrings:
         assert (a.rows, a.cols) == (2, 2)
 
     @pytest.mark.parametrize(
-        "rows", [[["x"], ["x", "y"]], [["x", "y"], []], [["x", 1]], [[None, "0"]], [["x"], "y"], ["xy"]],
-        ids=["long", "short", "int", "null", "string_row", "string_rows"],
+        "rows", [[["x"], ["x", "y"]], [["x", "y"], []], [["x", 1]], [[None, "0"]], [["x", ["x"]]], [["x"], "y"], ["xy"]],
+        ids=["long", "short", "int", "null", "unhashable", "string_row", "string_rows"],
     )
     def test_malformed_grids_raise_matrix_error(self, rows):
         with pytest.raises(MatrixError):

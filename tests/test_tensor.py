@@ -54,9 +54,10 @@ class TestYoshino:
 
     @pytest.mark.parametrize("variant", YOSHINO_VARIANTS)
     def test_each_variant_negates_two_blocks(self, variant, monkeypatch):
-        """The two negated blocks are the blocks of y's entries with every
-        sign bit flipped: no polynomial and no matrix is negated, and the
-        table holds the entries of x and y, each once."""
+        """The KP and KS blocks hold y's own codes, shifted past x's table,
+        and the two negated blocks are those blocks with every sign bit
+        flipped: no polynomial and no matrix is negated, and the table
+        holds the entries of x and y, each once."""
         x, y = fixtures.pair_m(), fixtures.pair_p()
         negated, calls = [], []
         real, real_poly = PolyMatrix.__neg__, Polynomial.__neg__
@@ -69,8 +70,10 @@ class TestYoshino:
         for m, layout in zip((t.phi, t.psi), tensor._LAYOUTS[variant]):
             for position, name in enumerate(layout):
                 blocks[name] = quadrant(m, position, x.size * y.size)
-        for name in ("KP", "KS"):
-            assert all(k % 2 == 0 for row in blocks[name] for _, k in row)
+        at_y, m = 2 * len(x.phi.table), y.size
+        for name, factor in (("KP", y.phi), ("KS", y.psi)):
+            tile = [[(q, k + at_y) for q, k in zip(js, ks)] for js, ks in zip(factor.columns, factor.indices)]
+            assert blocks[name] == [[(i * m + q, k) for q, k in row] for i in range(x.size) for row in tile]
             assert blocks[f"-{name}"] == [[(j, k ^ 1) for j, k in row] for row in blocks[name]]
 
     @pytest.mark.parametrize("variant", YOSHINO_VARIANTS)
