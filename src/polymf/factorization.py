@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from math import lcm
-from operator import mul, neg
+from operator import itemgetter, mul, neg
+from typing import Callable
 
 from .matrix import (
     MatrixError,
@@ -283,8 +285,15 @@ def verify_randomized(
     f(x)*r over the stored nonzeros, which read the values through their
     slot codes, in ints scaled by the lcm of the values' denominators (an
     odd code's value is the negated int of its entry's): O(nnz) work per
-    trial.  Deterministic given the seed.  Never fails on
-    a valid factorization.
+    trial.  Each factor's slot codes and columns are listed row after row
+    once per call, so applying a factor to a vector is two C-level
+    gathers (every slot's value, and the coordinate it multiplies), then
+    one product per stored nonzero and one sum per row, all in C: a trial
+    makes nnz(phi) + nnz(psi) products.  Each coordinate is drawn as
+    getrandbits(w), for w the bit length of 2B + 1, redrawn while it is
+    2B + 1 or more, minus B: the integer random.Random(seed).randint(-B, B)
+    draws from the same stream, x then r, trial by trial.  Deterministic
+    given the seed.  Never fails on a valid factorization.
 
     If phi*psi != f*I, some entry of (phi*psi - f*I)*r, read as a
     polynomial in x and in the n coordinates of r as extra variables, is
@@ -338,23 +347,32 @@ def verify_randomized(
             f"({DEFAULT_TRIALS} trials of {TRIAL_WORK_CAP})"
         )
     variables = sorted(mf.f.variables().union(*(e.variables() for e in distinct)))
-    # randrange(2B + 1) - B is the integer rng.randint(-B, B) draws from
-    # the same stream, without its two extra Python frames per draw.
-    draw, span, bound = random.Random(seed).randrange, 2 * COORDINATE_BOUND + 1, COORDINATE_BOUND
+    getrandbits, span, bound = random.Random(seed).getrandbits, 2 * COORDINATE_BOUND + 1, COORDINATE_BOUND
+    width = span.bit_length()
+
+    def draw() -> int:
+        # randint(-B, B) reads getrandbits(width) until a result is below
+        # 2B + 1, then subtracts B; this is that draw in one Python frame
+        x = getrandbits(width)
+        while x >= span:
+            x = getrandbits(width)
+        return x - bound
+
+    phi_slots, psi_slots = _gathers(phi), _gathers(psi)
     for _ in range(trials):
-        point = {v: draw(span) - bound for v in variables}
+        point = {v: draw() for v in variables}
         values = [e.evaluate(point) for e in distinct]
         fval = mf.f.evaluate(point)
-        r = [draw(span) - bound for _ in range(mf.size)]
+        r = [draw() for _ in range(mf.size)]
         scale = lcm(fval.denominator, *(x.denominator for x in values))
         if scale != 1:
             values = [x.numerator * (scale // x.denominator) for x in values]
         want = fval.numerator * (scale * scale // fval.denominator)
         by_code = [_by_code([values[k] for k in at], odd, neg) for at, odd in tables]
         phi_values, psi_values = by_code[0], by_code[-1]
-        if _apply(phi, phi_values, _apply(psi, psi_values, r)) != [want * x for x in r]:
+        if _apply(phi_slots, phi_values, _apply(psi_slots, psi_values, r)) != [want * x for x in r]:
             return False
-        if both_orders and any(_apply(psi, psi_values, _apply(phi, phi_values, r))):
+        if both_orders and any(_apply(psi_slots, psi_values, _apply(phi_slots, phi_values, r))):
             return False
     return True
 
@@ -398,11 +416,28 @@ def _words(bits: int) -> int:
     return bits // 64 + 1
 
 
-def _apply(m: PolyMatrix, values: list[int], v: list[int]) -> list[int]:
+def _gathers(m: PolyMatrix) -> tuple[Callable, Callable, list[int]]:
+    """The slot codes of m row after row and their columns, each as one
+    gather from a sequence, and the length of each row."""
+    codes, columns = chain.from_iterable(m.indices), chain.from_iterable(m.columns)
+    return _gather(list(codes)), _gather(list(columns)), list(map(len, m.indices))
+
+
+def _gather(at: list[int]) -> Callable:
+    """A function from a sequence s to the items s[i] for i in at.
+    itemgetter returns a bare item for one index and refuses none, so
+    fewer than two indices are gathered into a list."""
+    return itemgetter(*at) if len(at) > 1 else lambda s: [s[i] for i in at]
+
+
+def _apply(slots: tuple[Callable, Callable, list[int]], values: list[int], v: list[int]) -> list[int]:
     """The matrix m, with the value values[k] for slot code k, times the
-    vector v."""
-    get_value, get_v = values.__getitem__, v.__getitem__
-    return [sum(map(mul, map(get_value, ks), map(get_v, js))) for js, ks in zip(m.columns, m.indices)]
+    vector v, from _gathers(m): every slot's value and its coordinate of v
+    are gathered in C, multiplied in one stream, and each row sums the
+    next products of its length."""
+    codes, columns, lengths = slots
+    products = map(mul, codes(values), columns(v))
+    return list(map(sum, map(islice, repeat(products), lengths)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,7 @@ from polymf import (
     verify_exact,
     verify_randomized,
 )
-from polymf import factorization, fixtures, matrix
+from polymf import cli, factorization, fixtures, matrix
 from polymf.factorization import (
     COORDINATE_BOUND,
     DEFAULT_TRIALS,
@@ -245,26 +246,68 @@ class TestVerifyRandomized:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_points_are_the_randint_draws(self, monkeypatch, seed):
+        """Each trial's point x and vector r are the integers randint(-B, B)
+        draws from the seed's stream, x then r, trial by trial.  Every one
+        of these seeds draws some raw value of 2B + 1 or more, so the
+        redraw is exercised on every Python version CI runs."""
         mf = fixtures.part2_pair()
-        evaluate = Polynomial.evaluate
-        points = []
+        evaluate, apply = Polynomial.evaluate, factorization._apply
+        points, vectors, raw = [], [], []
 
         def recording(p, point):
             if not points or points[-1] is not point:
                 points.append(point)
             return evaluate(p, point)
 
+        def applying(slots, values, v):
+            vectors.append(list(v))
+            return apply(slots, values, v)
+
+        class Drawing(random.Random):
+            def getrandbits(self, k):
+                raw.append(super().getrandbits(k))
+                return raw[-1]
+
         monkeypatch.setattr(Polynomial, "evaluate", recording)
+        monkeypatch.setattr(factorization, "_apply", applying)
+        monkeypatch.setattr(factorization, "random", SimpleNamespace(Random=Drawing))
         assert verify_randomized(mf, trials=3, seed=seed)
         # the reference draws x, then r, trial by trial, with randint
         rng, b = random.Random(seed), COORDINATE_BOUND
         entries = [e for m in (mf.phi, mf.psi) for _, _, e in m.nonzeros()]
         variables = sorted(mf.f.variables().union(*(e.variables() for e in entries)))
-        want = []
+        want_points, want_vectors = [], []
         for _ in range(3):
-            want.append({v: rng.randint(-b, b) for v in variables})
-            [rng.randint(-b, b) for _ in range(mf.size)]
-        assert [dict(point) for point in points] == want
+            want_points.append({v: rng.randint(-b, b) for v in variables})
+            want_vectors.append([rng.randint(-b, b) for _ in range(mf.size)])
+        assert [dict(point) for point in points] == want_points
+        # f != 0, so a trial applies psi(x) to r and then phi(x) to the result
+        assert vectors[::2] == want_vectors and len(vectors) == 6
+        redrawn = sum(x > 2 * b for x in raw)
+        assert redrawn >= 1 and len(raw) == 3 * (len(variables) + mf.size) + redrawn
+
+    # (document, valid): factors storing fewer than two slots, and rows
+    # storing different numbers of slots
+    GATHER_EDGE_CASES = {
+        "one_by_one": ({"f": "xy", "phi": [["x"]], "psi": [["y"]]}, True),
+        "one_by_one_corrupted": ({"f": "xy", "phi": [["x + 1"]], "psi": [["y"]]}, False),
+        "zero_f_empty_phi": ({"f": "0", "phi": [["0", "0"], ["0", "0"]], "psi": [["x", "0"], ["1", "y"]]}, True),
+        "zero_f_one_slot_each": ({"f": "0", "phi": [["1", "0"], ["0", "0"]], "psi": [["0", "0"], ["1", "0"]]}, False),
+        "uneven_rows": ({"f": "xy", "phi": [["x", "0"], ["1", "y"]], "psi": [["y", "0"], ["-1", "x"]]}, True),
+        "uneven_rows_corrupted": ({"f": "xy", "phi": [["x", "0"], ["1", "y"]], "psi": [["y", "0"], ["1", "x"]]}, False),
+    }
+
+    @pytest.mark.parametrize("name", list(GATHER_EDGE_CASES))
+    def test_gather_edge_cases_agree_with_exact_check(self, tmp_path, name):
+        doc, valid = self.GATHER_EDGE_CASES[name]
+        mf = MatrixFactorization.from_dict(doc)
+        assert verify_exact(mf)[0] is valid
+        for trials in (1, 3):
+            assert verify_randomized(mf, trials=trials) is valid
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "--input", str(path), "--verify", "randomized", "--output", str(tmp_path / "report.txt")]
+        assert cli.main(argv) == (0 if valid else 3)
 
     def test_deterministic_given_seed(self):
         mf = fixtures.pair_n()
