@@ -206,28 +206,40 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
     """Check phi*psi = psi*phi = f*I by exact symbolic products.
 
     Computes phi*psi, and psi*phi only when f = 0 (see the module
-    docstring for why one order suffices otherwise), and compares each
-    distinct value of a product with f once.  Returns (True, "ok")
-    or (False, diagnostics naming the first offending entry and its value,
-    quoted to at most DIAGNOSTIC_CHARS characters).
+    docstring for why one order suffices otherwise).  mat_mul lists each
+    distinct value of a product once, at even codes in the order it meets
+    them, so a product is f*I exactly when every row i holds code 0 at
+    column i alone and table[0] is f: three C-level compares.  Returns
+    (True, "ok") or (False, diagnostics naming the first offending entry
+    and its value, quoted to at most DIAGNOSTIC_CHARS characters).
 
     Raises EvaluationCapError, before any product, if the products may
-    take more than EXACT_WORK_CAP term products (see _product_work).
+    take more than EXACT_WORK_CAP term products (see _product_work).  The
+    count is made only when _work_bound, which costs the rows and the
+    tables, is over the cap.
     """
     orders = [("phi*psi", mf.phi, mf.psi)]
     if mf.f.is_zero():
         orders.append(("psi*phi", mf.psi, mf.phi))
-    work = sum(_product_work(a, b) for _, a, b in orders)
-    if work > EXACT_WORK_CAP:
-        raise EvaluationCapError(
-            f"exact verification skipped: the products may take {work} term "
-            f"products, over the cap of {EXACT_WORK_CAP}"
-        )
-    f = mf.f._terms
+    if sum(_work_bound(a, b) for _, a, b in orders) > EXACT_WORK_CAP:
+        work = sum(_product_work(a, b) for _, a, b in orders)
+        if work > EXACT_WORK_CAP:
+            raise EvaluationCapError(
+                f"exact verification skipped: the products may take {work} term "
+                f"products, over the cap of {EXACT_WORK_CAP}"
+            )
+    f, n = mf.f._terms, mf.size
     for name, a, b in orders:
         product = mat_mul(a, b)
-        # each distinct value of the product is compared with f once; the
-        # terms dicts compare as the values do, and mat_mul writes even codes
+        if (
+            product.indices == ((0,),) * n
+            and product.columns == tuple(zip(range(n)))
+            and (not n or product.table[0]._terms == f)
+        ) if f else not any(product.columns):
+            continue
+        # the first offending entry, row by row: each distinct value of the
+        # product is compared with f once; the terms dicts compare as the
+        # values do, and mat_mul writes even codes
         is_f = [e._terms == f for e in product.table]
         for i, (js, ks) in enumerate(zip(product.columns, product.indices)):
             # row i must be f*e_i
@@ -240,6 +252,21 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
                 f"expected {_quote(expected.get(j, Polynomial.zero()))}"
             )
     return True, "ok"
+
+
+def _work_bound(a: PolyMatrix, b: PolyMatrix) -> int:
+    """An upper bound on _product_work(a, b) from the row lengths of a and
+    b and one pass over each distinct table: each stored a[i,k] meets at most
+    the longest row of b, and each of those products multiplies at most
+    the longest entry of a's table by the longest of b's."""
+    longest_a = _longest(a.table)
+    longest_b = longest_a if b.table is a.table else _longest(b.table)
+    return sum(map(len, a.indices)) * max(map(len, b.indices), default=0) * longest_a * longest_b
+
+
+def _longest(table: tuple[Polynomial, ...]) -> int:
+    """The most terms of any entry of table."""
+    return max([len(e._terms) for e in table], default=0)
 
 
 def _product_work(a: PolyMatrix, b: PolyMatrix) -> int:

@@ -2,10 +2,11 @@
 
 import json
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polymf import (
@@ -331,6 +332,36 @@ class TestVerifyRandomized:
         assert EXACT_SIZE_THRESHOLD == 64
 
 
+def degree(p: Polynomial) -> int:
+    return max((sum(x for _, x in key) for key, _ in p.items()), default=0)
+
+
+class TestEscapeRate:
+    """The randomized guarantee itself: at a coordinate bound B small
+    enough for a wrong pair to escape, it escapes one trial at a rate
+    under the quoted (D + 1)/(2B + 1), D = max(deg phi + deg psi, deg f)."""
+
+    SEEDS = range(2000)
+
+    @pytest.mark.parametrize(
+        "make, bound, added, quoted",
+        [(fixtures.simple_quadratic, 2, "x", Fraction(3, 5)), (fixtures.part1_pair, 4, "1", Fraction(7, 9))],
+        ids=["simple_quadratic", "part1"],
+    )
+    def test_one_trial_escapes_under_the_quoted_bound(self, monkeypatch, make, bound, added, quoted):
+        good = make()
+        bad = with_phi_entry(good, 0, 0, good.phi[0, 0] + parse_polynomial(added))
+        top = max(
+            max(degree(e) for _, _, e in bad.phi.nonzeros()) + max(degree(e) for _, _, e in bad.psi.nonzeros()),
+            degree(bad.f),
+        )
+        assert Fraction(top + 1, 2 * bound + 1) == quoted
+        monkeypatch.setattr(factorization, "COORDINATE_BOUND", bound)
+        escapes = sum(verify_randomized(bad, trials=1, seed=seed) for seed in self.SEEDS)
+        assert 0 < escapes < quoted * len(self.SEEDS)
+        assert all(verify_randomized(good, trials=1, seed=seed) for seed in self.SEEDS[:100])
+
+
 class TestEvaluationCap:
     def test_refused_before_any_trial(self, monkeypatch):
         def never(p, point):
@@ -433,13 +464,57 @@ class TestExactWorkCap:
     @given(poly_matrices(3, 2, polynomials()), poly_matrices(2, 3, polynomials()), st.integers(0, 2**32))
     @settings(max_examples=50)
     def test_estimate_is_the_brute_force_count_on_any_table(self, a, b, seed):
-        for x, y in ((a, b), (relaid(a, seed), relaid(b, seed + 1)), (b, a)):
-            assert factorization._product_work(x, y) == brute_force_work(x, y)
+        """And _work_bound is at least that count."""
+        for x, y in ((a, b), (relaid(a, seed), relaid(b, seed + 1)), (b, a), (relaid(b, seed), relaid(a, seed + 1))):
+            assert factorization._work_bound(x, y) >= factorization._product_work(x, y) == brute_force_work(x, y)
 
     def test_estimate_is_the_brute_force_count_on_pipeline_pairs(self):
         for mf in small_pipeline_pairs():
             for a, b in ((mf.phi, mf.psi), (mf.psi, mf.phi)):
-                assert factorization._product_work(a, b) == brute_force_work(a, b)
+                assert factorization._work_bound(a, b) >= factorization._product_work(a, b) == brute_force_work(a, b)
+
+    @given(factorizations(), st.integers(0, 2**32))
+    @settings(max_examples=50)
+    def test_bound_covers_the_count_on_factorizations(self, mf, seed):
+        phi, psi = relaid(mf.phi, seed), relaid(mf.psi, seed + 1)
+        for x, y in ((mf.phi, mf.psi), (mf.psi, mf.phi), (phi, psi), (psi, phi)):
+            assert factorization._work_bound(x, y) >= factorization._product_work(x, y)
+
+    def test_a_bound_over_the_cap_falls_back_to_the_count(self, monkeypatch):
+        """([a], [y]) read from a document shares one table, so the bound
+        pairs a's 1200 terms with themselves; the count is 1200."""
+        a = " + ".join(f"x^{i}" for i in range(1200))
+        doc = {"f": str(parse_polynomial(a) * parse_polynomial("y")), "phi": [[a]], "psi": [["y"]]}
+        mf = MatrixFactorization.from_dict(doc)
+        assert mf.phi.table is mf.psi.table
+        assert factorization._work_bound(mf.phi, mf.psi) == 1200**2 > EXACT_WORK_CAP
+        assert factorization._product_work(mf.phi, mf.psi) == 1200
+        product_work, counts = factorization._product_work, []
+
+        def counting(a, b):
+            counts.append(product_work(a, b))
+            return counts[-1]
+
+        monkeypatch.setattr(factorization, "_product_work", counting)
+        assert verify_exact(mf) == (True, "ok")
+        assert counts == [1200]
+
+    def test_pipeline_pairs_make_one_product_and_no_count(self, monkeypatch):
+        mat_mul, calls = factorization.mat_mul, []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return mat_mul(a, b)
+
+        def never(a, b):
+            raise AssertionError("the term products were counted")
+
+        monkeypatch.setattr(factorization, "mat_mul", counting)
+        monkeypatch.setattr(factorization, "_product_work", never)
+        for mf in small_pipeline_pairs():
+            calls.clear()
+            assert verify_exact(mf) == (True, "ok")
+            assert calls == [(mf.phi, mf.psi)]
 
     def test_paper_pipelines_are_below_the_cap(self):
         """The improved 2048 pair peaks at half the cap, and is still
@@ -473,6 +548,101 @@ def small_pipeline_pairs():
         srp = SummandReducedPoly.from_strings(*doc)
         for run in (run_refined, run_improved, run_standard):
             yield run(srp, verify="skip")
+
+
+def row_by_row(mf) -> tuple[bool, str]:
+    """verify_exact's readout before its C-level compares: each row of
+    each product read against f*I, naming the first that differs."""
+    orders = [("phi*psi", mf.phi, mf.psi)]
+    if mf.f.is_zero():
+        orders.append(("psi*phi", mf.psi, mf.phi))
+    f = mf.f._terms
+    for name, a, b in orders:
+        product = mat_mul(a, b)
+        is_f = [e._terms == f for e in product.table]
+        for i, (js, ks) in enumerate(zip(product.columns, product.indices)):
+            if (js == (i,) and is_f[ks[0] >> 1]) if f else not js:
+                continue
+            expected = {i: mf.f}
+            j = min(j for j in {*js, i} if product[i, j] != expected.get(j, Polynomial.zero()))
+            return False, (
+                f"{name} entry ({i},{j}) is {factorization._quote(product[i, j])}, "
+                f"expected {factorization._quote(expected.get(j, Polynomial.zero()))}"
+            )
+    return True, "ok"
+
+
+def corrupted(mf, kind: str, i: int, j: int, g: Polynomial) -> MatrixFactorization:
+    """(C*phi, psi) for C the identity with one corruption at row i, so
+    that C*phi*psi = f*C: "diagonal" puts g at (i, i), "off_diagonal" adds
+    g at (i, j), j != i, and "empty_row" clears row i."""
+    rows = [[Polynomial.const(int(r == c)) for c in range(mf.size)] for r in range(mf.size)]
+    if kind == "diagonal":
+        rows[i][i] = g
+    elif kind == "off_diagonal":
+        rows[i][j] = g
+    else:
+        rows[i][i] = Polynomial.zero()
+    return MatrixFactorization(mf.f, mat_mul(PolyMatrix(rows), mf.phi), mf.psi)
+
+
+CORRUPTIONS = ["diagonal", "off_diagonal", "empty_row"]
+
+
+class TestExactReadout:
+    """verify_exact returns what the row-by-row readout returns, the same
+    (i, j) and quoted text, on valid pairs and on one-slot corruptions."""
+
+    def test_valid_pairs(self):
+        empty = MatrixFactorization(parse_polynomial("x"), matrix.zeros(0, 0), matrix.zeros(0, 0))
+        for mf in [*small_pipeline_pairs(), fixtures.part1_pair(), fixtures.simple_quadratic(), empty]:
+            assert verify_exact(mf) == row_by_row(mf) == (True, "ok")
+
+    @given(factorizations(), st.sampled_from(CORRUPTIONS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_corrupted_factorizations(self, mf, kind, data):
+        assume(kind != "off_diagonal" or mf.size > 1)
+        i = data.draw(st.integers(0, mf.size - 1))
+        j = data.draw(st.integers(0, mf.size - 1).filter(lambda j: j != i)) if kind == "off_diagonal" else i
+        g = data.draw(nonzero_polynomials().filter(lambda g: not g.is_one()))
+        bad = corrupted(mf, kind, i, j, g)
+        result = verify_exact(bad)
+        assert not result[0] and result == row_by_row(bad)
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_corrupted_pipeline_pairs(self, kind):
+        for mf in small_pipeline_pairs():
+            if mf.size > 64:
+                continue
+            i = mf.size // 2
+            bad = corrupted(mf, kind, i, i - 1, parse_polynomial("x + 1"))
+            result = verify_exact(bad)
+            assert not result[0] and result == row_by_row(bad)
+            assert result[1].startswith(f"phi*psi entry ({i},{i - 1 if kind == 'off_diagonal' else i}) is ")
+
+    @pytest.mark.parametrize("order", ["phi*psi", "psi*phi"])
+    def test_f_zero_with_a_slot_in_either_order(self, order):
+        """phi = g*E_03 and psi = h*E_30 when phi*psi holds the slot, or
+        psi = h*E_20 when only psi*phi does."""
+        g, h = parse_polynomial("x + 1"), parse_polynomial("y^2 - 3")
+        phi = [[Polynomial.zero()] * 4 for _ in range(4)]
+        psi = [[Polynomial.zero()] * 4 for _ in range(4)]
+        phi[0][3] = g
+        if order == "phi*psi":
+            psi[3][0] = h
+        else:
+            psi[2][0] = h
+        mf = MatrixFactorization(Polynomial.zero(), PolyMatrix(phi), PolyMatrix(psi))
+        result = verify_exact(mf)
+        assert not result[0] and result == row_by_row(mf)
+        where = "(0,0)" if order == "phi*psi" else "(2,3)"
+        assert result[1] == f"{order} entry {where} is {g * h}, expected 0"
+
+    @given(poly_matrices(3, 3, polynomials()), poly_matrices(3, 3, polynomials()))
+    @settings(max_examples=100)
+    def test_f_zero_on_any_pair(self, a, b):
+        mf = MatrixFactorization(Polynomial.zero(), a, b)
+        assert verify_exact(mf) == row_by_row(mf)
 
 
 class TestTableLayout:
