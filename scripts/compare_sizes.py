@@ -14,38 +14,10 @@ Usage:
 
 import argparse
 
-from polymf import SummandReducedPoly, compare_report
+from polymf import SummandReducedPoly, compare_report, fixtures
 
-CORPUS = [
-    (
-        "part I",
-        SummandReducedPoly.from_strings(
-            ["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]]
-        ),
-    ),
-    (
-        "part II",
-        SummandReducedPoly.from_strings(
-            ["x^5y^2"], [["xy^2 + x^2z + yz^2", "x^2z + y^2 + y^2z"]]
-        ),
-    ),
-    (
-        "two products",
-        SummandReducedPoly.from_strings(
-            ["zy"],
-            [
-                ["xy^2 + x^2z + yz^2", "xy + z^2"],
-                ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"],
-            ],
-        ),
-    ),
-    (
-        "no monomial part",
-        SummandReducedPoly.from_strings(
-            [], [["xy + z^2", "x + y"], ["x + z", "y + z"]]
-        ),
-    ),
-]
+NAMES = {"part I": "part1", "part II": "part2", "two products": "two_product", "no monomial part": "no_monomial"}
+CORPUS = [(name, SummandReducedPoly.from_strings(**fixtures.PAPER_DOCUMENTS[key])) for name, key in NAMES.items()]
 
 
 def main() -> None:

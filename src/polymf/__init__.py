@@ -24,7 +24,6 @@ from .matrix import (
     kron,
     mat_mul,
     scalar_matrix,
-    shuffle_matrix,
     zeros,
 )
 from .factorization import (
@@ -33,26 +32,16 @@ from .factorization import (
     EXACT_SIZE_THRESHOLD,
     EvaluationCapError,
     MatrixFactorization,
-    Morphism,
     VerificationError,
     certify,
-    compose,
-    identity_morphism,
-    is_morphism,
     make_factorization,
-    scalar_morphism,
     verify_exact,
     verify_randomized,
 )
 from .tensor import (
     YOSHINO_VARIANTS,
-    commutativity_morphism,
-    direct_sum_factorizations,
     mult_tensor,
-    mult_tensor_variant,
     reduced_tensor,
-    shuffle_isomorphism_check,
-    tensor_morphisms,
     yoshino,
 )
 from .standard import (
@@ -93,32 +82,21 @@ __all__ = [
     "kron",
     "mat_mul",
     "scalar_matrix",
-    "shuffle_matrix",
     "zeros",
     "DEFAULT_SEED",
     "DEFAULT_TRIALS",
     "EXACT_SIZE_THRESHOLD",
     "EvaluationCapError",
     "MatrixFactorization",
-    "Morphism",
     "VerificationError",
     "certify",
-    "compose",
-    "identity_morphism",
-    "is_morphism",
     "make_factorization",
-    "scalar_morphism",
     "verify_exact",
     "verify_randomized",
     "STANDARD_VARIANTS",
     "YOSHINO_VARIANTS",
-    "commutativity_morphism",
-    "direct_sum_factorizations",
     "mult_tensor",
-    "mult_tensor_variant",
     "reduced_tensor",
-    "shuffle_isomorphism_check",
-    "tensor_morphisms",
     "yoshino",
     "SummandList",
     "standard_factorize",

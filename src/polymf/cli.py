@@ -296,15 +296,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _demo_cases() -> list[tuple[str, Callable[[], object], object]]:
     """Each row: a name, a computation, and the value the paper gives."""
-    part1 = SummandReducedPoly.from_strings(
-        ["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]]
-    )
-    part2 = SummandReducedPoly.from_strings(
-        ["x^5y^2"], [["xy^2 + x^2z + yz^2", "x^2z + y^2 + y^2z"]]
-    )
-    two_product = SummandReducedPoly.from_strings(
-        ["zy"],
-        [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
+    part1, part2, two_product = (
+        SummandReducedPoly.from_strings(**fixtures.PAPER_DOCUMENTS[name]) for name in ("part1", "part2", "two_product")
     )
     telescoping = SummandReducedPoly.from_strings(["zx"], [["x - y", "x^4 + x^3y + x^2y^2 + xy^3 + y^4"]])
 

@@ -1,4 +1,4 @@
-"""Matrix factorizations of polynomials and their morphisms.
+"""Matrix factorizations of polynomials.
 
 A matrix factorization of f is a pair (phi, psi) of n x n polynomial
 matrices with phi*psi = psi*phi = f*I_n.  `certify` is the one place a
@@ -31,9 +31,7 @@ from .matrix import (
     _slot_texts,
     _sparse,
     from_strings,
-    identity,
     mat_mul,
-    scalar_matrix,
 )
 from .poly import Polynomial, parse_polynomial
 
@@ -465,55 +463,3 @@ def _apply(slots: tuple[Callable, Callable, list[int]], values: list[int], v: li
     codes, columns, lengths = slots
     products = map(mul, codes(values), columns(v))
     return list(map(sum, map(islice, repeat(products), lengths)))
-
-
-# ---------------------------------------------------------------------------
-# Morphisms.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Morphism:
-    """A pair (alpha, beta) of n2 x n1 matrices between factorizations of
-    the same polynomial, satisfying alpha*phi1 = phi2*beta and
-    psi2*alpha = beta*psi1."""
-
-    domain: MatrixFactorization
-    codomain: MatrixFactorization
-    alpha: PolyMatrix
-    beta: PolyMatrix
-
-
-def is_morphism(m: Morphism) -> bool:
-    """Check the two commuting-square equations exactly."""
-    n1, n2 = m.domain.size, m.codomain.size
-    if (m.alpha.rows, m.alpha.cols) != (n2, n1) or (m.beta.rows, m.beta.cols) != (n2, n1):
-        raise MatrixError("morphism components have the wrong shape")
-    if m.domain.f != m.codomain.f:
-        return False
-    left = mat_mul(m.alpha, m.domain.phi) == mat_mul(m.codomain.phi, m.beta)
-    right = mat_mul(m.codomain.psi, m.alpha) == mat_mul(m.beta, m.domain.psi)
-    return left and right
-
-
-def identity_morphism(x: MatrixFactorization) -> Morphism:
-    i = identity(x.size)
-    return Morphism(x, x, i, i)
-
-
-def scalar_morphism(x: MatrixFactorization, h: Polynomial) -> Morphism:
-    """(h*I, h*I): always a morphism since scalar matrices commute."""
-    s = scalar_matrix(h, x.size)
-    return Morphism(x, x, s, s)
-
-
-def compose(m2: Morphism, m1: Morphism) -> Morphism:
-    """Composite (alpha2*alpha1, beta2*beta1); m1 first, then m2."""
-    if m1.codomain is not m2.domain and m1.codomain != m2.domain:
-        raise MatrixError("codomain of the first morphism must match domain of the second")
-    return Morphism(
-        m1.domain,
-        m2.codomain,
-        mat_mul(m2.alpha, m1.alpha),
-        mat_mul(m2.beta, m1.beta),
-    )

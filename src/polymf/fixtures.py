@@ -1,4 +1,5 @@
-"""Small hand-checked factorizations used by the demo and the tests.
+"""Small hand-checked factorizations, and the paper's example documents,
+used by the demo, the scripts and the tests.
 
 Each fixture is a function that reads its pair from literal entries,
 as `MatrixFactorization.from_dict` reads a document (both factors over
@@ -13,6 +14,19 @@ from __future__ import annotations
 
 from .factorization import MatrixFactorization, certify
 from .tensor import reduced_tensor, yoshino
+
+# The paper's summand-reduced examples as {"terms", "products"} documents:
+# part I (refined size 16), part II (32), the two-product example (2^9),
+# and a document with no monomial part.
+PAPER_DOCUMENTS = {
+    "part1": {"terms": ["zy"], "products": [["xy^2 + x^2z + yz^2", "xy + z^2"]]},
+    "part2": {"terms": ["x^5y^2"], "products": [["xy^2 + x^2z + yz^2", "x^2z + y^2 + y^2z"]]},
+    "two_product": {
+        "terms": ["zy"],
+        "products": [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
+    },
+    "no_monomial": {"terms": [], "products": [["xy + z^2", "x + y"], ["x + z", "y + z"]]},
+}
 
 
 def _mf(f: str, phi: list[list[str]], psi: list[list[str]]) -> MatrixFactorization:

@@ -141,12 +141,6 @@ class PolyMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def transpose(self) -> "PolyMatrix":
-        out: list[dict[int, Polynomial]] = [{} for _ in range(self.cols)]
-        for i, j, e in self.nonzeros():
-            out[j][i] = e
-        return _from_row_maps(out, self.cols, self.rows)
-
     def __neg__(self) -> "PolyMatrix":
         """Negates each table entry once and shares the rows, codes and
         sign bits alike."""
@@ -159,9 +153,6 @@ class PolyMatrix:
         for i, j, e in chain(self.nonzeros(), other.nonzeros()):
             out[i][j] = out[i].get(j, _ZERO) + e
         return _from_row_maps(({j: row[j] for j in sorted(row) if row[j]} for row in out), self.rows, self.cols)
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return mat_mul(self, other)
 
     def texts(self) -> list[list[str]]:
         """The dense grid of entry texts, "0" where no entry is stored:
@@ -566,15 +557,3 @@ def block2x2(a: PolyMatrix, b: PolyMatrix, c: PolyMatrix, d: PolyMatrix) -> Poly
     (lc, lk), (rc, rk), (lc2, lk2), (rc2, rk2) = rows
     columns = [*map(add, lc, rc), *map(add, lc2, rc2)]
     return _sparse(table, columns, [*map(add, lk, rk), *map(add, lk2, rk2)], top + bottom, left + right)
-
-
-def shuffle_matrix(m: int, n: int) -> PolyMatrix:
-    """Perfect shuffle permutation matrix S_{m,n} of size mn x mn.
-
-    Satisfies B (x) A = S_{r,p} (A (x) B) S_{s,q}^T for A of size p x q
-    and B of size r x s, and S S^T = I.
-    """
-    if m < 1 or n < 1:
-        raise MatrixError("shuffle dimensions must be positive")
-    # S_{m,n} = sum_i e_i^T (x) I_n (x) e_i puts a 1 at (i*n + a, a*m + i).
-    return _sparse((_ONE,), [(a * m + i,) for i in range(m) for a in range(n)], ((0,),) * (m * n), m * n, m * n)

@@ -6,8 +6,8 @@ Three families of constructions:
   factorizations of f and g into one of f + g, of size 2nm, of which a
   standard-method step is the case m = 1 (`standard.standard_step`
   writes that case directly);
-* the multiplicative tensor product and its variant, producing a
-  factorization of f*g of size 2nm;
+* the multiplicative tensor product, a factorization of f*g of size
+  2nm;
 * the reduced multiplicative tensor product, a single Kronecker pair
   (phi (x) phi', psi (x) psi') of f*g at size nm.
 
@@ -18,12 +18,7 @@ verification is the arbiter.
 
 from __future__ import annotations
 
-from .factorization import (
-    MatrixFactorization,
-    Morphism,
-    make_factorization,
-    mat_mul,
-)
+from .factorization import MatrixFactorization, make_factorization
 from .matrix import (
     PolyMatrix,
     _on_one_table,
@@ -31,8 +26,6 @@ from .matrix import (
     block2x2,
     direct_sum,
     kron,
-    shuffle_matrix,
-    zeros,
 )
 
 # The blocks (top left, top right, bottom left, bottom right) of phi and
@@ -105,21 +98,6 @@ def mult_tensor(
     return make_factorization(x.f * y.f, direct_sum(pp, pp), direct_sum(ss, ss), verify=verify)
 
 
-def mult_tensor_variant(
-    x: MatrixFactorization, y: MatrixFactorization, *, verify: str = "auto"
-) -> MatrixFactorization:
-    """Variant with the Kronecker blocks on the anti-diagonal, size 2nm."""
-    pp = kron(x.phi, y.phi)
-    ss = kron(x.psi, y.psi)
-    zero = zeros(pp.rows, pp.cols)
-    return make_factorization(
-        x.f * y.f,
-        block2x2(zero, pp, pp, zero),
-        block2x2(zero, ss, ss, zero),
-        verify=verify,
-    )
-
-
 def reduced_tensor(
     x: MatrixFactorization, y: MatrixFactorization, *, verify: str = "auto"
 ) -> MatrixFactorization:
@@ -131,61 +109,3 @@ def reduced_tensor(
         kron(x.psi, y.psi),
         verify=verify,
     )
-
-
-def direct_sum_factorizations(
-    x1: MatrixFactorization, x2: MatrixFactorization, *, verify: str = "auto"
-) -> MatrixFactorization:
-    """Componentwise direct sum of two factorizations of the same polynomial."""
-    if x1.f != x2.f:
-        raise ValueError("direct sum requires factorizations of the same polynomial")
-    return make_factorization(
-        x1.f,
-        direct_sum(x1.phi, x2.phi),
-        direct_sum(x1.psi, x2.psi),
-        verify=verify,
-    )
-
-
-def tensor_morphisms(
-    zf: Morphism,
-    zg: Morphism,
-    *,
-    verify: str = "auto",
-) -> Morphism:
-    """Tensor two morphisms into a morphism between the reduced tensor
-    products of their endpoints: ([alpha_f (x) alpha_g], [beta_f (x) beta_g])."""
-    domain = reduced_tensor(zf.domain, zg.domain, verify=verify)
-    codomain = reduced_tensor(zf.codomain, zg.codomain, verify=verify)
-    return Morphism(
-        domain,
-        codomain,
-        kron(zf.alpha, zg.alpha),
-        kron(zf.beta, zg.beta),
-    )
-
-
-def commutativity_morphism(
-    x: MatrixFactorization, y: MatrixFactorization, *, verify: str = "auto"
-) -> Morphism:
-    """The morphism from X (x) Y to Y (x) X (reduced tensors) given by
-    (phi_Y (x) phi_X, phi_X (x) phi_Y)."""
-    domain = reduced_tensor(x, y, verify=verify)
-    codomain = reduced_tensor(y, x, verify=verify)
-    return Morphism(
-        domain,
-        codomain,
-        kron(y.phi, x.phi),
-        kron(x.phi, y.phi),
-    )
-
-
-def shuffle_isomorphism_check(x: MatrixFactorization, y: MatrixFactorization) -> bool:
-    """True iff conjugating the factors of X (x) Y by the perfect shuffle
-    yields exactly the factors of Y (x) X (reduced tensors)."""
-    s = shuffle_matrix(y.size, x.size)
-    st = s.transpose()
-    for ax, ay in ((x.phi, y.phi), (x.psi, y.psi)):
-        if kron(ay, ax) != mat_mul(mat_mul(s, kron(ax, ay)), st):
-            return False
-    return True

@@ -13,6 +13,7 @@ from polymf import (
     Polynomial,
     PolyMatrix,
     SummandReducedPoly,
+    fixtures,
     kron,
     make_factorization,
     parse_polynomial,
@@ -124,33 +125,30 @@ def materialized(m: PolyMatrix) -> PolyMatrix:
     return _sparse(m.table + tuple(-e for e in m.table), m.columns, indices, m.rows, m.cols)
 
 
+def paper_srp(name: str) -> SummandReducedPoly:
+    """The paper document fixtures.PAPER_DOCUMENTS[name], read."""
+    return SummandReducedPoly.from_strings(**fixtures.PAPER_DOCUMENTS[name])
+
+
 @pytest.fixture
 def part1_srp() -> SummandReducedPoly:
-    return SummandReducedPoly.from_strings(
-        ["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]]
-    )
+    return paper_srp("part1")
 
 
 @pytest.fixture
 def part2_srp() -> SummandReducedPoly:
-    return SummandReducedPoly.from_strings(
-        ["x^5y^2"], [["xy^2 + x^2z + yz^2", "x^2z + y^2 + y^2z"]]
-    )
+    return paper_srp("part2")
 
 
 @pytest.fixture
 def two_product_srp() -> SummandReducedPoly:
-    return SummandReducedPoly.from_strings(
-        ["zy"],
-        [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
-    )
+    return paper_srp("two_product")
 
 
 def scaled_two_product_pair() -> MatrixFactorization:
     """The refined two-product pair (512) with phi and psi times w^1600:
     every value stays under the evaluation bit cap, but each stored
     nonzero of phi multiplies two values of about 32000 bits in a trial."""
-    products = [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]]
-    mf = run_refined(SummandReducedPoly.from_strings(["zy"], products), verify="skip")
+    mf = run_refined(paper_srp("two_product"), verify="skip")
     w = PolyMatrix([[parse_polynomial("w^1600")]])
     return MatrixFactorization(mf.f * parse_polynomial("w^3200"), kron(mf.phi, w), kron(mf.psi, w))

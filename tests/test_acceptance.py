@@ -14,10 +14,7 @@ from polymf import (
     PolyMatrix,
     Polynomial,
     SummandReducedPoly,
-    compose,
     direct_sum,
-    identity_morphism,
-    is_morphism,
     kron,
     make_factorization,
     mat_mul,
@@ -28,9 +25,6 @@ from polymf import (
     run_improved,
     run_refined,
     run_standard,
-    scalar_morphism,
-    shuffle_isomorphism_check,
-    tensor_morphisms,
     validate_summand_reduced,
     verify_exact,
     verify_randomized,
@@ -40,14 +34,10 @@ from polymf import fixtures
 from polymf.cli import main as cli_main
 from polymf.standard import standard_step
 
-PART1 = SummandReducedPoly.from_strings(["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]])
-PART2 = SummandReducedPoly.from_strings(
-    ["x^5y^2"], [["xy^2 + x^2z + yz^2", "x^2z + y^2 + y^2z"]]
-)
-TWO_PRODUCT = SummandReducedPoly.from_strings(
-    ["zy"],
-    [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
-)
+from conftest import paper_srp
+from laws import compose, identity_morphism, is_morphism, scalar_morphism, shuffle_isomorphism_check, tensor_morphisms
+
+PART1, PART2, TWO_PRODUCT = map(paper_srp, ("part1", "part2", "two_product"))
 
 
 def report(capsys, number, description, budget_s, body):

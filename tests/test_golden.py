@@ -6,12 +6,16 @@ position or its printed form shows up here.  The digests were recorded
 while matrices were still stored densely, and must not move.
 """
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from polymf import SummandReducedPoly, fixtures, mult_tensor_variant, run_improved, run_refined, run_standard
+from polymf import SummandReducedPoly, fixtures, run_improved, run_refined, run_standard
+
+from laws import mult_tensor_variant
 
 DOCUMENTS = {
     "part1": (["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]]),
@@ -22,6 +26,24 @@ DOCUMENTS = {
     ),
     "no_monomial": ([], [["xy + z^2", "x + y"], ["x + z", "y + z"]]),
 }
+
+
+def test_every_copy_of_the_paper_corpus_is_these_documents():
+    """fixtures.PAPER_DOCUMENTS, and the four documents of the benchmark's
+    workloads (read from its source, so no harness code is imported),
+    hold exactly DOCUMENTS: a typo fails here with the document's name."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    constants = {
+        target.id: node.value
+        for node in ast.parse(source).body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    assert fixtures.PAPER_DOCUMENTS.keys() == DOCUMENTS.keys()
+    for name, (terms, products) in DOCUMENTS.items():
+        document = {"terms": terms, "products": products}
+        assert fixtures.PAPER_DOCUMENTS[name] == document, f"fixtures.PAPER_DOCUMENTS[{name!r}]"
+        assert ast.literal_eval(constants[name.upper()]) == document, f"perfbench/workloads.py {name.upper()}"
+
 
 RUNS = {"run_refined": run_refined, "run_improved": run_improved, "run_standard": run_standard}
 

@@ -8,26 +8,28 @@ from polymf import (
     PolyMatrix,
     Polynomial,
     block2x2,
-    commutativity_morphism,
-    compose,
-    direct_sum_factorizations,
     identity,
-    identity_morphism,
-    is_morphism,
     kron,
     mult_tensor,
-    mult_tensor_variant,
     parse_polynomial,
     reduced_tensor,
-    scalar_morphism,
-    shuffle_isomorphism_check,
-    tensor_morphisms,
     verify_exact,
     yoshino,
 )
 from polymf import fixtures, matrix, tensor
 
 from conftest import factorizations, nonzero_polynomials
+from laws import (
+    commutativity_morphism,
+    compose,
+    direct_sum_factorizations,
+    identity_morphism,
+    is_morphism,
+    mult_tensor_variant,
+    scalar_morphism,
+    shuffle_isomorphism_check,
+    tensor_morphisms,
+)
 
 
 def quadrant(m, position, half):
