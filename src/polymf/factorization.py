@@ -28,6 +28,7 @@ from .matrix import (
     PolyMatrix,
     _by_code,
     _odd_codes,
+    _on_one_table,
     _slot_texts,
     _sparse,
     from_strings,
@@ -83,7 +84,10 @@ class VerificationError(ValueError):
 @dataclass(frozen=True)
 class MatrixFactorization:
     """A pair (phi, psi) of square matrices of one size, meant to satisfy
-    phi*psi = psi*phi = f*I_n; `make_factorization` certifies it."""
+    phi*psi = psi*phi = f*I_n; `make_factorization` certifies it.
+
+    phi and psi index one table: factors given over two are rebuilt over
+    phi's entries followed by psi's (see matrix._on_one_table)."""
 
     f: Polynomial
     phi: PolyMatrix
@@ -94,6 +98,9 @@ class MatrixFactorization:
             raise MatrixError("factors must be square")
         if self.phi.rows != self.psi.rows:
             raise MatrixError(f"factor size mismatch: {self.phi.rows} vs {self.psi.rows}")
+        phi, psi = _on_one_table(self.phi, self.psi)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "psi", psi)
 
     @property
     def size(self) -> int:
@@ -101,13 +108,9 @@ class MatrixFactorization:
 
     def to_dict(self) -> dict:
         phi, psi = self.phi, self.psi
-        if phi.table is psi.table:
-            # a value and sign both factors use is formatted once
-            texts = _slot_texts(phi.table, phi.indices + psi.indices)
-            grids = phi._dense(texts, "0"), psi._dense(texts, "0")
-        else:
-            grids = phi.texts(), psi.texts()
-        return {"f": str(self.f), "size": self.size, "phi": grids[0], "psi": grids[1]}
+        # a value and sign both factors use is formatted once
+        texts = _slot_texts(phi.table, phi.indices + psi.indices)
+        return {"f": str(self.f), "size": self.size, "phi": phi._dense(texts, "0"), "psi": psi._dense(texts, "0")}
 
     @staticmethod
     def from_dict(data: dict) -> "MatrixFactorization":
@@ -302,8 +305,8 @@ def verify_randomized(
     """Check phi*psi = f*I by Freivalds' vector check at random integer
     points, exactly.
 
-    The entries of the tables of phi and psi are first mapped to their
-    distinct values, which costs the tables and not the stored nonzeros.
+    The entries of the table of phi and psi are first mapped to their
+    distinct values, which costs the table and not the stored nonzeros.
     Each trial then draws a point x and a vector r, both with integer
     coordinates uniform in [-B, B] for B = COORDINATE_BOUND, evaluates f
     and each distinct value once at x, and checks phi(x)*(psi(x)*r) =
@@ -340,15 +343,11 @@ def verify_randomized(
     phi, psi = mf.phi, mf.psi
     # each table entry's index into distinct, the values evaluated per trial
     index: dict[Polynomial, int] = {}
-    shared = psi.table is phi.table
-    phi_at = [index.setdefault(e, len(index)) for e in phi.table]
-    psi_at = phi_at if shared else [index.setdefault(e, len(index)) for e in psi.table]
+    at = [index.setdefault(e, len(index)) for e in phi.table]
     distinct = list(index)
-    # the slot codes each factor uses; per table, its entries' indices into
-    # distinct and the odd codes of its factors, negated once per trial
+    # the slot codes each factor uses, and the odd ones, negated once per trial
     phi_used, psi_used = set().union(*phi.indices), set().union(*psi.indices)
-    tables = [(phi_at, _odd_codes((phi_used, psi_used)))] if shared else [
-        (phi_at, _odd_codes((phi_used,))), (psi_at, _odd_codes((psi_used,)))]
+    odd = _odd_codes((phi_used, psi_used))
     bits = [p.value_bits(COORDINATE_BOUND) for p in distinct]
     f_bits = mf.f.value_bits(COORDINATE_BOUND)
     top = max([f_bits, *bits])
@@ -358,7 +357,7 @@ def verify_randomized(
             f"reach {top} bits, over the cap of {EVALUATION_BIT_CAP}"
         )
     both_orders = mf.f.is_zero()
-    extents = (_extent(phi, phi_used, phi_at, bits), _extent(psi, psi_used, psi_at, bits))
+    extents = (_extent(phi, phi_used, at, bits), _extent(psi, psi_used, at, bits))
     work = _trial_work(mf.size, f_bits, *extents, both_orders)
     if work > TRIAL_WORK_CAP:
         raise EvaluationCapError(
@@ -393,11 +392,10 @@ def verify_randomized(
         if scale != 1:
             values = [x.numerator * (scale // x.denominator) for x in values]
         want = fval.numerator * (scale * scale // fval.denominator)
-        by_code = [_by_code([values[k] for k in at], odd, neg) for at, odd in tables]
-        phi_values, psi_values = by_code[0], by_code[-1]
-        if _apply(phi_slots, phi_values, _apply(psi_slots, psi_values, r)) != [want * x for x in r]:
+        by_code = _by_code([values[k] for k in at], odd, neg)
+        if _apply(phi_slots, by_code, _apply(psi_slots, by_code, r)) != [want * x for x in r]:
             return False
-        if both_orders and any(_apply(psi_slots, psi_values, _apply(phi_slots, phi_values, r))):
+        if both_orders and any(_apply(psi_slots, by_code, _apply(phi_slots, by_code, r))):
             return False
     return True
 

@@ -16,27 +16,31 @@ of values (`nonzeros`, `entries`, ==) negates an entry once per call for
 each odd code the rows use, and `texts` derives the text of a negation
 from its entry's.
 
-`mat_mul`, which every exact check runs, multiplies over packed
-exponents and integer coefficients, with each table entry packed once
-and its negation packed from that on the first read of an odd code,
-and decodes each distinct value of the product once, into a table that
-lists it once (a product equal to f*I stores f once).  Constructors and
-`mat_mul` write even codes only; `from_strings` writes an odd code for a
-one-term text whose sign twin it read before ("-x^2y" after "x^2y", or
-the reverse), so a document's table lists one entry per value up to
-sign, as a pipeline's does.  Negation negates
-the table and shares the rows; `kron` multiplies each pair of used
-table entries once and gives each slot the xor of its two sign bits;
-`block2x2` and `direct_sum` concatenate the distinct tables of their
-blocks and shift the codes by twice the length of the tables before,
-so blocks over one table keep it.  The six blocks of `yoshino` index
-one table, the entries of its two inputs, and its negated blocks are
-the same codes with the bit flipped; so do the rows of a standard step
-(Yoshino's product with a 1x1 pair, written directly), whose -g and -h
-are the odd codes of g and h.  So both factors share one table, and a
-fold of steps keeps it short and negates no polynomial.  A pair read
-from a document shares one table too: `MatrixFactorization.from_dict`
-parses both grids in one `from_strings` call.
+`mat_mul`, which every exact check runs, puts its two operands on one
+table and multiplies over packed exponents and integer coefficients,
+with each table entry packed once and its negation packed from that on
+the first read of an odd code, and decodes each distinct value of the
+product once, into a table that lists it once (a product equal to f*I
+stores f once).  Constructors and `mat_mul` write even codes only;
+`from_strings` writes an odd code for a one-term text whose sign twin it
+read before ("-x^2y" after "x^2y", or the reverse), so a document's
+table lists one entry per value up to sign, as a pipeline's does.
+Negation negates the table and shares the rows; `kron` multiplies each
+pair of used table entries once and gives each slot the xor of its two
+sign bits; `block2x2` and `direct_sum` concatenate the distinct tables
+of their blocks and shift the codes by twice the length of the tables
+before, so blocks over one table keep it.  The two factors of a
+`MatrixFactorization` index one table: its constructor moves them onto
+one (`_on_one_table`) when they arrive over two, as the two Kronecker
+products of a reduced or multiplicative tensor product do.  So the six
+blocks of `yoshino` index one table, the entries of its two inputs, and
+its negated blocks are the same codes with the bit flipped; so do the
+rows of a standard step (Yoshino's product with a 1x1 pair, written
+directly), whose -g and -h are the odd codes of g and h.  A fold of
+steps thus keeps one short table and negates no polynomial.  A pair
+read from a document arrives over one table:
+`MatrixFactorization.from_dict` parses both grids in one `from_strings`
+call.
 """
 
 from __future__ import annotations
@@ -321,53 +325,48 @@ def scalar_matrix(p: Polynomial, n: int) -> PolyMatrix:
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Exact product over packed exponents and integer coefficients.
 
-    Per call, each variable v gets a mixed-radix digit of width
-    maxexp_a(v) + maxexp_b(v) + 1, and a monomial's exponents are packed
-    into one int, digit by digit.  A digit of a product term is the sum of
-    one digit from a and one from b, so it never reaches its width: no
-    carry crosses digits, and adding two packed keys packs the product
-    monomial.  Distinct monomials thus keep distinct keys.  The entries
-    of b also carry their column j as the top digit (j * radix + packed).
-    Coefficients are scaled to ints by each matrix's denominator lcm, so
-    each output row is one dict from packed key to int sum.
+    a and b are first put on one table (see `_on_one_table`).  Per call,
+    each variable v gets a mixed-radix digit of width 2 * maxexp(v) + 1,
+    for maxexp(v) its highest exponent in the table, and a monomial's
+    exponents are packed into one int, digit by digit.  A digit of a
+    product term is the sum of one digit from a and one from b, so it
+    never reaches its width: no carry crosses digits, and adding two
+    packed keys packs the product monomial.  Distinct monomials thus
+    keep distinct keys.  The entries of b also carry their column j as
+    the top digit (j * radix + packed).  Coefficients are scaled to ints
+    by the lcm of the table's denominators, so each output row is one
+    dict from packed key to int sum.
 
-    Each distinct table (a table a and b share, once) is profiled in one
-    pass and its entries packed once per call, into a list every slot
-    reads by its code; an odd code's negated entry is packed from its
-    entry's packing by flipping the sums, on the first read of the code,
-    so a product of factors with no odd code packs no negation.  A row's
-    nonzero sums are grouped by column, and
-    an output entry is found by its packed {key: sum} terms, bucketed by
-    their two sums: each distinct value is decoded once per call (each
-    packed key and scaled sum in it, once per call too), and every slot
-    holding it holds one even code.  So the product's table lists each
-    distinct value once, and a product equal to f*I stores f once.
+    The table is profiled in one pass and its entries packed once per
+    call, into a list every slot of a and b reads by its code; an odd
+    code's negated entry is packed from its entry's packing by flipping
+    the sums, on the first read of the code, so a product of factors with
+    no odd code packs no negation.  A row's nonzero sums are grouped by
+    column, and an output entry is found by its packed {key: sum} terms,
+    bucketed by their two sums: each distinct value is decoded once per
+    call (each packed key and scaled sum in it, once per call too), and
+    every slot holding it holds one even code.  So the product's table
+    lists each distinct value once, and a product equal to f*I stores f
+    once.
     """
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    tables = (a.table,) if a.table is b.table else (a.table, b.table)
+    a, b = _on_one_table(a, b)
+    # the table's exponent keys, the highest exponent of each variable in
+    # them, and the lcm of its coefficient denominators
     keys: set[ExpKey] = set()
-    tops: list[dict[str, int]] = []
-    scales: list[int] = []
-    for t in tables:
-        # the table's exponent keys, the highest exponent of each
-        # variable in them, and the lcm of its coefficient denominators
-        seen: set[ExpKey] = set()
-        denominators = {1}
-        for e in t:
-            terms = e._terms
-            seen.update(terms)
-            denominators.update(map(_denominator, terms.values()))
-        top: dict[str, int] = {}
-        for k in seen:
-            for v, x in k:
-                if x > top.get(v, 0):
-                    top[v] = x
-        keys |= seen
-        tops.append(top)
-        scales.append(lcm(*denominators))
-    top_a, top_b = tops[0], tops[-1]
-    digits = [(v, top_a.get(v, 0) + top_b.get(v, 0) + 1) for v in sorted(top_a.keys() | top_b.keys())]
+    denominators = {1}
+    for e in a.table:
+        terms = e._terms
+        keys.update(terms)
+        denominators.update(map(_denominator, terms.values()))
+    top: dict[str, int] = {}
+    for k in keys:
+        for v, x in k:
+            if x > top.get(v, 0):
+                top[v] = x
+    lcd = lcm(*denominators)
+    digits = [(v, 2 * top[v] + 1) for v in sorted(top)]
     place: dict[str, int] = {}
     radix = 1
     for v, width in digits:
@@ -380,23 +379,19 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             packed += x * place[v]
         packs[k] = packed
     pack = packs.__getitem__
-    # each table's packed terms by slot code: `packed[k] or negate(k)`
-    # reads them, and packs an odd code on its first read
-    packed_tables = [
-        _by_code(
-            [list(zip(map(pack, e._terms), e._terms.values())) for e in t] if s == 1 else
-            [[(packs[k], c.numerator * (s // c.denominator)) for k, c in e._terms.items()] for e in t],
-            (), None,
-        )
-        for t, s in zip(tables, scales)
-    ]
-    packed_a, packed_b = packed_tables[0], packed_tables[-1]
-    negate_a, negate_b = _negating(packed_a), _negating(packed_b)
+    # the packed terms by slot code: `packed_terms[k] or negate(k)` reads
+    # them, and packs an odd code on its first read
+    packed_terms = _by_code(
+        [list(zip(map(pack, e._terms), e._terms.values())) for e in a.table] if lcd == 1 else
+        [[(packs[k], c.numerator * (lcd // c.denominator)) for k, c in e._terms.items()] for e in a.table],
+        (), None,
+    )
+    negate = _negating(packed_terms)
     b_rows = [
-        [(j * radix + key, c) for j, k in zip(js, ks) for key, c in packed_b[k] or negate_b(k)]
+        [(j * radix + key, c) for j, k in zip(js, ks) for key, c in packed_terms[k] or negate(k)]
         for js, ks in zip(b.columns, b.indices)
     ]
-    scale = scales[0] * scales[-1]
+    scale = lcd * lcd
     decode = _Memo(lambda packed: _unpack(packed, digits)).__getitem__
     coeff = _Memo(lambda c: _coeff(Fraction(c, scale))).__getitem__
     # (sum of packed keys, sum of scaled sums) -> [(packed terms, slot code)]
@@ -408,7 +403,7 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         get = acc.get
         for k, ia in zip(acols, aidx):
             brow = b_rows[k]
-            for ka, ca in packed_a[ia] or negate_a(ia):
+            for ka, ca in packed_terms[ia] or negate(ia):
                 for kb, cb in brow:
                     key = ka + kb
                     acc[key] = get(key, 0) + ca * cb
@@ -481,36 +476,23 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     Each pair of a used table entry of a and one of b (every row of a
     meets every row of b) is multiplied once, whatever the signs of the
     slots that use them, before any row is written; every slot of that
-    product holds its code, with the xor of the two slots' sign bits.  A
-    product with the constant one is the other entry object itself:
-    kron(a, identity(m)) and kron(identity(n), b) multiply no polynomial
-    and hold exactly the table entries of a or b (where such an entry is
-    one too, either one may be held).  Products of nonzero polynomials
-    are nonzero.
+    product holds its code, with the xor of the two slots' sign bits.
+    Products of nonzero polynomials are nonzero.
     """
     ta, tb, width = a.table, b.table, b.cols
     # made[ka][kb]: the slot code of the product of the slots of codes ka and kb
     made: list[list[int]] = [[]] * (2 * len(ta))
-    kept: dict[tuple[int, int], int] = {}  # (0, x) or (1, y): the code of ta[x] or tb[y], passed through
-    ones = [(y, 2 * y, tb[y].is_one()) for y in {k >> 1 for k in set().union(*b.indices)}]
+    ys = {k >> 1 for k in set().union(*b.indices)}
     table: list[Polynomial] = []
     used = set().union(*a.indices)
     for x in {k >> 1 for k in used}:
         e, row = ta[x], [0] * (2 * len(tb))
-        made[2 * x], x_one = row, e.is_one()
-        for y, at, y_one in ones:
-            if x_one or y_one:
-                # a product with one is the other entry, listed once however often
-                key = (1, y) if x_one else (0, x)
-                k = kept.get(key)
-                if k is None:
-                    k = kept[key] = 2 * len(table)
-                    table.append(tb[y] if x_one else e)
-            else:
-                k = 2 * len(table)
-                table.append(e * tb[y])
-            row[at] = k
-            row[at + 1] = k + 1
+        made[2 * x] = row
+        for y in ys:
+            k = 2 * len(table)
+            table.append(e * tb[y])
+            row[2 * y] = k
+            row[2 * y + 1] = k + 1
     for k in used:
         if k & 1:
             made[k] = [c ^ 1 for c in made[k - 1]]

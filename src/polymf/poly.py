@@ -208,9 +208,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {(): 1}
-
     def as_constant(self) -> Coeff | None:
         """The value if this is a constant polynomial, else None."""
         if not self._terms:

@@ -24,7 +24,7 @@ from operator import add
 from typing import Iterable
 
 from .factorization import MatrixFactorization, make_factorization
-from .matrix import _on_one_table, _shifted, _sparse
+from .matrix import _shifted, _sparse
 from .poly import Coeff, ExpKey, Polynomial, PolyError, _split_key, _wrap
 
 # The blocks (top left, top right, bottom left, bottom right) of phi and
@@ -87,7 +87,7 @@ def standard_step(
     if variant not in _STEPS:
         raise ValueError(f"unknown standard-method variant {variant!r}")
     n = mf.size
-    c, d = _on_one_table(mf.phi, mf.psi)
+    c, d = mf.phi, mf.psi
     table = c.table
     # each block's rows: (columns as a left block, as a right block, indices)
     rows = {"C": (c.columns, _shifted(c.columns, n), c.indices),

@@ -21,7 +21,6 @@ from __future__ import annotations
 from .factorization import MatrixFactorization, make_factorization
 from .matrix import (
     PolyMatrix,
-    _on_one_table,
     _sparse,
     block2x2,
     direct_sum,
@@ -54,8 +53,8 @@ def yoshino(
     `_LAYOUTS` entry, through block2x2.  No Kronecker product is taken:
     row i*m + p of phi (x) 1_m is row i of phi at columns j*m + p, and
     row i*m + p of 1_n (x) phi' is row p of phi' at columns i*m + q.
-    All six blocks index one table, the entries of x and then those of
-    y, and both factors share it.  A negated block holds the codes of
+    All six blocks index one table, the table of x and then that of y
+    (the factors of a pair share one), and both factors share it.  A negated block holds the codes of
     its positive twin with the sign bit flipped, so no polynomial is
     multiplied or negated.
     """
@@ -63,10 +62,8 @@ def yoshino(
         raise ValueError(f"unknown variant {variant!r}; expected one of {YOSHINO_VARIANTS}")
     n, m = x.size, y.size
     nm = n * m
-    xphi, xpsi = _on_one_table(x.phi, x.psi)
-    yphi, ypsi = _on_one_table(y.phi, y.psi)
-    table = xphi.table + yphi.table
-    at_y = 2 * len(xphi.table)
+    table = x.phi.table + y.phi.table
+    at_y = 2 * len(x.phi.table)
 
     def spread(a: PolyMatrix) -> PolyMatrix:
         """a (x) 1_m, whose codes stand, since x's entries lead the table."""
@@ -82,9 +79,9 @@ def yoshino(
             for flip in (0, 1)
         ]
 
-    blocks = {"P": spread(xphi), "S": spread(xpsi)}
-    blocks["KP"], blocks["-KP"] = tiles(yphi)
-    blocks["KS"], blocks["-KS"] = tiles(ypsi)
+    blocks = {"P": spread(x.phi), "S": spread(x.psi)}
+    blocks["KP"], blocks["-KP"] = tiles(y.phi)
+    blocks["KS"], blocks["-KS"] = tiles(y.psi)
     phi, psi = (block2x2(*map(blocks.__getitem__, layout)) for layout in _LAYOUTS[variant])
     return make_factorization(x.f + y.f, phi, psi, verify=verify)
 

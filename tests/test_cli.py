@@ -31,16 +31,14 @@ from polymf import (
 )
 from polymf.cli import main
 
-from conftest import factorizations, scaled_two_product_pair
+from conftest import factorizations, paper_srp, scaled_two_product_pair
 from test_golden import DIGESTS, DOCUMENTS
 
+# Parts I and II spelled unlike fixtures.PAPER_DOCUMENTS ("*", no spaces),
+# so the CLI is tested on other texts of the same polynomials.
 PART1 = {"terms": ["z*y"], "products": [["x*y^2+x^2*z+y*z^2", "x*y+z^2"]]}
 PART2 = {"terms": ["x^5y^2"], "products": [["xy^2+x^2z+yz^2", "x^2z+y^2+y^2z"]]}
-NO_MONOMIAL = {"terms": [], "products": [["xy + z^2", "x + y"], ["x + z", "y + z"]]}
-TWO_PRODUCT = {
-    "terms": ["zy"],
-    "products": [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
-}
+TWO_PRODUCT = fixtures.PAPER_DOCUMENTS["two_product"]
 # refined size 2^(0 + 32 - 2 + 1) = 2^31, improved 2^32
 HUGE = {
     "terms": ["w"],
@@ -447,10 +445,7 @@ class TestVerify:
         assert run(["verify", "--input", write_json(tmp_path, "mf.json", doc), "--output", str(tmp_path / "v.txt")]) == code
 
     def test_corrupted_randomized_pair_fails(self, tmp_path, capsys):
-        mf = run_improved(
-            SummandReducedPoly.from_strings(NO_MONOMIAL["terms"], NO_MONOMIAL["products"]),
-            verify="skip",
-        )
+        mf = run_improved(paper_srp("no_monomial"), verify="skip")
         doc = mf.to_dict()
         doc["phi"][3][4] = str(mf.phi.entries[3][4] + Polynomial.const(1))
         path = write_json(tmp_path, "mf.json", doc)
@@ -493,8 +488,7 @@ class TestVerify:
         def never(p, point):
             raise AssertionError("a trial started")
 
-        srp = SummandReducedPoly.from_strings(NO_MONOMIAL["terms"], NO_MONOMIAL["products"])
-        path = write_json(tmp_path, "mf.json", run_improved(srp, verify="skip").to_dict())
+        path = write_json(tmp_path, "mf.json", run_improved(paper_srp("no_monomial"), verify="skip").to_dict())
         assert run(["verify", "--input", path]) == 0
         capsys.readouterr()
         monkeypatch.setattr(Polynomial, "evaluate", never)

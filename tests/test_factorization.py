@@ -48,6 +48,7 @@ from conftest import (
     flipped,
     materialized,
     nonzero_polynomials,
+    paper_srp,
     poly_matrices,
     polynomials,
     relaid,
@@ -68,16 +69,10 @@ def pair_p_case():
     return good, with_phi_entry(good, 2, 1, parse_polynomial("x^3"))
 
 
-PART1 = (["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]])
-PART2 = (["x^5y^2"], [["xy^2 + x^2z + yz^2", "x^2z + y^2 + y^2z"]])
-TWO_PRODUCT = (
-    ["zy"],
-    [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
-)
+PART1, PART2, TWO_PRODUCT, NO_MONOMIAL = map(paper_srp, ("part1", "part2", "two_product", "no_monomial"))
 
 # Pipeline pairs of the paper corpus and the no-monomial document, up to
 # the refined two-product pair (512).
-NO_MONOMIAL = ([], [["xy + z^2", "x + y"], ["x + z", "y + z"]])
 PIPELINE_PAIRS = [
     (run_refined, PART1), (run_improved, PART1), (run_standard, PART1),
     (run_refined, PART2), (run_improved, PART2),
@@ -90,10 +85,10 @@ PIPELINE_IDS = [
 ]
 
 
-def plus_one_case(run, doc, size):
-    """The pair run builds from doc (terms, products), of the given size
-    above the exact threshold, and the same pair with one phi entry +1."""
-    good = run(SummandReducedPoly.from_strings(*doc), verify="skip")
+def plus_one_case(run, srp, size):
+    """The pair run builds from srp, of the given size above the exact
+    threshold, and the same pair with one phi entry +1."""
+    good = run(srp, verify="skip")
     assert good.size == size > EXACT_SIZE_THRESHOLD
     return good, with_phi_entry(good, 5, 9, good.phi.entries[5][9] + Polynomial.const(1))
 
@@ -101,17 +96,16 @@ def plus_one_case(run, doc, size):
 def improved_128_case(products):
     """The improved pair of a no-monomial document (size 128), and the
     same pair with one phi entry +1."""
-    return plus_one_case(run_improved, ([], products), 128)
+    return plus_one_case(run_improved, SummandReducedPoly.from_strings([], products), 128)
 
 
 def paper_pairs():
     """The pipelines' pairs of the paper corpus: part I, part II and the
     two-product example (up to size 2048)."""
-    for doc in (PART1, PART2, TWO_PRODUCT):
-        srp = SummandReducedPoly.from_strings(*doc)
+    for srp in (PART1, PART2, TWO_PRODUCT):
         yield run_refined(srp, verify="skip")
         yield run_improved(srp, verify="skip")
-        if doc is not TWO_PRODUCT:  # 2^15 by the standard method
+        if srp is not TWO_PRODUCT:  # 2^15 by the standard method
             yield run_standard(srp, verify="skip")
 
 
@@ -120,9 +114,9 @@ class TestVerifyExact:
         ok, diag = verify_exact(fixtures.simple_quadratic())
         assert ok and diag == "ok"
 
-    @pytest.mark.parametrize("run, doc", PIPELINE_PAIRS, ids=PIPELINE_IDS)
-    def test_a_pipeline_product_stores_f_once(self, run, doc):
-        mf = run(SummandReducedPoly.from_strings(*doc), verify="skip")
+    @pytest.mark.parametrize("run, srp", PIPELINE_PAIRS, ids=PIPELINE_IDS)
+    def test_a_pipeline_product_stores_f_once(self, run, srp):
+        mf = run(srp, verify="skip")
         product = mat_mul(mf.phi, mf.psi)
         assert product.table == (mf.f,)
         assert product == scalar_matrix(mf.f, mf.size)
@@ -517,7 +511,7 @@ class TestExactWorkCap:
         checked exactly when asked."""
         work = {mf.size: factorization._product_work(mf.phi, mf.psi) for mf in paper_pairs()}
         assert max(work.values()) == work[2048] == EXACT_WORK_CAP // 2
-        improved = run_improved(SummandReducedPoly.from_strings(*TWO_PRODUCT), verify="skip")
+        improved = run_improved(TWO_PRODUCT, verify="skip")
         assert certify(improved, "exact") == {"mode": "exact"}
 
     def test_failure_diagnostic_is_bounded(self):
@@ -539,9 +533,7 @@ def brute_force_work(a, b) -> int:
 
 def small_pipeline_pairs():
     """The refined, improved and standard pairs of parts I and II."""
-    part1 = (["zy"], [["xy^2 + x^2z + yz^2", "xy + z^2"]])
-    for doc in (part1, PART2):
-        srp = SummandReducedPoly.from_strings(*doc)
+    for srp in (PART1, PART2):
         for run in (run_refined, run_improved, run_standard):
             yield run(srp, verify="skip")
 
@@ -600,7 +592,7 @@ class TestExactReadout:
         assume(kind != "off_diagonal" or mf.size > 1)
         i = data.draw(st.integers(0, mf.size - 1))
         j = data.draw(st.integers(0, mf.size - 1).filter(lambda j: j != i)) if kind == "off_diagonal" else i
-        g = data.draw(nonzero_polynomials().filter(lambda g: not g.is_one()))
+        g = data.draw(nonzero_polynomials().filter(lambda g: g != Polynomial.const(1)))
         bad = corrupted(mf, kind, i, j, g)
         result = verify_exact(bad)
         assert not result[0] and result == row_by_row(bad)
@@ -665,6 +657,15 @@ class TestTableLayout:
         assert verify_exact(again)[0] and verify_randomized(again, trials=1, seed=seed)
         assert kron(again.phi, y.phi) == kron(x.phi, y.phi)
         assert again.phi.texts() == x.phi.texts()
+
+    @given(factorizations(), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_factors_over_two_tables_are_moved_onto_one(self, mf, seed):
+        """A pair built from factors over two tables indexes one, and
+        compares and writes as the pair does."""
+        again = MatrixFactorization(mf.f, mf.phi, relaid(mf.psi, seed))
+        assert again.phi.table is again.psi.table
+        assert again == mf and again.to_dict() == mf.to_dict()
 
 
 class TestSignBits:
@@ -748,7 +749,7 @@ class TestSerialization:
         each distinct value either of them uses is formatted once, whatever
         the codes and signs that read it, into the grids of their own
         texts(); a negation's text is derived from its value's."""
-        mf = run_refined(SummandReducedPoly.from_strings(*TWO_PRODUCT), verify="skip")
+        mf = run_refined(TWO_PRODUCT, verify="skip")
         assert mf.phi.table is mf.psi.table
         want = {"f": str(mf.f), "size": mf.size, "phi": mf.phi.texts(), "psi": mf.psi.texts()}
         used = set().union(*mf.phi.indices, *mf.psi.indices)
@@ -774,9 +775,9 @@ class TestSerialization:
     def test_random_pairs_read_back_over_one_table(self, mf):
         assert_reads_back(mf)
 
-    @pytest.mark.parametrize("run, doc", PIPELINE_PAIRS, ids=PIPELINE_IDS)
-    def test_pipeline_pairs_read_back_over_one_table(self, run, doc):
-        assert_reads_back(run(SummandReducedPoly.from_strings(*doc), verify="skip"))
+    @pytest.mark.parametrize("run, srp", PIPELINE_PAIRS, ids=PIPELINE_IDS)
+    def test_pipeline_pairs_read_back_over_one_table(self, run, srp):
+        assert_reads_back(run(srp, verify="skip"))
 
     def test_factors_that_share_no_text(self):
         """phi and psi share no entry text (psi writes w as "1w" and

@@ -512,15 +512,22 @@ class TestProductOfSharedEntries:
 
     def test_each_distinct_object_is_packed_once(self, monkeypatch):
         """The packing and the profile read the terms of the distinct
-        entry objects of each factor, however many slots hold them: a
-        factor with twice the nonzeros over the same objects reads each
-        object exactly as often."""
+        entry objects of the table, however many slots hold them: factors
+        with twice the nonzeros over the same table read each object
+        exactly as often."""
         x, y = m([["x + 1/2 y", "z"], ["0", "x + 1/2 y"]]), m([["y", "2"], ["2", "y"]])
+        table, at_y = x.table + y.table, 2 * len(x.table)
         slot = Polynomial.__dict__["_terms"]
         reads = Counter()
 
         def terms_reads(k):
-            a, b = kron(x, identity(k)), kron(identity(k), y)
+            # x (x) 1_k and 1_k (x) y, their slots over one table of x's
+            # entries and then y's
+            a = matrix._sparse(table, [tuple(j * k + p for j in js) for js in x.columns for p in range(k)],
+                               [ks for ks in x.indices for _ in range(k)], 2 * k, 2 * k)
+            b = matrix._sparse(table, [tuple(2 * p + j for j in js) for p in range(k) for js in y.columns],
+                               [tuple(c + at_y for c in ks) for ks in y.indices] * k, 2 * k, 2 * k)
+            assert a == kron(x, identity(k)) and b == kron(identity(k), y)
             assert entry_objects(a) == 2 and entry_objects(b) == 2
             assert sum(1 for _ in a.nonzeros()) == 3 * k and sum(1 for _ in b.nonzeros()) == 4 * k
             reads.clear()
@@ -529,7 +536,7 @@ class TestProductOfSharedEntries:
                                                              slot.__set__))
                 c = mat_mul(a, b)
             assert c == entrywise_product(a, b)
-            counts = {i: reads[i] for i in {id(e) for e in (*a.table, *b.table)}}
+            counts = {i: reads[i] for i in {id(e) for e in table}}
             assert all(counts.values())
             return counts
 
@@ -557,44 +564,13 @@ class TestProductOfSharedEntries:
 
 
 class TestKroneckerWithOne:
-    """A Kronecker product with the constant one reuses the other entry
-    object: no polynomial is multiplied and no entry is copied."""
-
-    @given(shared_matrices(rational_polynomials(max_terms=2)), st.integers(1, 3))
-    @settings(max_examples=60)
-    def test_identity_blocks_hold_the_input_objects(self, a, n):
-        """Each slot holds a's entry object itself (where that entry is one
-        too, it may hold the identity's one instead), and no polynomial is
-        multiplied."""
-        def never(p, q):
-            raise AssertionError("a polynomial was multiplied")
-
-        one = identity(1)[0, 0]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Polynomial, "__mul__", never)
-            right, left = kron(a, identity(n)), kron(identity(n), a)
-            assert kron(identity(n), identity(2)) == identity(2 * n)
-        for i, j, e in a.nonzeros():
-            for p in range(n):
-                for held in (right[i * n + p, j * n + p], left[p * a.rows + i, p * a.cols + j]):
-                    assert held is e or (e.is_one() and held is one)
-        nonzeros = sum(1 for _ in a.nonzeros())
-        assert sum(1 for _ in right.nonzeros()) == sum(1 for _ in left.nonzeros()) == n * nonzeros
-
-    def test_each_entry_passed_through_is_listed_once(self):
-        """Two ones of b pass each entry of a through: the result's table
-        lists that entry once, so a later product multiplies it once."""
-        x = parse_polynomial("x")
-        one, other_one = parse_polynomial("1"), parse_polynomial("1")
-        k = kron(PolyMatrix([[x]]), matrix._sparse((one, other_one), [(0, 1)], [(0, 2)], 1, 2))
-        assert k == PolyMatrix([[x, x]]) and k.table == (x,) and k[0, 0] is x
+    """A Kronecker product multiplies the constant one like any entry."""
 
     def test_ones_inside_a_factor_are_reused(self):
+        """kron is the entrywise Kronecker product on factors holding ones."""
         a = m([["1", "x"], ["y", "1"]])
         b = m([["z", "1"], ["1", "2"]])
         k = kron(a, b)
         assert k == PolyMatrix(
             [[a[i, j] * b[p, q] for j in range(2) for q in range(2)] for i in range(2) for p in range(2)]
         )
-        assert k[0, 1] is b[0, 1]  # 1 * 1
-        assert k[0, 0] is b[0, 0] and k[0, 3] is a[0, 1]

@@ -19,7 +19,7 @@ from polymf import (
 from polymf.poly import _coeff, _negated_text, _split_key, _times_key
 from polymf.standard import _split_pairs
 
-from conftest import polynomials, rational_polynomials, split_by_flat_list
+from conftest import paper_srp, polynomials, rational_polynomials, split_by_flat_list
 
 
 def p(text: str) -> Polynomial:
@@ -264,7 +264,7 @@ class TestMonomialSplit:
 
     def test_constant_splits_trivially(self):
         g, h = halves(p("4"))
-        assert g == p("4") and h.is_one()
+        assert g == p("4") and h == Polynomial.const(1)
 
     @given(polynomials().filter(lambda q: not q.is_zero()))
     @settings(max_examples=100)
@@ -370,13 +370,7 @@ class TestOneTermProduct:
 class TestCounting:
     def test_two_product_expansion_has_sixteen_formal_monomials(self):
         # counted in factor form: 1 + 3*2 + 3*3
-        from polymf import SummandReducedPoly
-
-        srp = SummandReducedPoly.from_strings(
-            ["zy"],
-            [["xy^2 + x^2z + yz^2", "xy + z^2"], ["yz + xy^2 + x^2", "x^3z^2 + yx + y^2"]],
-        )
-        assert len(srp.formal_monomials()) == 16
+        assert len(paper_srp("two_product").formal_monomials()) == 16
 
     def test_canonical_count_merges_collisions(self):
         # the part-I product repeats xy^2z^2, so the canonical count is 6
