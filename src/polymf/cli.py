@@ -301,8 +301,12 @@ def _demo_cases() -> list[tuple[str, Callable[[], object], object]]:
     )
     telescoping = SummandReducedPoly.from_strings(["zx"], [["x - y", "x^4 + x^3y + x^2y^2 + xy^3 + y^4"]])
 
+    def certified_size(mf: MatrixFactorization) -> int:
+        certify(mf)
+        return mf.size
+
     def standard_size(text: str) -> int:
-        return standard_factorize_polynomial(parse_polynomial(text)).size
+        return certified_size(standard_factorize_polynomial(parse_polynomial(text)))
 
     def failed(srp: SummandReducedPoly) -> list[int]:
         return validate_summand_reduced(srp).failed_conditions()
@@ -312,9 +316,9 @@ def _demo_cases() -> list[tuple[str, Callable[[], object], object]]:
         ("standard method sizes (h=2, g=4)",
          lambda: (standard_size("xy + z^2"), standard_size("xy^2 + x^2z + yz^2")), (2, 4)),
         ("tensor product sizes (8, 16, 16)",
-         lambda: (reduced_tensor(fixtures.pair_m(), fixtures.pair_p()).size,
-                  reduced_tensor(fixtures.pair_p(), fixtures.pair_n()).size,
-                  mult_tensor(fixtures.pair_m(), fixtures.pair_p()).size), (8, 16, 16)),
+         lambda: (certified_size(reduced_tensor(fixtures.pair_m(), fixtures.pair_p())),
+                  certified_size(reduced_tensor(fixtures.pair_p(), fixtures.pair_n())),
+                  certified_size(mult_tensor(fixtures.pair_m(), fixtures.pair_p()))), (8, 16, 16)),
         ("part-I pipelines (16, 32, 64)",
          lambda: (run_refined(part1).size, run_improved(part1).size, run_standard(part1).size), (16, 32, 64)),
         ("part-I 16x16 fixture verifies", lambda: verify_exact(fixtures.part1_pair())[0], True),

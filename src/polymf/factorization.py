@@ -84,7 +84,7 @@ class VerificationError(ValueError):
 @dataclass(frozen=True)
 class MatrixFactorization:
     """A pair (phi, psi) of square matrices of one size, meant to satisfy
-    phi*psi = psi*phi = f*I_n; `make_factorization` certifies it.
+    phi*psi = psi*phi = f*I_n; `certify` checks it.
 
     phi and psi index one table: factors given over two are rebuilt over
     phi's entries followed by psi's (see matrix._on_one_table)."""
@@ -165,8 +165,8 @@ def make_factorization(
     """Build a factorization of f and certify it in mode verify (see
     `certify`, which also takes the trials and seed of a randomized check).
 
-    verify="skip" builds it unchecked: for the intermediate results of a
-    proven construction whose final pair is certified.
+    verify="skip" builds it unchecked, for a caller that certifies the pair
+    itself (the CLI, with its own trials, through the pipelines' _certified).
     """
     mf = MatrixFactorization(f, phi, psi)
     if verify != "skip":
@@ -257,12 +257,12 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
 
 def _work_bound(a: PolyMatrix, b: PolyMatrix) -> int:
     """An upper bound on _product_work(a, b) from the row lengths of a and
-    b and one pass over each distinct table: each stored a[i,k] meets at most
-    the longest row of b, and each of those products multiplies at most
-    the longest entry of a's table by the longest of b's."""
-    longest_a = _longest(a.table)
-    longest_b = longest_a if b.table is a.table else _longest(b.table)
-    return sum(map(len, a.indices)) * max(map(len, b.indices), default=0) * longest_a * longest_b
+    b and one pass over their table: each stored a[i,k] meets at most the
+    longest row of b, and each of those products multiplies at most two
+    of the longest entries.  a and b index one table, a.table, as the two
+    factors of a pair do."""
+    longest = _longest(a.table)
+    return sum(map(len, a.indices)) * max(map(len, b.indices), default=0) * longest * longest
 
 
 def _longest(table: tuple[Polynomial, ...]) -> int:
@@ -273,11 +273,11 @@ def _longest(table: tuple[Polynomial, ...]) -> int:
 def _product_work(a: PolyMatrix, b: PolyMatrix) -> int:
     """The term products mat_mul(a, b) makes: for each stored a[i,k], its
     terms times all the terms of row k of b.  O(nnz) to compute, and it
-    counts the terms of each table entry once, for both of its codes."""
-    terms_a = _term_counts(a.table)
-    terms_b = terms_a if b.table is a.table else _term_counts(b.table)
-    row_terms = [sum(map(terms_b.__getitem__, ks)) for ks in b.indices]
-    return sum([terms_a[ia] * row_terms[k] for js, ks in zip(a.columns, a.indices) for k, ia in zip(js, ks)])
+    counts the terms of each table entry once, for both of its codes.  a
+    and b index one table, a.table, as the two factors of a pair do."""
+    terms = _term_counts(a.table)
+    row_terms = [sum(map(terms.__getitem__, ks)) for ks in b.indices]
+    return sum([terms[ia] * row_terms[k] for js, ks in zip(a.columns, a.indices) for k, ia in zip(js, ks)])
 
 
 def _term_counts(table: tuple[Polynomial, ...]) -> list[int]:

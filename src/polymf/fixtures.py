@@ -1,13 +1,14 @@
 """Small hand-checked factorizations, and the paper's example documents,
 used by the demo, the scripts and the tests.
 
-Each fixture is a function that reads its pair from literal entries,
-as `MatrixFactorization.from_dict` reads a document (both factors over
-one table), and verifies it exactly, so every call re-proves the
-identity.
+Each fixture is a function that verifies the pair it returns exactly,
+so every call re-proves the identity.  The leaves read their pairs from
+literal entries, as `MatrixFactorization.from_dict` reads a document
+(both factors over one table).
 The two composite pairs assemble the building blocks exactly the way the
 refined pipeline does: reduced multiplicative tensor inside the product,
-one additive tensor step for the monomial part.
+one additive tensor step for the monomial part.  The constructions
+return unchecked pairs, so the composites are verified like the leaves.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ PAPER_DOCUMENTS = {
 }
 
 
-def _mf(f: str, phi: list[list[str]], psi: list[list[str]]) -> MatrixFactorization:
-    mf = MatrixFactorization.from_dict({"f": f, "phi": phi, "psi": psi})
+def _exact(mf: MatrixFactorization) -> MatrixFactorization:
+    """mf, once the exact check has passed it."""
     certify(mf, "exact")
     return mf
+
+
+def _mf(f: str, phi: list[list[str]], psi: list[list[str]]) -> MatrixFactorization:
+    return _exact(MatrixFactorization.from_dict({"f": f, "phi": phi, "psi": psi}))
 
 
 def simple_quadratic() -> MatrixFactorization:
@@ -111,7 +116,7 @@ def part1_pair() -> MatrixFactorization:
 
     Built as Q additively tensored with the reduced product of P and M.
     """
-    return yoshino(pair_q(), reduced_tensor(pair_p(), pair_m()))
+    return _exact(yoshino(pair_q(), reduced_tensor(pair_p(), pair_m())))
 
 
 def part2_pair() -> MatrixFactorization:
@@ -119,4 +124,4 @@ def part2_pair() -> MatrixFactorization:
 
     Built as L additively tensored with the reduced product of P and N.
     """
-    return yoshino(pair_l(), reduced_tensor(pair_p(), pair_n()))
+    return _exact(yoshino(pair_l(), reduced_tensor(pair_p(), pair_n())))

@@ -317,17 +317,17 @@ def _pipeline(
     _require_product(srp)
     group_mfs = []
     for g in srp.products:
-        factor_mfs = [standard_factorize_polynomial(f, verify="skip") for f in g.factors]
+        factor_mfs = [standard_factorize_polynomial(f) for f in g.factors]
         mf = factor_mfs[0]
         for nxt in factor_mfs[1:]:
-            mf = product_tensor(mf, nxt, verify="skip")
+            mf = product_tensor(mf, nxt)
         group_mfs.append(mf)
     combined = group_mfs[0]
     for nxt in group_mfs[1:]:
-        combined = yoshino(combined, nxt, yvariant, verify="skip")
+        combined = yoshino(combined, nxt, yvariant)
     if srp.s >= 1:
-        monomial_mf = standard_factorize(_split_pairs(srp.monomial_terms()), verify="skip")
-        combined = yoshino(monomial_mf, combined, yvariant, verify="skip")
+        monomial_mf = standard_factorize(_split_pairs(srp.monomial_terms()))
+        combined = yoshino(monomial_mf, combined, yvariant)
     # Every step above is a proven construction, built unchecked; the
     # certificate the caller gets is this one check of the returned pair.
     return _certified(combined, verify)
@@ -384,7 +384,7 @@ def run_standard(
     if exponent < 0:
         raise PolyError("cannot factor the zero polynomial")
     check_cap("standard", exponent, max_monomials)
-    mf = standard_factorize(_split_pairs(srp.formal_monomials()), variant, verify="skip")
+    mf = standard_factorize(_split_pairs(srp.formal_monomials()), variant)
     return _certified(mf, verify)
 
 

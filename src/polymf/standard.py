@@ -14,7 +14,8 @@ blocks directly (`_STEPS`), without building the 1x1 pair or Yoshino's
 Kronecker blocks.
 
 Folding steps over a summand list g1*h1 + ... + gk*hk, starting from the
-1x1 pair ([g1], [h1]), yields factors of size 2^(k-1).
+1x1 pair ([g1], [h1]), yields factors of size 2^(k-1).  Each function
+here returns its pair unchecked, as the additive tensor product does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable
 
-from .factorization import MatrixFactorization, make_factorization
+from .factorization import MatrixFactorization
 from .matrix import _shifted, _sparse
 from .poly import Coeff, ExpKey, Polynomial, PolyError, _split_key, _wrap
 
@@ -58,13 +59,13 @@ class SummandList:
 
 
 def _one_by_one(f: Polynomial, a: Polynomial, b: Polynomial) -> MatrixFactorization:
-    """The 1x1 pair ([a], [b]) of f = a*b over one table of its nonzero
-    entries, unchecked."""
-    table = tuple(filter(None, (a, b)))
+    """The 1x1 pair ([a], [b]) of f = a*b over one table of its distinct
+    nonzero entries."""
+    table = tuple(dict.fromkeys(filter(None, (a, b))))
     # each factor's one row: column 0 at its entry's code, if stored
-    phi, psi = (_sparse(table, [(0,) if e else ()], [(k,) if e else ()], 1, 1)
-                for e, k in ((a, 0), (b, 2 * len(table) - 2)))
-    return make_factorization(f, phi, psi, verify="skip")
+    phi, psi = (_sparse(table, [(0,) if e else ()], [(2 * table.index(e),) if e else ()], 1, 1)
+                for e in (a, b))
+    return MatrixFactorization(f, phi, psi)
 
 
 def standard_step(
@@ -72,8 +73,6 @@ def standard_step(
     g: Polynomial,
     h: Polynomial,
     variant: str = "standard",
-    *,
-    verify: str = "auto",
 ) -> MatrixFactorization:
     """One doubling step: a factorization of mf.f + g*h of size 2n, laid
     out by `_STEPS` (see the module docstring).
@@ -81,9 +80,9 @@ def standard_step(
     Output row i joins the left block's row i and the right block's,
     whose columns shift by n; row i of a diagonal block is column i at
     its entry, or empty for a zero entry.  Both factors share one table:
-    mf's, then the nonzero ones of g and h.  The rows of -g and -h hold
-    the codes of g and h with the sign bit set, so no polynomial is
-    negated."""
+    mf's, then each nonzero g or h that no entry of it equals, so a
+    value is listed once.  The rows of -g and -h hold the codes of g and
+    h with the sign bit set, so no polynomial is negated."""
     if variant not in _STEPS:
         raise ValueError(f"unknown standard-method variant {variant!r}")
     n = mf.size
@@ -95,9 +94,10 @@ def standard_step(
     diagonal = list(zip(range(n))), list(zip(range(n, 2 * n)))
     for name, e in (("g", g), ("h", h)):
         if e:
-            k = 2 * len(table)
+            if e not in table:
+                table += (e,)
+            k = 2 * table.index(e)
             rows[name], rows[f"-{name}"] = ((*diagonal, ((code,),) * n) for code in (k, k + 1))
-            table += (e,)
         else:
             rows[name] = rows[f"-{name}"] = (((),) * n,) * 3
 
@@ -107,22 +107,19 @@ def standard_step(
         return _sparse(table, columns, [*map(add, lk, rk), *map(add, lk2, rk2)], 2 * n, 2 * n)
 
     phi, psi = map(factor, _STEPS[variant])
-    return make_factorization(mf.f + g * h, phi, psi, verify=verify)
+    return MatrixFactorization(mf.f + g * h, phi, psi)
 
 
-def standard_factorize(
-    sl: SummandList, variant: str = "standard", *, verify: str = "auto"
-) -> MatrixFactorization:
+def standard_factorize(sl: SummandList, variant: str = "standard") -> MatrixFactorization:
     """Fold standard steps left-to-right from the 1x1 seed ([g1], [h1]).
 
-    Size of the result is 2^(k-1) for k summands.
+    Size of the result is 2^(k-1) for k summands; it is unchecked.
     """
     (g1, h1), *rest = sl.pairs
     mf = _one_by_one(g1 * h1, g1, h1)
     for g, h in rest:
-        mf = standard_step(mf, g, h, variant, verify="skip")
-    # only the returned pair is certified; the steps are proven
-    return make_factorization(mf.f, mf.phi, mf.psi, verify=verify)
+        mf = standard_step(mf, g, h, variant)
+    return mf
 
 
 def _split_pairs(terms: Iterable[tuple[ExpKey, Coeff]]) -> SummandList:
@@ -136,9 +133,7 @@ def _split_pairs(terms: Iterable[tuple[ExpKey, Coeff]]) -> SummandList:
     return SummandList(tuple(pairs))
 
 
-def standard_factorize_polynomial(
-    p: Polynomial, variant: str = "standard", *, verify: str = "auto"
-) -> MatrixFactorization:
+def standard_factorize_polynomial(p: Polynomial, variant: str = "standard") -> MatrixFactorization:
     """Standard method on the canonical expansion of p.
 
     p's terms are taken in canonical order, each is split
@@ -147,4 +142,4 @@ def standard_factorize_polynomial(
     """
     if p.is_zero():
         raise PolyError("cannot factor the zero polynomial")
-    return standard_factorize(_split_pairs(p.items()), variant, verify=verify)
+    return standard_factorize(_split_pairs(p.items()), variant)

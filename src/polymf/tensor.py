@@ -12,13 +12,13 @@ Three families of constructions:
   (phi (x) phi', psi (x) psi') of f*g at size nm.
 
 The definitions hold verbatim whether or not the two inputs share
-variables, so nothing here rejects overlapping variable sets;
-verification is the arbiter.
+variables, so nothing here rejects overlapping variable sets.  Each
+product is a theorem, so each returns its pair unchecked.
 """
 
 from __future__ import annotations
 
-from .factorization import MatrixFactorization, make_factorization
+from .factorization import MatrixFactorization
 from .matrix import (
     PolyMatrix,
     _sparse,
@@ -39,13 +39,7 @@ _LAYOUTS = {
 YOSHINO_VARIANTS = tuple(_LAYOUTS)
 
 
-def yoshino(
-    x: MatrixFactorization,
-    y: MatrixFactorization,
-    variant: str = "standard",
-    *,
-    verify: str = "auto",
-) -> MatrixFactorization:
+def yoshino(x: MatrixFactorization, y: MatrixFactorization, variant: str = "standard") -> MatrixFactorization:
     """Additive tensor product: a factorization of f + g of size 2nm.
 
     Each variant places the Kronecker blocks phi (x) 1_m, psi (x) 1_m,
@@ -83,26 +77,17 @@ def yoshino(
     blocks["KP"], blocks["-KP"] = tiles(y.phi)
     blocks["KS"], blocks["-KS"] = tiles(y.psi)
     phi, psi = (block2x2(*map(blocks.__getitem__, layout)) for layout in _LAYOUTS[variant])
-    return make_factorization(x.f + y.f, phi, psi, verify=verify)
+    return MatrixFactorization(x.f + y.f, phi, psi)
 
 
-def mult_tensor(
-    x: MatrixFactorization, y: MatrixFactorization, *, verify: str = "auto"
-) -> MatrixFactorization:
+def mult_tensor(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactorization:
     """Multiplicative tensor product: duplicated Kronecker blocks, size 2nm."""
     pp = kron(x.phi, y.phi)
     ss = kron(x.psi, y.psi)
-    return make_factorization(x.f * y.f, direct_sum(pp, pp), direct_sum(ss, ss), verify=verify)
+    return MatrixFactorization(x.f * y.f, direct_sum(pp, pp), direct_sum(ss, ss))
 
 
-def reduced_tensor(
-    x: MatrixFactorization, y: MatrixFactorization, *, verify: str = "auto"
-) -> MatrixFactorization:
+def reduced_tensor(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactorization:
     """Reduced multiplicative tensor product: a factorization of f*g of
     size nm, with factors (phi (x) phi', psi (x) psi')."""
-    return make_factorization(
-        x.f * y.f,
-        kron(x.phi, y.phi),
-        kron(x.psi, y.psi),
-        verify=verify,
-    )
+    return MatrixFactorization(x.f * y.f, kron(x.phi, y.phi), kron(x.psi, y.psi))

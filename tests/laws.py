@@ -116,19 +116,19 @@ def compose(m2: Morphism, m1: Morphism) -> Morphism:
     return Morphism(m1.domain, m2.codomain, mat_mul(m2.alpha, m1.alpha), mat_mul(m2.beta, m1.beta))
 
 
-def tensor_morphisms(zf: Morphism, zg: Morphism, *, verify: str = "auto") -> Morphism:
+def tensor_morphisms(zf: Morphism, zg: Morphism) -> Morphism:
     """Tensor two morphisms into a morphism between the reduced tensor
     products of their endpoints: ([alpha_f (x) alpha_g], [beta_f (x) beta_g])."""
-    domain = reduced_tensor(zf.domain, zg.domain, verify=verify)
-    codomain = reduced_tensor(zf.codomain, zg.codomain, verify=verify)
+    domain = reduced_tensor(zf.domain, zg.domain)
+    codomain = reduced_tensor(zf.codomain, zg.codomain)
     return Morphism(domain, codomain, kron(zf.alpha, zg.alpha), kron(zf.beta, zg.beta))
 
 
-def commutativity_morphism(x: MatrixFactorization, y: MatrixFactorization, *, verify: str = "auto") -> Morphism:
+def commutativity_morphism(x: MatrixFactorization, y: MatrixFactorization) -> Morphism:
     """The morphism from X (x) Y to Y (x) X (reduced tensors) given by
     (phi_Y (x) phi_X, phi_X (x) phi_Y)."""
-    domain = reduced_tensor(x, y, verify=verify)
-    codomain = reduced_tensor(y, x, verify=verify)
+    domain = reduced_tensor(x, y)
+    codomain = reduced_tensor(y, x)
     return Morphism(domain, codomain, kron(y.phi, x.phi), kron(x.phi, y.phi))
 
 

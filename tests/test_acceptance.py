@@ -14,6 +14,7 @@ from polymf import (
     PolyMatrix,
     Polynomial,
     SummandReducedPoly,
+    certify,
     direct_sum,
     kron,
     make_factorization,
@@ -82,11 +83,10 @@ def test_criterion_2_standard_method_sizes(capsys):
 def test_criterion_3_tensor_sizes(capsys):
     def body():
         m, p, n = fixtures.pair_m(), fixtures.pair_p(), fixtures.pair_n()
-        mp = reduced_tensor(m, p, verify="exact")
-        pn = reduced_tensor(p, n, verify="exact")
-        assert mp.size == 8 and pn.size == 16
-        assert mult_tensor(m, p, verify="exact").size == 16
-        assert mult_tensor(p, n, verify="exact").size == 32
+        pairs = [reduced_tensor(m, p), reduced_tensor(p, n), mult_tensor(m, p), mult_tensor(p, n)]
+        for mf in pairs:
+            certify(mf, "exact")
+        assert [mf.size for mf in pairs] == [8, 16, 16, 32]
 
     report(capsys, 3, "reduced tensor sizes 8/16, multiplicative 16/32", 5.0, body)
 
@@ -162,7 +162,7 @@ def _random_mf(rng, max_size=4):
         g * h, PolyMatrix([[g]]), PolyMatrix([[h]]), verify="skip"
     )
     for _ in range(rng.randint(0, 2) if max_size >= 4 else 0):
-        mf = standard_step(mf, _random_poly(rng, 1), _random_poly(rng, 1), verify="skip")
+        mf = standard_step(mf, _random_poly(rng, 1), _random_poly(rng, 1))
     return mf
 
 
@@ -177,8 +177,8 @@ def test_criterion_8_property_suites(capsys):
         rng = random.Random(2024)
         for _ in range(CASES):  # reduced-tensor associativity, exact
             x, y, z = _random_mf(rng), _random_mf(rng), _random_mf(rng)
-            left = reduced_tensor(reduced_tensor(x, y, verify="skip"), z, verify="skip")
-            right = reduced_tensor(x, reduced_tensor(y, z, verify="skip"), verify="skip")
+            left = reduced_tensor(reduced_tensor(x, y), z)
+            right = reduced_tensor(x, reduced_tensor(y, z))
             assert left.phi == right.phi and left.psi == right.psi and left.f == right.f
         for _ in range(CASES):  # shuffle-conjugation commutativity
             assert shuffle_isomorphism_check(_random_mf(rng), _random_mf(rng))
@@ -187,14 +187,14 @@ def test_criterion_8_property_suites(capsys):
             assert kron(direct_sum(a, b), c) == direct_sum(kron(a, c), kron(b, c))
         for _ in range(CASES):  # bifunctor identity and composition laws
             x, y = _random_mf(rng, 2), _random_mf(rng, 2)
-            t = tensor_morphisms(identity_morphism(x), identity_morphism(y), verify="skip")
-            assert t.alpha == identity_morphism(reduced_tensor(x, y, verify="skip")).alpha
+            t = tensor_morphisms(identity_morphism(x), identity_morphism(y))
+            assert t.alpha == identity_morphism(reduced_tensor(x, y)).alpha
             a1, a2 = scalar_morphism(x, _random_poly(rng)), scalar_morphism(x, _random_poly(rng))
             b1, b2 = scalar_morphism(y, _random_poly(rng)), scalar_morphism(y, _random_poly(rng))
-            lhs = tensor_morphisms(compose(a2, a1), compose(b2, b1), verify="skip")
+            lhs = tensor_morphisms(compose(a2, a1), compose(b2, b1))
             rhs = compose(
-                tensor_morphisms(a2, b2, verify="skip"),
-                tensor_morphisms(a1, b1, verify="skip"),
+                tensor_morphisms(a2, b2),
+                tensor_morphisms(a1, b1),
             )
             assert lhs.alpha == rhs.alpha and lhs.beta == rhs.beta
             assert is_morphism(lhs)
@@ -204,14 +204,14 @@ def test_criterion_8_property_suites(capsys):
         for _ in range(CASES):  # standard_step soundness
             mf = _random_mf(rng, 2)
             g, h = _random_poly(rng), _random_poly(rng)
-            stepped = standard_step(mf, g, h, verify="skip")
+            stepped = standard_step(mf, g, h)
             assert verify_exact(stepped)[0] and stepped.f == mf.f + g * h
         for _ in range(CASES):  # size laws 2nm / 2nm / nm
             x, y = _random_mf(rng, 2), _random_mf(rng, 2)
             n, m = x.size, y.size
-            assert yoshino(x, y, verify="skip").size == 2 * n * m
-            assert mult_tensor(x, y, verify="skip").size == 2 * n * m
-            assert reduced_tensor(x, y, verify="skip").size == n * m
+            assert yoshino(x, y).size == 2 * n * m
+            assert mult_tensor(x, y).size == 2 * n * m
+            assert reduced_tensor(x, y).size == n * m
 
     report(capsys, 8, "seven property suites, 100 cases each, zero failures", 60.0, body)
 

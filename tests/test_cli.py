@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import polymf
 from polymf import (
+    MatrixFactorization,
     ParseError,
     Polynomial,
     SummandReducedPoly,
@@ -778,6 +779,25 @@ class TestDemo:
             "FAIL  part-I pipelines (16, 32, 64)", "FAIL  part-II refined (32) and predictions"]
         assert any(line.startswith("FAIL  part-I pipelines (16, 32, 64): got ") for line in lines)
         assert lines[-1] == "7/9 demo cases passed"
+
+    def test_an_invalid_pair_fails_its_cases(self, monkeypatch):
+        """The constructions return unchecked pairs, so the two size cases
+        certify theirs: a standard method and a reduced tensor product
+        whose pairs have the right size but f + 1 as f fail those cases."""
+        for name in ("standard_factorize_polynomial", "reduced_tensor"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, real=real: off_by_one(real(*args)))
+        code, out, err = run_captured(["demo"])
+        assert (code, err) == (cli.EXIT_DEMO_FAILURE, "")
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+            "FAIL  standard method sizes (h=2, g=4)", "FAIL  tensor product sizes (8, 16, 16)"]
+        assert lines[-1] == "7/9 demo cases passed"
+
+
+def off_by_one(mf: MatrixFactorization) -> MatrixFactorization:
+    """mf's factors as a pair of f + 1, which they do not factor."""
+    return MatrixFactorization(mf.f + Polynomial.const(1), mf.phi, mf.psi)
 
 
 # Polynomial text and its terms-only document: the canonical monomials of

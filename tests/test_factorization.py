@@ -449,13 +449,15 @@ class TestExactWorkCap:
             a[i, k].num_terms() * b[k, j].num_terms()
             for i in range(2) for k in range(3) for j in range(2)
         )
-        assert factorization._product_work(a, b) == products
+        assert factorization._product_work(*matrix._on_one_table(a, b)) == products
 
     @given(poly_matrices(3, 2, polynomials()), poly_matrices(2, 3, polynomials()), st.integers(0, 2**32))
     @settings(max_examples=50)
     def test_estimate_is_the_brute_force_count_on_any_table(self, a, b, seed):
-        """And _work_bound is at least that count."""
+        """And _work_bound is at least that count.  Both read one table, as
+        verify_exact's operands share one."""
         for x, y in ((a, b), (relaid(a, seed), relaid(b, seed + 1)), (b, a), (relaid(b, seed), relaid(a, seed + 1))):
+            x, y = matrix._on_one_table(x, y)
             assert factorization._work_bound(x, y) >= factorization._product_work(x, y) == brute_force_work(x, y)
 
     def test_estimate_is_the_brute_force_count_on_pipeline_pairs(self):
@@ -468,6 +470,7 @@ class TestExactWorkCap:
     def test_bound_covers_the_count_on_factorizations(self, mf, seed):
         phi, psi = relaid(mf.phi, seed), relaid(mf.psi, seed + 1)
         for x, y in ((mf.phi, mf.psi), (mf.psi, mf.phi), (phi, psi), (psi, phi)):
+            x, y = matrix._on_one_table(x, y)
             assert factorization._work_bound(x, y) >= factorization._product_work(x, y)
 
     def test_a_bound_over_the_cap_falls_back_to_the_count(self, monkeypatch):

@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polymf import (
@@ -13,6 +13,7 @@ from polymf import (
     STANDARD_VARIANTS,
     SummandList,
     block2x2,
+    certify,
     make_factorization,
     parse_polynomial,
     scalar_matrix,
@@ -94,8 +95,9 @@ class TestStandardStep:
     def test_zero_summand(self, variant, g, h):
         """A zero g or h adds nothing to f: the step is a certified pair of
         mf.f, its factors share one table, and no zero is stored."""
-        mf = standard_factorize_polynomial(p("xy + x^2 + 2y^3"), verify="skip")
-        stepped = standard_step(mf, p(g), p(h), variant, verify="exact")
+        mf = standard_factorize_polynomial(p("xy + x^2 + 2y^3"))
+        stepped = standard_step(mf, p(g), p(h), variant)
+        certify(stepped, "exact")
         assert stepped.f == mf.f and stepped.size == 2 * mf.size
         assert stepped.phi.table is stepped.psi.table
         assert all(stepped.phi.table)
@@ -114,7 +116,7 @@ class TestStandardStep:
         }
         assert formulas.keys() == set(STANDARD_VARIANTS)
         for variant, (phi_blocks, psi_blocks) in formulas.items():
-            stepped = standard_step(mf, g, h, variant, verify="skip")
+            stepped = standard_step(mf, g, h, variant)
             assert stepped.phi == block2x2(*phi_blocks), variant
             assert stepped.psi == block2x2(*psi_blocks), variant
 
@@ -127,8 +129,8 @@ class TestStandardStep:
         references = {"standard": ("standard", -g, -h), "v1": ("v1", h, g), "v2": ("v3", h, g)}
         assert references.keys() == set(STANDARD_VARIANTS)
         for variant, (yvariant, a, b) in references.items():
-            stepped = standard_step(mf, g, h, variant, verify="skip")
-            want = yoshino(mf, _one_by_one(g * h, a, b), yvariant, verify="skip")
+            stepped = standard_step(mf, g, h, variant)
+            want = yoshino(mf, _one_by_one(g * h, a, b), yvariant)
             assert (stepped.f, stepped.phi, stepped.psi) == (want.f, want.phi, want.psi), variant
 
     @pytest.mark.parametrize("variant", STANDARD_VARIANTS)
@@ -142,10 +144,10 @@ class TestStandardStep:
             negated.append(q)
             return real(q)
 
-        mf = standard_factorize_polynomial(p("xy + x^2 + 2y^3"), verify="skip")
+        mf = standard_factorize_polynomial(p("xy + x^2 + 2y^3"))
         g, h = p("z + 1"), p("3w")
         monkeypatch.setattr(Polynomial, "__neg__", spy)
-        stepped = standard_step(mf, g, h, variant, verify="skip")
+        stepped = standard_step(mf, g, h, variant)
         assert negated == []
         table, n = stepped.phi.table, mf.size
         assert stepped.psi.table is table and table == mf.phi.table + (g, h)
@@ -166,13 +168,13 @@ class TestStandardStep:
         seed = make_factorization(p("xy"), PolyMatrix([[p("x")]]), PolyMatrix([[p("y")]]))
         monkeypatch.setattr(PolyMatrix, "__neg__", never)
         for variant in STANDARD_VARIANTS:
-            standard_step(seed, p("z"), p("z"), variant, verify="skip")
+            standard_step(seed, p("z"), p("z"), variant)
 
     @given(factorizations(max_steps=1), nonzero_polynomials(), nonzero_polynomials())
     @settings(max_examples=100, deadline=None)
     def test_soundness(self, mf, g, h):
         for variant in STANDARD_VARIANTS:
-            stepped = standard_step(mf, g, h, variant, verify="skip")
+            stepped = standard_step(mf, g, h, variant)
             assert verify_exact(stepped)[0]
             assert stepped.f == mf.f + g * h
 
@@ -196,7 +198,7 @@ class TestStandardFactorize:
 
     def test_rows_hold_one_entry_per_summand(self):
         q = p("x^9 + x^8y + x^7y^2 + x^6y^3 + x^5y^4 + x^4y^5 + x^3y^6 + x^2y^7 + xy^8 + y^9")
-        mf = standard_factorize_polynomial(q, verify="skip")
+        mf = standard_factorize_polynomial(q)
         assert mf.size == 512
         for m in (mf.phi, mf.psi):
             stored = Counter(i for i, _, _ in m.nonzeros())
@@ -220,13 +222,25 @@ class TestStandardFactorize:
         st.one_of(polynomials(max_terms=4), rational_polynomials(max_terms=4)).filter(bool),
         st.sampled_from(STANDARD_VARIANTS),
     )
+    @example(p("x + y"), "standard")
+    @settings(max_examples=100, deadline=None)
+    def test_table_lists_each_value_once(self, q, variant):
+        """A step whose g or h equals an entry of the table reads that
+        entry's code: x + y lists the 1 of both its splits once."""
+        table = standard_factorize_polynomial(q, variant).phi.table
+        assert len(set(table)) == len(table)
+
+    @given(
+        st.one_of(polynomials(max_terms=4), rational_polynomials(max_terms=4)).filter(bool),
+        st.sampled_from(STANDARD_VARIANTS),
+    )
     @settings(max_examples=100, deadline=None)
     def test_polynomial_matches_its_monomial_pairs(self, q, variant):
         """Splitting p's terms directly gives the pair of the flat-list
         reference split, entry for entry."""
-        got = standard_factorize_polynomial(q, variant, verify="skip")
+        got = standard_factorize_polynomial(q, variant)
         halves = [split_by_flat_list(key, c) for key, c in q.items()]
         sl = SummandList(tuple((Polynomial(dict([g])), Polynomial(dict([h]))) for g, h in halves))
-        want = standard_factorize(sl, variant, verify="skip")
+        want = standard_factorize(sl, variant)
         assert (got.f, got.phi, got.psi) == (want.f, want.phi, want.psi)
         assert got.phi.texts() == want.phi.texts() and got.psi.texts() == want.psi.texts()

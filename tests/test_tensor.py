@@ -7,16 +7,21 @@ from polymf import (
     YOSHINO_VARIANTS,
     PolyMatrix,
     Polynomial,
+    SummandList,
     block2x2,
+    certify,
     identity,
     kron,
     mult_tensor,
     parse_polynomial,
     reduced_tensor,
+    standard_factorize,
+    standard_factorize_polynomial,
+    standard_step,
     verify_exact,
     yoshino,
 )
-from polymf import fixtures, matrix, tensor
+from polymf import factorization, fixtures, matrix, tensor
 
 from conftest import factorizations, nonzero_polynomials
 from laws import (
@@ -65,7 +70,7 @@ class TestYoshino:
         real, real_poly = PolyMatrix.__neg__, Polynomial.__neg__
         monkeypatch.setattr(PolyMatrix, "__neg__", lambda m: negated.append(m) or real(m))
         monkeypatch.setattr(Polynomial, "__neg__", lambda p: calls.append(p) or real_poly(p))
-        t = yoshino(x, y, variant, verify="skip")
+        t = yoshino(x, y, variant)
         assert negated == [] and calls == []
         assert t.phi.table is t.psi.table and t.phi.table == x.phi.table + y.phi.table
         blocks = {}
@@ -91,7 +96,7 @@ class TestYoshino:
             raise AssertionError("a polynomial was multiplied")
 
         monkeypatch.setattr(Polynomial, "__mul__", never)
-        t = yoshino(x, y, variant, verify="skip")
+        t = yoshino(x, y, variant)
         result = [e for m in (t.phi, t.psi) for _, _, e in m.nonzeros()]
         assert all(id(e) in inputs or -e in values for e in result)
         assert inputs & {id(e) for e in result}
@@ -116,7 +121,7 @@ class TestYoshino:
         }
         assert formulas.keys() == set(YOSHINO_VARIANTS)
         for variant, (phi_blocks, psi_blocks) in formulas.items():
-            t = yoshino(x, y, variant, verify="skip")
+            t = yoshino(x, y, variant)
             assert t.f == x.f + y.f
             assert t.phi == block2x2(*phi_blocks), variant
             assert t.psi == block2x2(*psi_blocks), variant
@@ -129,24 +134,25 @@ class TestYoshino:
         for module, name in ((tensor, "kron"), (matrix, "kron"), (matrix, "identity")):
             monkeypatch.setattr(module, name, never)
         monkeypatch.setattr(tensor, "identity", never, raising=False)
-        t = yoshino(fixtures.pair_m(), fixtures.pair_p(), variant, verify="skip")
+        t = yoshino(fixtures.pair_m(), fixtures.pair_p(), variant)
         monkeypatch.undo()
         assert verify_exact(t)[0]
 
     @given(factorizations(max_steps=1), factorizations(max_steps=1))
     @settings(max_examples=100, deadline=None)
     def test_sum_law(self, x, y):
-        t = yoshino(x, y, verify="exact")
+        t = yoshino(x, y)
+        certify(t, "exact")
         assert t.f == x.f + y.f and t.size == 2 * x.size * y.size
 
 
 class TestMultiplicative:
     def test_sizes_match_the_lemmas(self):
         m, p, n = fixtures.pair_m(), fixtures.pair_p(), fixtures.pair_n()
-        assert reduced_tensor(m, p).size == 8
-        assert reduced_tensor(p, n).size == 16
-        assert mult_tensor(m, p).size == 16
-        assert mult_tensor(p, n).size == 32
+        pairs = [reduced_tensor(m, p), reduced_tensor(p, n), mult_tensor(m, p), mult_tensor(p, n)]
+        for mf in pairs:
+            certify(mf, "exact")
+        assert [mf.size for mf in pairs] == [8, 16, 16, 32]
 
     def test_variant_verifies(self):
         t = mult_tensor_variant(fixtures.pair_m(), fixtures.pair_q())
@@ -155,8 +161,10 @@ class TestMultiplicative:
     @given(factorizations(max_steps=1), factorizations(max_steps=1))
     @settings(max_examples=100, deadline=None)
     def test_product_law(self, x, y):
-        r = reduced_tensor(x, y, verify="exact")
-        t = mult_tensor(x, y, verify="exact")
+        r = reduced_tensor(x, y)
+        t = mult_tensor(x, y)
+        certify(r, "exact")
+        certify(t, "exact")
         assert r.f == t.f == x.f * y.f
         assert t.size == 2 * r.size == 2 * x.size * y.size
 
@@ -165,8 +173,8 @@ class TestReducedTensorLaws:
     @given(factorizations(), factorizations(), factorizations())
     @settings(max_examples=100, deadline=None)
     def test_associativity_is_exact(self, x, y, z):
-        left = reduced_tensor(reduced_tensor(x, y, verify="skip"), z, verify="skip")
-        right = reduced_tensor(x, reduced_tensor(y, z, verify="skip"), verify="skip")
+        left = reduced_tensor(reduced_tensor(x, y), z)
+        right = reduced_tensor(x, reduced_tensor(y, z))
         assert left.f == right.f
         assert left.phi == right.phi and left.psi == right.psi
 
@@ -178,17 +186,17 @@ class TestReducedTensorLaws:
     @given(factorizations(max_steps=1), factorizations(max_steps=1))
     @settings(max_examples=100, deadline=None)
     def test_commutativity_morphism_is_a_morphism(self, x, y):
-        assert is_morphism(commutativity_morphism(x, y, verify="skip"))
+        assert is_morphism(commutativity_morphism(x, y))
 
     @given(factorizations(max_steps=1), factorizations(max_steps=1), factorizations(max_steps=1))
     @settings(max_examples=100, deadline=None)
     def test_distributes_over_direct_sum(self, x, y, z):
         # both summands must factor the same polynomial; reuse x twice
         xx = direct_sum_factorizations(x, x, verify="skip")
-        left = reduced_tensor(xx, y, verify="skip")
+        left = reduced_tensor(xx, y)
         right = direct_sum_factorizations(
-            reduced_tensor(x, y, verify="skip"),
-            reduced_tensor(x, y, verify="skip"),
+            reduced_tensor(x, y),
+            reduced_tensor(x, y),
             verify="skip",
         )
         assert left.phi == right.phi and left.psi == right.psi
@@ -198,8 +206,8 @@ class TestBifunctorLaws:
     @given(factorizations(max_steps=1), factorizations(max_steps=1))
     @settings(max_examples=100, deadline=None)
     def test_identities_are_preserved(self, x, y):
-        t = tensor_morphisms(identity_morphism(x), identity_morphism(y), verify="skip")
-        want = identity_morphism(reduced_tensor(x, y, verify="skip"))
+        t = tensor_morphisms(identity_morphism(x), identity_morphism(y))
+        want = identity_morphism(reduced_tensor(x, y))
         assert t.alpha == want.alpha and t.beta == want.beta
 
     @given(
@@ -215,10 +223,10 @@ class TestBifunctorLaws:
         # scalar morphisms compose within each argument
         a1, a2 = scalar_morphism(x, g1), scalar_morphism(x, g2)
         b1, b2 = scalar_morphism(y, h1), scalar_morphism(y, h2)
-        lhs = tensor_morphisms(compose(a2, a1), compose(b2, b1), verify="skip")
+        lhs = tensor_morphisms(compose(a2, a1), compose(b2, b1))
         rhs = compose(
-            tensor_morphisms(a2, b2, verify="skip"),
-            tensor_morphisms(a1, b1, verify="skip"),
+            tensor_morphisms(a2, b2),
+            tensor_morphisms(a1, b1),
         )
         assert lhs.alpha == rhs.alpha and lhs.beta == rhs.beta
 
@@ -241,3 +249,27 @@ class TestDirectSum:
         d = direct_sum_factorizations(m, m)
         assert d.size == 4 and d.f == m.f
         assert verify_exact(d)[0]
+
+
+def test_constructions_check_nothing(monkeypatch):
+    """The six constructions return their pairs unchecked: with every
+    check made to raise, each still builds a pair of the expected size
+    and f from its default arguments."""
+    m, p, q = fixtures.pair_m(), fixtures.pair_p(), fixtures.pair_q()
+    x, y, z = map(parse_polynomial, "xyz")
+    summands = SummandList(((x, y), (z, z), (x, x)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a pair was checked")
+
+    for name in ("certify", "verify_exact", "verify_randomized"):
+        monkeypatch.setattr(factorization, name, never)
+    built = [
+        (yoshino(m, p), 16, m.f + p.f),
+        (mult_tensor(m, p), 16, m.f * p.f),
+        (reduced_tensor(m, p), 8, m.f * p.f),
+        (standard_step(q, x, z), 2, q.f + x * z),
+        (standard_factorize(summands), 4, summands.target),
+        (standard_factorize_polynomial(m.f), 2, m.f),
+    ]
+    assert [(mf.size, mf.f) for mf, _, _ in built] == [(size, f) for _, size, f in built]
