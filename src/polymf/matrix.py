@@ -17,11 +17,13 @@ each odd code the rows use, and `texts` derives the text of a negation
 from its entry's.
 
 `mat_mul`, which every exact check runs, puts its two operands on one
-table and multiplies over packed exponents and integer coefficients,
-with each table entry packed once and its negation packed from that on
-the first read of an odd code, and decodes each distinct value of the
-product once, into a table that lists it once (a product equal to f*I
-stores f once).  Constructors and `mat_mul` write even codes only;
+table and multiplies over two flat lists read by slot code: the packed
+exponent key of each term and its coefficient scaled to an int, negated
+at the odd code, so each term is packed once and a negation costs no
+packing (an entry of several terms first splits each of its slots into
+one slot per term).  It decodes each distinct value of the product
+once, into a table that lists it once (a product equal to f*I stores f
+once).  Constructors and `mat_mul` write even codes only;
 `from_strings` writes an odd code for a one-term text whose sign twin it
 read before ("-x^2y" after "x^2y", or the reverse), so a document's
 table lists one entry per value up to sign, as a pipeline's does.
@@ -49,7 +51,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import add, attrgetter, neg
+from operator import add, neg
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 # mat_mul reads and builds term dicts directly (see Polynomial._terms).
@@ -64,7 +66,6 @@ _ZERO = Polynomial.zero()
 _ONE = Polynomial.const(1)
 
 Ints = tuple[int, ...]
-_denominator = attrgetter("denominator")
 
 
 class PolyMatrix:
@@ -337,60 +338,63 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     by the lcm of the table's denominators, so each output row is one
     dict from packed key to int sum.
 
-    The table is profiled in one pass and its entries packed once per
-    call, into a list every slot of a and b reads by its code; an odd
-    code's negated entry is packed from its entry's packing by flipping
-    the sums, on the first read of the code, so a product of factors with
-    no odd code packs no negation.  A row's nonzero sums are grouped by
-    column, and an output entry is found by its packed {key: sum} terms,
-    bucketed by their two sums: each distinct value is decoded once per
-    call (each packed key and scaled sum in it, once per call too), and
-    every slot holding it holds one even code.  So the product's table
-    lists each distinct value once, and a product equal to f*I stores f
-    once.
+    The table is read as a list of terms.  When each entry is one term,
+    the terms are the entries and the slot codes stay; otherwise each slot
+    becomes one slot per term of its entry, at the same column, of code 2t
+    for term t (2t + 1 for an odd slot).  One pass over the terms finds
+    the digits and the lcm, and a second packs each term once: keys[2t]
+    and keys[2t + 1] hold its packed key, coeffs[2t] its coefficient
+    times the lcm and coeffs[2t + 1] that negated, so one accumulation
+    loop reads one (key, coefficient) per slot of a, and an odd code
+    costs no packing.  A row's nonzero sums are grouped by column, and an
+    output entry is found by its packed {key: sum} terms, bucketed by
+    their two sums: each distinct value is decoded once per call (each
+    packed key and scaled sum in it, once per call too), and every slot
+    holding it holds one even code.  So the product's table lists each
+    distinct value once, and a product equal to f*I stores f once.
     """
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     a, b = _on_one_table(a, b)
-    # the table's exponent keys, the highest exponent of each variable in
-    # them, and the lcm of its coefficient denominators
-    keys: set[ExpKey] = set()
-    denominators = {1}
-    for e in a.table:
-        terms = e._terms
-        keys.update(terms)
-        denominators.update(map(_denominator, terms.values()))
+    terms = [term for e in a.table for term in e._terms.items()]
+    a_columns, a_codes, b_columns, b_codes = a.columns, a.indices, b.columns, b.indices
+    if len(terms) > len(a.table):
+        # one slot per term of its entry, at its column: slot code k reads
+        # the term codes spans[k], 2t for term t, or 2t + 1 when k is odd
+        spans, t = [], 0
+        for e in a.table:
+            end = 2 * (t + len(e._terms))
+            spans += (range(2 * t, end, 2), range(2 * t + 1, end, 2))
+            t += len(e._terms)
+        (a_columns, a_codes), (b_columns, b_codes) = _per_term(a, spans), _per_term(b, spans)
+    # the highest exponent of each variable in the terms, and the lcm of
+    # their coefficient denominators
     top: dict[str, int] = {}
-    for k in keys:
-        for v, x in k:
+    lcd = 1
+    for key, c in terms:
+        for v, x in key:
             if x > top.get(v, 0):
                 top[v] = x
-    lcd = lcm(*denominators)
+        if type(c) is not int:
+            lcd = lcm(lcd, c.denominator)
     digits = [(v, 2 * top[v] + 1) for v in sorted(top)]
     place: dict[str, int] = {}
     radix = 1
     for v, width in digits:
         place[v] = radix
         radix *= width
-    packs: dict[ExpKey, int] = {}
-    for k in keys:
+    # by term code: the packed key, and the coefficient times lcd (negated
+    # at odd codes)
+    keys: list[int] = []
+    coeffs: list[int] = []
+    for key, c in terms:
         packed = 0
-        for v, x in k:
+        for v, x in key:
             packed += x * place[v]
-        packs[k] = packed
-    pack = packs.__getitem__
-    # the packed terms by slot code: `packed_terms[k] or negate(k)` reads
-    # them, and packs an odd code on its first read
-    packed_terms = _by_code(
-        [list(zip(map(pack, e._terms), e._terms.values())) for e in a.table] if lcd == 1 else
-        [[(packs[k], c.numerator * (lcd // c.denominator)) for k, c in e._terms.items()] for e in a.table],
-        (), None,
-    )
-    negate = _negating(packed_terms)
-    b_rows = [
-        [(j * radix + key, c) for j, k in zip(js, ks) for key, c in packed_terms[k] or negate(k)]
-        for js, ks in zip(b.columns, b.indices)
-    ]
+        c = c if lcd == 1 else c.numerator * (lcd // c.denominator)
+        keys += (packed, packed)
+        coeffs += (c, -c)
+    b_rows = [[(j * radix + keys[k], coeffs[k]) for j, k in zip(js, ks)] for js, ks in zip(b_columns, b_codes)]
     scale = lcd * lcd
     decode = _Memo(lambda packed: _unpack(packed, digits)).__getitem__
     coeff = _Memo(lambda c: _coeff(Fraction(c, scale))).__getitem__
@@ -398,15 +402,15 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     index: dict[tuple[int, int], list[tuple[dict[int, int], int]]] = {}
     table: list[Polynomial] = []
     columns, indices = [], []
-    for acols, aidx in zip(a.columns, a.indices):
+    for acols, aidx in zip(a_columns, a_codes):
         acc: dict[int, int] = {}
         get = acc.get
         for k, ia in zip(acols, aidx):
-            brow = b_rows[k]
-            for ka, ca in packed_terms[ia] or negate(ia):
-                for kb, cb in brow:
-                    key = ka + kb
-                    acc[key] = get(key, 0) + ca * cb
+            ka = keys[ia]
+            ca = coeffs[ia]
+            for kb, cb in b_rows[k]:
+                key = ka + kb
+                acc[key] = get(key, 0) + ca * cb
         sums: dict[int, dict[int, int]] = {}
         for key, c in acc.items():
             if c:
@@ -434,16 +438,13 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return _sparse(tuple(table), columns, indices, a.rows, b.cols)
 
 
-def _negating(packed: list) -> Callable[[int], list[tuple[int, int]]]:
-    """The function that packs odd code k of packed, a table's packed
-    terms by slot code: the terms of its entry with every sum negated,
-    stored in packed and returned."""
-
-    def negate(k: int) -> list[tuple[int, int]]:
-        terms = packed[k] = [(key, -c) for key, c in packed[k - 1]]
-        return terms
-
-    return negate
+def _per_term(m: PolyMatrix, spans: list[range]) -> tuple[list[list[int]], list[list[int]]]:
+    """m's columns and codes with each slot of code k split into one slot
+    per term code in spans[k], at the slot's column."""
+    return (
+        [[j for j, k in zip(js, ks) for _ in spans[k]] for js, ks in zip(m.columns, m.indices)],
+        [[t for k in ks for t in spans[k]] for ks in m.indices],
+    )
 
 
 class _Memo(dict):

@@ -25,6 +25,7 @@ from polymf import (
 from conftest import (
     INTEGER_COEFFICIENTS,
     RATIONAL_COEFFICIENTS,
+    flipped,
     poly_matrices,
     polynomials,
     rational_polynomials,
@@ -254,6 +255,51 @@ class TestPackedProduct:
             "a^1000 b^1001 x1 x10 + a^1000 b x1^2 - b^1000 x10^1201 - x1 x10^1200 + a x2^1000 y z^1002"
         )
         assert mat_mul(a, b) == scalar_matrix(expected, 1)
+
+
+def split_by_terms(a):
+    """a written as T matrices side by side, T the most terms of one of
+    its entries: matrix s holds the s-th term of each entry, or zero
+    where the entry has fewer terms.  Returns (T, that matrix)."""
+    count = max((len(e.terms) for _, _, e in a.nonzeros()), default=1)
+    grid = [[Polynomial.zero()] * (count * a.cols) for _ in range(a.rows)]
+    for i, k, e in a.nonzeros():
+        for s, term in enumerate(e.terms):
+            grid[i][s * a.cols + k] = Polynomial({term.exponents: term.coeff})
+    return count, PolyMatrix(grid, a.rows, count * a.cols)
+
+
+def stacked(b, count):
+    """b written count times, one copy under the other."""
+    return PolyMatrix([list(row) for row in b.entries] * count, count * b.rows, b.cols)
+
+
+class TestProductOfMultiTermEntries:
+    """A table with an entry of several terms splits each slot into one
+    slot per term; no gated workload multiplies such tables."""
+
+    @pytest.mark.parametrize("kind", ["rational", "wide-integer", "wide-rational"])
+    @given(data=st.data(), seed=st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_equals_the_product_of_the_term_splits(self, kind, data, seed):
+        rows, inner, cols = (data.draw(st.integers(0, 3)) for _ in range(3))
+        entries = ENTRY_STRATEGIES[kind]
+        a = data.draw(poly_matrices(rows, inner, entries=entries))
+        b = data.draw(poly_matrices(inner, cols, entries=entries))
+
+        def resigned(m, seed):
+            """m with random sign bits flipped, relaid: odd codes of
+            multi-term entries, each entry listed twice."""
+            n = sum(map(len, m.indices))
+            return relaid(flipped(m, data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))), seed)
+
+        signed = resigned(a, seed), resigned(b, seed + 1)
+        for x, y in ((a, b), signed, matrix._on_one_table(*signed)):
+            count, split = split_by_terms(x)
+            c = mat_mul(x, y)
+            assert c == mat_mul(split, stacked(y, count)) == entrywise_product(x, y)
+            assert_sparse(c)
+            assert_distinct_table(c)
 
 
 class TestFromStrings:
