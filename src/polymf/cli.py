@@ -31,7 +31,6 @@ from .refined import (
     CapExceededError,
     SummandReducedPoly,
     ValidationFailure,
-    _check_valid,
     check_cap,
     predict_sizes,
     run_improved,
@@ -185,6 +184,15 @@ def _json_sizes(sizes: dict[str, int]) -> str:
     return "{" + ", ".join(f"{json.dumps(key)}: {_decimal(value)}" for key, value in sizes.items()) + "}"
 
 
+def _check_valid(srp: SummandReducedPoly, strict: bool) -> None:
+    """Under --strict-validate, raise ValidationFailure with the report of
+    a document that fails a summand-reduced condition."""
+    if strict:
+        report = validate_summand_reduced(srp)
+        if not report.ok:
+            raise ValidationFailure(str(report))
+
+
 def cmd_factorize(args: argparse.Namespace) -> int:
     try:
         problem = _parse_problem(_read_input(args.input))
@@ -200,21 +208,18 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             report = predict_sizes(problem)
             check_cap(args.method, getattr(report, f"{args.method}_exponent"), args.max_standard_monomials)
             predicted = report.to_dict()
+        # after the cap, as in predict: condition 3 expands each product
+        _check_valid(problem, args.strict_validate)
         if args.method == "refined":
-            mf = run_refined(
-                problem, args.yoshino_variant, verify="skip", strict=args.strict_validate
-            )
+            mf = run_refined(problem, args.yoshino_variant, verify="skip")
         elif args.method == "improved":
-            mf = run_improved(
-                problem, args.yoshino_variant, verify="skip", strict=args.strict_validate
-            )
+            mf = run_improved(problem, args.yoshino_variant, verify="skip")
         else:
             mf = run_standard(
                 problem,
                 args.standard_variant,
                 max_monomials=args.max_standard_monomials,
                 verify="skip",
-                strict=args.strict_validate,
             )
         # built unchecked, so that the one certificate is the one reported
         record = certify(mf, args.verify, args.trials, args.seed)

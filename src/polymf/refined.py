@@ -38,7 +38,8 @@ CONDITION3_EXPANSION_CAP = 10**6
 
 
 class ValidationFailure(PolyError):
-    """Raised in strict mode when the summand-reduced conditions fail."""
+    """A document with no product group, which no pipeline builds, or one
+    that fails a summand-reduced condition under --strict-validate."""
 
 
 class CapExceededError(PolyError):
@@ -294,13 +295,6 @@ def predict_sizes(srp: SummandReducedPoly) -> SizeReport:
     )
 
 
-def _check_valid(srp: SummandReducedPoly, strict: bool) -> None:
-    if strict:
-        report = validate_summand_reduced(srp)
-        if not report.ok:
-            raise ValidationFailure(str(report))
-
-
 def _require_product(srp: SummandReducedPoly) -> None:
     if srp.l == 0:
         raise ValidationFailure("pipelines need at least one product group")
@@ -311,9 +305,7 @@ def _pipeline(
     product_tensor,
     yvariant: str,
     verify: str,
-    strict: bool,
 ) -> MatrixFactorization:
-    _check_valid(srp, strict)
     _require_product(srp)
     group_mfs = []
     for g in srp.products:
@@ -346,10 +338,9 @@ def run_refined(
     yvariant: str = "standard",
     *,
     verify: str = "auto",
-    strict: bool = False,
 ) -> MatrixFactorization:
     """Refined pipeline: reduced multiplicative tensor inside each group."""
-    return _pipeline(srp, reduced_tensor, yvariant, verify, strict)
+    return _pipeline(srp, reduced_tensor, yvariant, verify)
 
 
 def run_improved(
@@ -357,10 +348,9 @@ def run_improved(
     yvariant: str = "standard",
     *,
     verify: str = "auto",
-    strict: bool = False,
 ) -> MatrixFactorization:
     """Improved pipeline: plain multiplicative tensor inside each group."""
-    return _pipeline(srp, mult_tensor, yvariant, verify, strict)
+    return _pipeline(srp, mult_tensor, yvariant, verify)
 
 
 def run_standard(
@@ -369,7 +359,6 @@ def run_standard(
     *,
     max_monomials: int = 13,
     verify: str = "auto",
-    strict: bool = False,
 ) -> MatrixFactorization:
     """Standard method on the formal expansion of the input.
 
@@ -379,7 +368,6 @@ def run_standard(
     is built.  Raises PolyError for a document with no formal monomial,
     and for one whose formal monomials sum to zero.
     """
-    _check_valid(srp, strict)
     exponent = standard_exponent(srp.s, (g.monomial_counts for g in srp.products))
     if exponent < 0:
         raise PolyError("cannot factor the zero polynomial")
@@ -394,15 +382,11 @@ def compare_report(
     methods: tuple[str, ...] = ("refined", "improved"),
     max_monomials: int = 13,
     verify: str = "auto",
-    strict: bool = False,
 ) -> tuple[SizeReport, dict[str, int]]:
-    """Predicted sizes plus constructed-size confirmations for each
-    pipeline actually run.  With strict, the document is validated once,
-    whatever is skipped.  A method whose predicted size is over the
-    construction cap (check_cap with max_monomials, as in the CLI) is
-    skipped, not failed, before anything of it is built."""
+    """Predicted sizes, and the constructed size of each method run.  A
+    method over the construction cap (check_cap with max_monomials, as in
+    the CLI) is skipped, not failed, before anything of it is built."""
     report = predict_sizes(srp)
-    _check_valid(srp, strict)
     constructed: dict[str, int] = {}
     runners = {
         "refined": lambda: run_refined(srp, verify=verify),

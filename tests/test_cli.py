@@ -194,7 +194,7 @@ class TestFactorize:
         document; a stand-in construction keeps the run small."""
         built = []
 
-        def stand_in(srp, variant, *, max_monomials, verify, strict):
+        def stand_in(srp, variant, *, max_monomials, verify):
             built.append((srp.s, srp.l))
             return fixtures.pair_m()
 
@@ -278,6 +278,43 @@ class TestFactorize:
         code = run(["factorize", "--input", str(src), "--method", "standard",
                     "--strict-validate"])
         assert code == 2
+
+    @pytest.mark.parametrize("method", ["refined", "improved", "standard"])
+    def test_strict_check_comes_after_the_cap_and_before_construction(self, part1_file, tmp_path, monkeypatch,
+                                                                     method):
+        """--strict-validate is the CLI's step, once per factorize: an
+        invalid document exits 2 before run_* is entered, and one over the
+        cap exits 4 unchecked, as condition 3 expands each product."""
+        def spy(real, calls):
+            return lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs)
+
+        entered, checked = [], []
+        for name in ("run_refined", "run_improved", "run_standard"):
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name), entered))
+        check = spy(cli.validate_summand_reduced, checked)
+        for module in (cli, refined):
+            monkeypatch.setattr(module, "validate_summand_reduced", check)
+        # fails condition 4; every size is 2^2
+        bad = write_json(tmp_path, "bad.json", {"terms": ["zx"], "products": [["x + y"]]})
+        argv = ["factorize", "--method", method, "--strict-validate", "--input"]
+        code, out, err = run_captured([*argv, bad])
+        assert (code, out, len(checked), entered) == (2, "", 1, [])
+        assert err.startswith("error: input is not summand-reduced:\n") and "condition 4: FAIL" in err
+        checked.clear()
+        code, out, err = run_captured([*argv, bad, "--max-standard-monomials", "2"])
+        assert (code, out, checked, entered) == (4, "", [], [])
+        assert err.startswith(f"error: {method} construction skipped: predicted size 4 exceeds 2^1 ")
+        code, out, err = run_captured([*argv, part1_file])
+        assert (code, err, len(checked), len(entered)) == (0, "", 1, 1)
+
+    def test_terms_only_document_is_checked_before_the_standard_cap(self, tmp_path):
+        """A terms-only document has no predicted sizes, so --strict-validate
+        checks it before run_standard's own cap: 14 terms fail condition 1
+        (exit 2) rather than the cap (exit 4)."""
+        path = write_text(tmp_path, "poly.txt", " + ".join(f"x{i}" for i in range(1, 15)))
+        code, out, err = run_captured(["factorize", "--input", path, "--method", "standard", "--strict-validate"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input is not summand-reduced:\ncondition 1: FAIL")
 
     def test_certificate_reports_the_trials_and_seed_that_ran(
         self, part1_file, tmp_path, monkeypatch
@@ -717,9 +754,9 @@ class TestPredict:
         once, with condition 3's expansion never run; a printable document
         that fails condition 1, and one with no product group and so no
         sizes, are validated and exit 2 with the report."""
-        real = refined.validate_summand_reduced
+        real = cli.validate_summand_reduced
         calls = []
-        monkeypatch.setattr(refined, "validate_summand_reduced", lambda srp: calls.append(srp) or real(srp))
+        monkeypatch.setattr(cli, "validate_summand_reduced", lambda srp: calls.append(srp) or real(srp))
         path = write_json(tmp_path, "doc.json", doc)
         start = time.perf_counter()
         got, out, err = run_captured(["predict", "--input", path, "--strict-validate"])

@@ -26,7 +26,7 @@ from polymf import (
     verify_exact,
 )
 from polymf.refined import ConditionResult
-from polymf import STANDARD_VARIANTS, YOSHINO_VARIANTS, factorization, refined
+from polymf import STANDARD_VARIANTS, YOSHINO_VARIANTS, factorization
 from polymf.poly import _times_key
 from polymf.refined import check_cap
 
@@ -144,10 +144,15 @@ class TestValidation:
         report = validate_summand_reduced(srp(["zx"], [["x + y"]]))
         assert report.failed_conditions() == [4]
 
-    def test_strict_mode_raises(self):
+    def test_invalid_document_is_not_ok(self):
         bad = srp(["x^7", "-y^5"], [])
-        with pytest.raises(ValidationFailure):
-            run_standard(bad, strict=True, max_monomials=20)
+        assert not validate_summand_reduced(bad).ok
+
+    @pytest.mark.parametrize("run", [run_refined, run_improved, run_standard, compare_report])
+    def test_strict_keyword_is_refused(self, part1_srp, run):
+        """Validation is the caller's step: neither a pipeline nor compare_report takes strict."""
+        with pytest.raises(TypeError, match="strict"):
+            run(part1_srp, strict=True)
 
     def test_advisory_by_default(self):
         # not summand-reduced, but the standard pipeline still runs
@@ -406,18 +411,4 @@ class TestCompareReport:
         assert report.standard_size == 512
         _, constructed = compare_report(part2_srp, methods=methods, max_monomials=6)
         assert constructed == {"refined": 32}
-
-    def test_strict_validates_once_whatever_is_capped(self, part1_srp, monkeypatch):
-        """With strict, an invalid document raises although every method
-        is over the cap, and a valid one is validated once for all its
-        methods."""
-        methods = ("refined", "improved", "standard")
-        bad = srp(["zx"], [["x + y"]])  # fails condition 4; every size is 2^2
-        with pytest.raises(ValidationFailure, match="condition 4: FAIL"):
-            compare_report(bad, methods=methods, max_monomials=2, strict=True)
-        real = refined.validate_summand_reduced
-        calls = []
-        monkeypatch.setattr(refined, "validate_summand_reduced", lambda doc: calls.append(doc) or real(doc))
-        _, constructed = compare_report(part1_srp, methods=methods, strict=True)
-        assert (constructed, calls) == ({"refined": 16, "improved": 32, "standard": 64}, [part1_srp])
 
