@@ -29,6 +29,7 @@ from .matrix import MatrixError
 from .poly import PolyError, Polynomial, _decimal, parse_polynomial
 from .refined import (
     CapExceededError,
+    SizeReport,
     SummandReducedPoly,
     ValidationFailure,
     check_cap,
@@ -193,6 +194,17 @@ def _check_valid(srp: SummandReducedPoly, strict: bool) -> None:
             raise ValidationFailure(str(report))
 
 
+def _predict_sizes(srp: SummandReducedPoly, strict: bool) -> SizeReport:
+    """predict_sizes(srp).  A document with no product group has no sizes
+    and nothing to expand, so under --strict-validate it gets the report
+    of every condition rather than predict_sizes' one line."""
+    try:
+        return predict_sizes(srp)
+    except ValidationFailure:
+        _check_valid(srp, strict)
+        raise
+
+
 def cmd_factorize(args: argparse.Namespace) -> int:
     try:
         problem = _parse_problem(_read_input(args.input))
@@ -205,7 +217,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         # predict_sizes refuses a document with no product group; the
         # standard method still builds its terms, under its own cap.
         if problem.l or args.method != "standard":
-            report = predict_sizes(problem)
+            report = _predict_sizes(problem, args.strict_validate)
             check_cap(args.method, getattr(report, f"{args.method}_exponent"), args.max_standard_monomials)
             predicted = report.to_dict()
         # after the cap, as in predict: condition 3 expands each product
@@ -268,13 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     try:
         problem = _parse_problem(_read_input(args.input))
-        try:
-            report = predict_sizes(problem)
-        except ValidationFailure:
-            # no product group, so nothing to expand: a strict check
-            # reports every condition
-            _check_valid(problem, args.strict_validate)
-            raise
+        report = _predict_sizes(problem, args.strict_validate)
         # the limit comes before validation, as factorize's cap does:
         # condition 3 expands products, so it costs what the sizes say
         too_long = [f"{key} = 2^{e}" for key, e in report.exponents().items() if e >= PREDICT_EXPONENT_LIMIT]

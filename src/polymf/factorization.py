@@ -210,7 +210,9 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
     docstring for why one order suffices otherwise).  mat_mul lists each
     distinct value of a product once, at even codes in the order it meets
     them, so a product is f*I exactly when every row i holds code 0 at
-    column i alone and table[0] is f: three C-level compares.  Returns
+    column i alone and table[0] is f: three C-level compares.  Such a
+    product costs mat_mul one row's readout: each later row is compared
+    with row 0's sums and takes code 0 unread (see mat_mul).  Returns
     (True, "ok") or (False, diagnostics naming the first offending entry
     and its value, quoted to at most DIAGNOSTIC_CHARS characters).
 

@@ -23,10 +23,13 @@ at the odd code, so each term is packed once and a negation costs no
 packing (an entry of several terms first splits each of its slots into
 one slot per term).  It decodes each distinct value of the product
 once, into a table that lists it once (a product equal to f*I stores f
-once).  Constructors and `mat_mul` write even codes only;
-`from_strings` writes an odd code for a one-term text whose sign twin it
-read before ("-x^2y" after "x^2y", or the reverse), so a document's
-table lists one entry per value up to sign, as a pipeline's does.
+once).  A row that holds row 0's value alone at its own diagonal is
+found by subtracting row 0's sums from its own, and takes code 0 with no
+readout, so a product equal to f*I reads one row.  Constructors and
+`mat_mul` write even codes only; `from_strings` writes an odd code for
+a one-term text whose sign twin it read before ("-x^2y" after "x^2y",
+or the reverse), so a document's table lists one entry per value up to
+sign, as a pipeline's does.
 Negation negates the table and shares the rows; `kron` multiplies each
 pair of used table entries once and gives each slot the xor of its two
 sign bits; `block2x2` and `direct_sum` concatenate the distinct tables
@@ -352,6 +355,15 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     packed key and scaled sum in it, once per call too), and every slot
     holding it holds one even code.  So the product's table lists each
     distinct value once, and a product equal to f*I stores f once.
+
+    Scalar rows skip that readout.  When row 0 holds one entry, at
+    column 0 (code 0), row i is first checked against it: its packed
+    sums, shifted by i * radix to column i, are subtracted from row i's
+    sums in place, and if every sum left is zero, row i holds that entry
+    at column i alone and takes code 0, with no grouping, bucket or
+    decode.  On the first row that misses, the sums are added back, and
+    that row and every later one take the general readout, so the
+    product is the same either way.
     """
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
@@ -402,6 +414,9 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     index: dict[tuple[int, int], list[tuple[dict[int, int], int]]] = {}
     table: list[Polynomial] = []
     columns, indices = [], []
+    # row 0's packed (key, sum) items while each row so far holds code 0
+    # at its diagonal alone, else None
+    scalar = None
     for acols, aidx in zip(a_columns, a_codes):
         acc: dict[int, int] = {}
         get = acc.get
@@ -411,6 +426,21 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             for kb, cb in b_rows[k]:
                 key = ka + kb
                 acc[key] = get(key, 0) + ca * cb
+        if scalar is not None:
+            i = len(columns)
+            off = i * radix
+            for key, c in scalar:
+                key += off
+                acc[key] = get(key, 0) - c
+            if not any(acc.values()):
+                columns.append((i,))
+                indices.append((0,))
+                continue
+            # a miss: restore the sums (the zeros this leaves are skipped)
+            # and read this row and every later one in general
+            for key, c in scalar:
+                acc[key + off] += c
+            scalar = None
         sums: dict[int, dict[int, int]] = {}
         for key, c in acc.items():
             if c:
@@ -433,6 +463,8 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                 values = entry.values() if scale == 1 else map(coeff, entry.values())
                 table.append(_wrap(dict(zip(map(decode, entry), values))))
             ks.append(k)
+        if not columns and js == [0]:
+            scalar = list(sums[0].items())
         columns.append(tuple(js))
         indices.append(tuple(ks))
     return _sparse(tuple(table), columns, indices, a.rows, b.cols)

@@ -316,6 +316,24 @@ class TestFactorize:
         assert (code, out) == (2, "")
         assert err.startswith("error: input is not summand-reduced:\ncondition 1: FAIL")
 
+    @pytest.mark.parametrize("doc", [{"terms": ["x"], "products": []}, {"terms": [], "products": []}],
+                             ids=["one_term", "empty"])
+    @pytest.mark.parametrize("method", ["refined", "improved", "standard"])
+    def test_strict_refusal_of_no_product_group_is_predicts(self, tmp_path, method, doc):
+        """A document with no product group has no sizes to predict, so
+        under --strict-validate every method prints predict's four-condition
+        report, not the one line of the missing product group; without the
+        flag the pipelines keep that line."""
+        path = write_json(tmp_path, "doc.json", doc)
+        expected = run_captured(["predict", "--input", path, "--strict-validate"])
+        assert expected[0] == 2 and "condition 4: FAIL" in expected[2]
+        code, out, err = run_captured(["factorize", "--input", path, "--method", method, "--strict-validate"])
+        assert (code, out, err) == expected
+        if method != "standard":
+            code, out, err = run_captured(["factorize", "--input", path, "--method", method])
+            assert (code, out) == (2, "")
+            assert err == "error: input is not summand-reduced:\npipelines need at least one product group\n"
+
     def test_certificate_reports_the_trials_and_seed_that_ran(
         self, part1_file, tmp_path, monkeypatch
     ):

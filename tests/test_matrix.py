@@ -3,14 +3,16 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polymf import matrix
 from polymf import (
     MatrixError,
+    MatrixFactorization,
     PolyMatrix,
     Polynomial,
+    SummandReducedPoly,
     block2x2,
     direct_sum,
     from_strings,
@@ -18,6 +20,7 @@ from polymf import (
     kron,
     mat_mul,
     parse_polynomial,
+    run_refined,
     scalar_matrix,
     zeros,
 )
@@ -25,6 +28,7 @@ from polymf import (
 from conftest import (
     INTEGER_COEFFICIENTS,
     RATIONAL_COEFFICIENTS,
+    factorizations,
     flipped,
     poly_matrices,
     polynomials,
@@ -300,6 +304,108 @@ class TestProductOfMultiTermEntries:
             assert c == mat_mul(split, stacked(y, count)) == entrywise_product(x, y)
             assert_sparse(c)
             assert_distinct_table(c)
+
+
+def assert_scalar_product(c, f):
+    """c is f*I as mat_mul writes it: table (f,), row i holding code 0 at
+    column i alone."""
+    assert c.table == (f,)
+    assert c.columns == tuple(zip(range(c.rows)))
+    assert c.indices == ((0,),) * c.rows
+
+
+def assert_first_seen(c, expected):
+    """c equals expected, and its table lists each distinct value once, in
+    the order the rows first meet it, at the even code of its place."""
+    assert c == expected
+    seen = []
+    for i, (js, ks) in enumerate(zip(c.columns, c.indices)):
+        for j, k in zip(js, ks):
+            if expected[i, j] not in seen:
+                seen.append(expected[i, j])
+            assert k == 2 * seen.index(expected[i, j])
+    assert list(c.table) == seen
+
+
+# the ways near_scalar changes one row of f*I
+ROW_MISSES = ["superset", "subset", "scaled", "extra-column", "empty", "wrong-column"]
+
+
+def near_scalar(f, n, row, miss):
+    """The n x n scalar matrix f*I with row `row` changed by `miss`: the
+    diagonal a value with one term more than f, one term less, or 2f; f
+    and one more entry in the next column; no entry; or f alone in the
+    next column."""
+    grid = [[f if i == j else Polynomial.zero() for j in range(n)] for i in range(n)]
+    x, nxt, first = parse_polynomial("x"), (row + 1) % n, f.terms[0]
+    if miss == "superset":
+        grid[row][row] = f + x * x * x
+    elif miss == "subset":
+        grid[row][row] = f - Polynomial({first.exponents: first.coeff})
+    elif miss == "scaled":
+        grid[row][row] = f + f
+    elif miss == "extra-column":
+        grid[row][nxt] = x
+    elif miss == "empty":
+        grid[row][row] = Polynomial.zero()
+    else:
+        grid[row][row], grid[row][nxt] = Polynomial.zero(), f
+    return PolyMatrix(grid, n, n)
+
+
+class TestScalarRows:
+    """A product whose rows hold one value f at the diagonal, as every
+    product of a valid pair does, keeps the layout of the general readout:
+    table (f,), row i at column i alone, every code 0; and a product that
+    leaves that shape at any row is the general readout's too."""
+
+    @given(factorizations(), st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_valid_pairs_give_f_once_at_code_0(self, mf, seed):
+        assume(mf.f)  # a pair of f = 0 multiplies to no entry at all
+
+        def negated(m):
+            """m with every sign bit flipped: -m at odd codes."""
+            return flipped(m, [1] * sum(map(len, m.indices)))
+
+        for phi, psi in (
+            (mf.phi, mf.psi), (relaid(mf.phi, seed), relaid(mf.psi, seed + 1)), (negated(mf.phi), negated(mf.psi)),
+        ):
+            for x, y in ((phi, psi), (psi, phi)):
+                assert_scalar_product(mat_mul(x, y), mf.f)
+
+    def test_rational_and_multi_term_pairs(self):
+        srp = SummandReducedPoly.from_strings(["1/2 zy"], [["xy^2 + 2/3 x^2z + yz^2", "3/7 xy + z^2"]])
+        rational = run_refined(srp, verify="skip")
+        # coefficients with denominators, so the sums are scaled by an lcm > 1
+        assert any(type(c) is not int for e in rational.phi.table for c in e._terms.values())
+        phi, psi = m([["x + y", "-z"], ["w", "x - y"]]), m([["x - y", "z"], ["-w", "x + y"]])
+        multi_term = MatrixFactorization(parse_polynomial("x^2 - y^2 + wz"), phi, psi)
+        for mf in (rational, multi_term):
+            for x, y in ((mf.phi, mf.psi), (mf.psi, mf.phi)):
+                assert_scalar_product(mat_mul(x, y), mf.f)
+
+    @pytest.mark.parametrize("f", ["x^2y - 3z + 1/2 w", "xy"])
+    @pytest.mark.parametrize("miss", ROW_MISSES)
+    @pytest.mark.parametrize("row", ["first", "middle", "last"])
+    def test_a_row_that_misses_is_read_in_general(self, f, miss, row):
+        f, n = parse_polynomial(f), 5
+        a = near_scalar(f, n, {"first": 0, "middle": n // 2, "last": n - 1}[row], miss)
+        g = parse_polynomial("y - 2")
+        for x, y in ((a, identity(n)), (identity(n), a), (a, scalar_matrix(g, n)), (scalar_matrix(g, n), a)):
+            assert_first_seen(mat_mul(x, y), entrywise_product(x, y))
+
+    @pytest.mark.parametrize("rows, table, columns, codes", [
+        # f*e_0, g*e_1, f*e_2: row 2 is f again after the miss at row 1
+        ([["f", "0", "0"], ["0", "g", "0"], ["0", "0", "f"]], ("f", "g"), ((0,), (1,), (2,)), ((0,), (2,), (0,))),
+        # g*e_1, f*e_0, f*e_2: only row 0 is ever compared with the rows after it
+        ([["0", "g", "0"], ["f", "0", "0"], ["0", "0", "f"]], ("g", "f"), ((1,), (0,), (2,)), ((0,), (2,), (2,))),
+    ], ids=["f-g-f", "g-f-f"])
+    def test_rows_of_two_values(self, rows, table, columns, codes):
+        texts = {"f": "x + 1", "g": "y", "0": "0"}
+        c = mat_mul(m([[texts[t] for t in row] for row in rows]), identity(3))
+        assert c.table == tuple(parse_polynomial(texts[t]) for t in table)
+        assert (c.columns, c.indices) == (columns, codes)
 
 
 class TestFromStrings:
