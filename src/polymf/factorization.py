@@ -207,14 +207,14 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
     """Check phi*psi = psi*phi = f*I by exact symbolic products.
 
     Computes phi*psi, and psi*phi only when f = 0 (see the module
-    docstring for why one order suffices otherwise).  mat_mul lists each
-    distinct value of a product once, at even codes in the order it meets
-    them, so a product is f*I exactly when every row i holds code 0 at
-    column i alone and table[0] is f: three C-level compares.  Such a
-    product costs mat_mul one row's readout: each later row is compared
-    with row 0's sums and takes code 0 unread (see mat_mul).  Returns
-    (True, "ok") or (False, diagnostics naming the first offending entry
-    and its value, quoted to at most DIAGNOSTIC_CHARS characters).
+    docstring for why one order suffices otherwise).  mat_mul reads row 0
+    in full and, when it is one value at column 0, gives every later row
+    that holds that value alone at its diagonal code 0 unread (see
+    mat_mul), so a product is f*I exactly when every row i holds code 0
+    at column i alone and table[0] is f: three C-level compares, after
+    one row's readout.  Returns (True, "ok") or (False, diagnostics
+    naming the first offending entry and its value, quoted to at most
+    DIAGNOSTIC_CHARS characters).
 
     Raises EvaluationCapError, before any product, if the products may
     take more than EXACT_WORK_CAP term products (see _product_work).  The
@@ -240,9 +240,8 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
             and (not n or product.table[0]._terms == f)
         ) if f else not any(product.columns):
             continue
-        # the first offending entry, row by row: each distinct value of the
-        # product is compared with f once; the terms dicts compare as the
-        # values do, and mat_mul writes even codes
+        # the first offending entry, row by row: the terms dicts compare as
+        # the values do, and mat_mul writes even codes
         is_f = [e._terms == f for e in product.table]
         for i, (js, ks) in enumerate(zip(product.columns, product.indices)):
             # row i must be f*e_i

@@ -21,15 +21,15 @@ table and multiplies over two flat lists read by slot code: the packed
 exponent key of each term and its coefficient scaled to an int, negated
 at the odd code, so each term is packed once and a negation costs no
 packing (an entry of several terms first splits each of its slots into
-one slot per term).  It decodes each distinct value of the product
-once, into a table that lists it once (a product equal to f*I stores f
-once).  A row that holds row 0's value alone at its own diagonal is
-found by subtracting row 0's sums from its own, and takes code 0 with no
-readout, so a product equal to f*I reads one row.  Constructors and
-`mat_mul` write even codes only; `from_strings` writes an odd code for
-a one-term text whose sign twin it read before ("-x^2y" after "x^2y",
-or the reverse), so a document's table lists one entry per value up to
-sign, as a pipeline's does.
+one slot per term).  It decodes each entry of a row it reads in full
+where it sits, into the next table entry.  A row that holds row 0's
+value alone at its own diagonal is found by subtracting row 0's sums
+from its own, and takes code 0 with no readout, so a product equal to
+f*I reads one row and stores f once.  Constructors and `mat_mul`
+write even codes only; `from_strings` writes an odd code for a one-term
+text whose sign twin it read before ("-x^2y" after "x^2y", or the
+reverse), so a document's table lists one entry per value up to sign,
+as a pipeline's does.
 Negation negates the table and shares the rows; `kron` multiplies each
 pair of used table entries once and gives each slot the xor of its two
 sign bits; `block2x2` and `direct_sum` concatenate the distinct tables
@@ -349,21 +349,20 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     and keys[2t + 1] hold its packed key, coeffs[2t] its coefficient
     times the lcm and coeffs[2t + 1] that negated, so one accumulation
     loop reads one (key, coefficient) per slot of a, and an odd code
-    costs no packing.  A row's nonzero sums are grouped by column, and an
-    output entry is found by its packed {key: sum} terms, bucketed by
-    their two sums: each distinct value is decoded once per call (each
-    packed key and scaled sum in it, once per call too), and every slot
-    holding it holds one even code.  So the product's table lists each
-    distinct value once, and a product equal to f*I stores f once.
+    costs no packing.  A row's nonzero sums are grouped by column, and
+    each entry is decoded where it sits into the next table entry, at
+    the next even code (each packed key and scaled sum, once per call).
+    So the table lists the entries of the rows read in full, row by row
+    with the columns increasing, and may list a value twice.
 
     Scalar rows skip that readout.  When row 0 holds one entry, at
     column 0 (code 0), row i is first checked against it: its packed
     sums, shifted by i * radix to column i, are subtracted from row i's
     sums in place, and if every sum left is zero, row i holds that entry
-    at column i alone and takes code 0, with no grouping, bucket or
-    decode.  On the first row that misses, the sums are added back, and
-    that row and every later one take the general readout, so the
-    product is the same either way.
+    at column i alone and takes code 0, with no grouping or decode, so a
+    product equal to f*I stores f once.  On the first row that misses,
+    the sums are added back, and that row and every later one take the
+    general readout, so the product is the same either way.
     """
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
@@ -410,8 +409,6 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     scale = lcd * lcd
     decode = _Memo(lambda packed: _unpack(packed, digits)).__getitem__
     coeff = _Memo(lambda c: _coeff(Fraction(c, scale))).__getitem__
-    # (sum of packed keys, sum of scaled sums) -> [(packed terms, slot code)]
-    index: dict[tuple[int, int], list[tuple[dict[int, int], int]]] = {}
     table: list[Polynomial] = []
     columns, indices = [], []
     # row 0's packed (key, sum) items while each row so far holds code 0
@@ -450,23 +447,15 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                 else:
                     sums[j] = {packed: c}
         js = sorted(sums)
-        ks = []
+        start = 2 * len(table)
         for j in js:
             entry = sums[j]
-            bucket = index.setdefault((sum(entry), sum(entry.values())), [])
-            for other, k in bucket:
-                if other == entry:
-                    break
-            else:
-                k = 2 * len(table)
-                bucket.append((entry, k))
-                values = entry.values() if scale == 1 else map(coeff, entry.values())
-                table.append(_wrap(dict(zip(map(decode, entry), values))))
-            ks.append(k)
+            values = entry.values() if scale == 1 else map(coeff, entry.values())
+            table.append(_wrap(dict(zip(map(decode, entry), values))))
         if not columns and js == [0]:
             scalar = list(sums[0].items())
         columns.append(tuple(js))
-        indices.append(tuple(ks))
+        indices.append(tuple(range(start, 2 * len(table), 2)))
     return _sparse(tuple(table), columns, indices, a.rows, b.cols)
 
 

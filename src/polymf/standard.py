@@ -59,12 +59,11 @@ class SummandList:
 
 
 def _one_by_one(f: Polynomial, a: Polynomial, b: Polynomial) -> MatrixFactorization:
-    """The 1x1 pair ([a], [b]) of f = a*b over one table of its distinct
-    nonzero entries."""
-    table = tuple(dict.fromkeys(filter(None, (a, b))))
-    # each factor's one row: column 0 at its entry's code, if stored
-    phi, psi = (_sparse(table, [(0,) if e else ()], [(2 * table.index(e),) if e else ()], 1, 1)
-                for e in (a, b))
+    """The 1x1 pair ([a], [b]) of f = a*b, for nonzero a and b (a summand
+    list refuses zero entries), over one table of its distinct entries."""
+    table = (a,) if a == b else (a, b)
+    phi = _sparse(table, [(0,)], [(0,)], 1, 1)
+    psi = _sparse(table, [(0,)], [(2 * len(table) - 2,)], 1, 1)
     return MatrixFactorization(f, phi, psi)
 
 

@@ -198,9 +198,24 @@ def assert_integer_first(a):
             assert (type(term.coeff) is int) == (term.coeff.denominator == 1), term
 
 
-def assert_distinct_table(c):
-    """No two entries of a product's table are equal."""
-    assert len(set(c.table)) == len(c.table)
+def assert_product_layout(c, expected):
+    """c equals expected and is laid out as mat_mul writes it: while row 0
+    is one entry at column 0 and each later row repeats that value alone
+    at its diagonal, the later row holds code 0; every other entry, from
+    row 0 on, is listed where it sits, at the next even code, row by row
+    with the columns increasing (so a value met twice is listed twice)."""
+    assert c == expected
+    table, codes = [], []
+    scalar = c.columns[:1] == ((0,),)
+    for i, js in enumerate(c.columns):
+        scalar = scalar and (not i or (js == (i,) and expected[i, i] == expected[0, 0]))
+        if i and scalar:
+            codes.append((0,))
+        else:
+            codes.append(tuple(range(2 * len(table), 2 * (len(table) + len(js)), 2)))
+            table += [expected[i, j] for j in js]
+    assert c.indices == tuple(codes)
+    assert list(c.table) == table
 
 
 class TestPackedProduct:
@@ -216,10 +231,9 @@ class TestPackedProduct:
         for x, y in ((a, b), matrix._on_one_table(a, b)):
             c = mat_mul(x, y)
             assert (c.rows, c.cols) == (rows, cols)
-            assert c == entrywise_product(a, b)
+            assert_product_layout(c, entrywise_product(a, b))
             assert_sparse(c)
             assert_integer_first(c)
-            assert_distinct_table(c)
 
     def test_empty_shapes(self):
         assert mat_mul(zeros(0, 3), zeros(3, 2)) == zeros(0, 2)
@@ -231,12 +245,12 @@ class TestPackedProduct:
         assert list(c.nonzeros()) == [(2, 0, parse_polynomial("xy")), (2, 1, parse_polynomial("2xy"))]
         assert_sparse(c)
 
-    def test_values_with_equal_sums_stay_apart(self):
-        # x + 2y and 2x + y have equal sums of packed keys and of
-        # coefficients, so the product looks them up in one bucket.
-        c = mat_mul(m([["x", "y"]]), m([["1", "2"], ["2", "1"]]))
-        assert c == m([["x + 2y", "2x + y"]])
-        assert_distinct_table(c)
+    def test_each_entry_is_listed_where_it_sits(self):
+        # x + 2y, met twice, is decoded and listed twice
+        c = mat_mul(m([["x", "y"]]), m([["1", "2", "1"], ["2", "1", "2"]]))
+        assert c == m([["x + 2y", "2x + y", "x + 2y"]])
+        assert c.table == tuple(map(parse_polynomial, ["x + 2y", "2x + y", "x + 2y"]))
+        assert c.indices == ((0, 2, 4),)
 
     def test_no_variables(self):
         c = mat_mul(m([["2", "1/3"], ["0", "-1"]]), m([["3", "0"], ["6", "1/2"]]))
@@ -301,30 +315,25 @@ class TestProductOfMultiTermEntries:
         for x, y in ((a, b), signed, matrix._on_one_table(*signed)):
             count, split = split_by_terms(x)
             c = mat_mul(x, y)
-            assert c == mat_mul(split, stacked(y, count)) == entrywise_product(x, y)
+            assert c == mat_mul(split, stacked(y, count))
+            assert_product_layout(c, entrywise_product(x, y))
             assert_sparse(c)
-            assert_distinct_table(c)
 
 
-def assert_scalar_product(c, f):
-    """c is f*I as mat_mul writes it: table (f,), row i holding code 0 at
-    column i alone."""
+def assert_scalar_product(x, y, f):
+    """mat_mul(x, y) is f*I as mat_mul writes it: table (f,), row i
+    holding code 0 at column i alone; and it reads row 0 alone in full,
+    so it decodes one entry (one call of _wrap, which runs once per entry
+    of each row read in full)."""
+    decoded = []
+    real = matrix._wrap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix, "_wrap", lambda terms: decoded.append(terms) or real(terms))
+        c = mat_mul(x, y)
     assert c.table == (f,)
     assert c.columns == tuple(zip(range(c.rows)))
     assert c.indices == ((0,),) * c.rows
-
-
-def assert_first_seen(c, expected):
-    """c equals expected, and its table lists each distinct value once, in
-    the order the rows first meet it, at the even code of its place."""
-    assert c == expected
-    seen = []
-    for i, (js, ks) in enumerate(zip(c.columns, c.indices)):
-        for j, k in zip(js, ks):
-            if expected[i, j] not in seen:
-                seen.append(expected[i, j])
-            assert k == 2 * seen.index(expected[i, j])
-    assert list(c.table) == seen
+    assert len(decoded) == 1
 
 
 # the ways near_scalar changes one row of f*I
@@ -355,9 +364,9 @@ def near_scalar(f, n, row, miss):
 
 class TestScalarRows:
     """A product whose rows hold one value f at the diagonal, as every
-    product of a valid pair does, keeps the layout of the general readout:
-    table (f,), row i at column i alone, every code 0; and a product that
-    leaves that shape at any row is the general readout's too."""
+    product of a valid pair does, reads row 0 alone in full: table (f,),
+    row i at column i alone, every code 0; and a product that leaves that
+    shape at any row reads that row and every later one in full."""
 
     @given(factorizations(), st.integers(0, 2**32))
     @settings(max_examples=60)
@@ -372,7 +381,7 @@ class TestScalarRows:
             (mf.phi, mf.psi), (relaid(mf.phi, seed), relaid(mf.psi, seed + 1)), (negated(mf.phi), negated(mf.psi)),
         ):
             for x, y in ((phi, psi), (psi, phi)):
-                assert_scalar_product(mat_mul(x, y), mf.f)
+                assert_scalar_product(x, y, mf.f)
 
     def test_rational_and_multi_term_pairs(self):
         srp = SummandReducedPoly.from_strings(["1/2 zy"], [["xy^2 + 2/3 x^2z + yz^2", "3/7 xy + z^2"]])
@@ -383,7 +392,7 @@ class TestScalarRows:
         multi_term = MatrixFactorization(parse_polynomial("x^2 - y^2 + wz"), phi, psi)
         for mf in (rational, multi_term):
             for x, y in ((mf.phi, mf.psi), (mf.psi, mf.phi)):
-                assert_scalar_product(mat_mul(x, y), mf.f)
+                assert_scalar_product(x, y, mf.f)
 
     @pytest.mark.parametrize("f", ["x^2y - 3z + 1/2 w", "xy"])
     @pytest.mark.parametrize("miss", ROW_MISSES)
@@ -393,13 +402,14 @@ class TestScalarRows:
         a = near_scalar(f, n, {"first": 0, "middle": n // 2, "last": n - 1}[row], miss)
         g = parse_polynomial("y - 2")
         for x, y in ((a, identity(n)), (identity(n), a), (a, scalar_matrix(g, n)), (scalar_matrix(g, n), a)):
-            assert_first_seen(mat_mul(x, y), entrywise_product(x, y))
+            assert_product_layout(mat_mul(x, y), entrywise_product(x, y))
 
     @pytest.mark.parametrize("rows, table, columns, codes", [
-        # f*e_0, g*e_1, f*e_2: row 2 is f again after the miss at row 1
-        ([["f", "0", "0"], ["0", "g", "0"], ["0", "0", "f"]], ("f", "g"), ((0,), (1,), (2,)), ((0,), (2,), (0,))),
+        # f*e_0, g*e_1, f*e_2: row 2 is f again after the miss at row 1,
+        # read in full
+        ([["f", "0", "0"], ["0", "g", "0"], ["0", "0", "f"]], ("f", "g", "f"), ((0,), (1,), (2,)), ((0,), (2,), (4,))),
         # g*e_1, f*e_0, f*e_2: only row 0 is ever compared with the rows after it
-        ([["0", "g", "0"], ["f", "0", "0"], ["0", "0", "f"]], ("g", "f"), ((1,), (0,), (2,)), ((0,), (2,), (2,))),
+        ([["0", "g", "0"], ["f", "0", "0"], ["0", "0", "f"]], ("g", "f", "f"), ((1,), (0,), (2,)), ((0,), (2,), (4,))),
     ], ids=["f-g-f", "g-f-f"])
     def test_rows_of_two_values(self, rows, table, columns, codes):
         texts = {"f": "x + 1", "g": "y", "0": "0"}
@@ -657,10 +667,9 @@ class TestProductOfSharedEntries:
         b = data.draw(shared_factor(right, inner, cols))
         for x, y in ((a, b), (transpose(b), transpose(a))):
             c = mat_mul(x, y)
-            assert c == entrywise_product(x, y)
+            assert_product_layout(c, entrywise_product(x, y))
             assert_sparse(c)
             assert_integer_first(c)
-            assert_distinct_table(c)
 
     def test_each_distinct_object_is_packed_once(self, monkeypatch):
         """The packing and the profile read the terms of the distinct
