@@ -33,6 +33,7 @@ from .matrix import (
     _sparse,
     from_strings,
     mat_mul,
+    scalar_matrix,
 )
 from .poly import Polynomial, parse_polynomial
 
@@ -207,14 +208,14 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
     """Check phi*psi = psi*phi = f*I by exact symbolic products.
 
     Computes phi*psi, and psi*phi only when f = 0 (see the module
-    docstring for why one order suffices otherwise).  mat_mul reads row 0
-    in full and, when it is one value at column 0, gives every later row
-    that holds that value alone at its diagonal code 0 unread (see
-    mat_mul), so a product is f*I exactly when every row i holds code 0
-    at column i alone and table[0] is f: three C-level compares, after
-    one row's readout.  Returns (True, "ok") or (False, diagnostics
-    naming the first offending entry and its value, quoted to at most
-    DIAGNOSTIC_CHARS characters).
+    docstring for why one order suffices otherwise), and compares each
+    with expected = scalar_matrix(f, n).  mat_mul stores a product equal
+    to f*I exactly as scalar_matrix stores it, so one test accepts it
+    for every f: three C-level compares of the columns, the slot codes
+    and the first table entry.  A product that fails it is read by
+    value.  Returns (True, "ok") or (False, diagnostics naming the first
+    row i and least column j where product[i, j] != expected[i, j], and
+    both values, quoted to at most DIAGNOSTIC_CHARS characters).
 
     Raises EvaluationCapError, before any product, if the products may
     take more than EXACT_WORK_CAP term products (see _product_work).  The
@@ -231,28 +232,17 @@ def verify_exact(mf: MatrixFactorization) -> tuple[bool, str]:
                 f"exact verification skipped: the products may take {work} term "
                 f"products, over the cap of {EXACT_WORK_CAP}"
             )
-    f, n = mf.f._terms, mf.size
+    expected = scalar_matrix(mf.f, mf.size)
     for name, a, b in orders:
         product = mat_mul(a, b)
-        if (
-            product.indices == ((0,),) * n
-            and product.columns == tuple(zip(range(n)))
-            and (not n or product.table[0]._terms == f)
-        ) if f else not any(product.columns):
+        same = product.columns == expected.columns and product.indices == expected.indices
+        if same and product.table[:1] == expected.table[:1]:
             continue
-        # the first offending entry, row by row: the terms dicts compare as
-        # the values do, and mat_mul writes even codes
-        is_f = [e._terms == f for e in product.table]
-        for i, (js, ks) in enumerate(zip(product.columns, product.indices)):
-            # row i must be f*e_i
-            if (js == (i,) and is_f[ks[0] >> 1]) if f else not js:
-                continue
-            expected = {i: mf.f}
-            j = min(j for j in {*js, i} if product[i, j] != expected.get(j, Polynomial.zero()))
-            return False, (
-                f"{name} entry ({i},{j}) is {_quote(product[i, j])}, "
-                f"expected {_quote(expected.get(j, Polynomial.zero()))}"
-            )
+        for i, js in enumerate(product.columns):
+            for j in sorted({*js, i}):
+                if product[i, j] != expected[i, j]:
+                    got, want = _quote(product[i, j]), _quote(expected[i, j])
+                    return False, f"{name} entry ({i},{j}) is {got}, expected {want}"
     return True, "ok"
 
 
@@ -262,31 +252,19 @@ def _work_bound(a: PolyMatrix, b: PolyMatrix) -> int:
     longest row of b, and each of those products multiplies at most two
     of the longest entries.  a and b index one table, a.table, as the two
     factors of a pair do."""
-    longest = _longest(a.table)
+    longest = max([len(e._terms) for e in a.table], default=0)
     return sum(map(len, a.indices)) * max(map(len, b.indices), default=0) * longest * longest
-
-
-def _longest(table: tuple[Polynomial, ...]) -> int:
-    """The most terms of any entry of table."""
-    return max([len(e._terms) for e in table], default=0)
 
 
 def _product_work(a: PolyMatrix, b: PolyMatrix) -> int:
     """The term products mat_mul(a, b) makes: for each stored a[i,k], its
     terms times all the terms of row k of b.  O(nnz) to compute, and it
-    counts the terms of each table entry once, for both of its codes.  a
-    and b index one table, a.table, as the two factors of a pair do."""
-    terms = _term_counts(a.table)
-    row_terms = [sum(map(terms.__getitem__, ks)) for ks in b.indices]
-    return sum([terms[ia] * row_terms[k] for js, ks in zip(a.columns, a.indices) for k, ia in zip(js, ks)])
-
-
-def _term_counts(table: tuple[Polynomial, ...]) -> list[int]:
-    """The term count of the entry each slot code reads, by the code."""
-    counts = [len(e._terms) for e in table]
-    out = [0] * (2 * len(counts))
-    out[::2] = out[1::2] = counts
-    return out
+    counts the terms of each table entry once, read at k >> 1 for slot
+    code k.  a and b index one table, a.table, as the two factors of a
+    pair do."""
+    terms = [len(e._terms) for e in a.table]
+    row_terms = [sum([terms[k >> 1] for k in ks]) for ks in b.indices]
+    return sum([terms[ia >> 1] * row_terms[k] for js, ks in zip(a.columns, a.indices) for k, ia in zip(js, ks)])
 
 
 def _quote(p: Polynomial) -> str:

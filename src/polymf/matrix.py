@@ -320,8 +320,9 @@ def zeros(rows: int, cols: int) -> PolyMatrix:
 
 
 def scalar_matrix(p: Polynomial, n: int) -> PolyMatrix:
-    """n x n matrix with p on the diagonal, zero elsewhere."""
-    if not p:
+    """n x n matrix with p on the diagonal, zero elsewhere.  Its table
+    is (p,) when a slot reads p, else empty (p = 0 or n = 0)."""
+    if not p or not n:
         return zeros(n, n)
     return _sparse((p,), list(zip(range(n))), ((0,),) * n, n, n)
 
@@ -359,10 +360,15 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     column 0 (code 0), row i is first checked against it: its packed
     sums, shifted by i * radix to column i, are subtracted from row i's
     sums in place, and if every sum left is zero, row i holds that entry
-    at column i alone and takes code 0, with no grouping or decode, so a
-    product equal to f*I stores f once.  On the first row that misses,
-    the sums are added back, and that row and every later one take the
-    general readout, so the product is the same either way.
+    at column i alone and takes code 0, with no grouping or decode.  On
+    the first row that misses, the sums are added back, and that row and
+    every later one take the general readout, so the product is the same
+    either way.
+
+    So a product equal to f*I is stored exactly as scalar_matrix(f, n)
+    stores it: table (f,) and row i at columns (i,) with code 0, or, for
+    f = 0 or n = 0, an empty table and no stored slot.  verify_exact
+    accepts a product by comparing those fields alone.
     """
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")

@@ -21,6 +21,7 @@ import polymf
 from polymf import (
     MatrixFactorization,
     ParseError,
+    PolyMatrix,
     Polynomial,
     SummandReducedPoly,
     cli,
@@ -129,6 +130,26 @@ class TestFactorize:
         assert run(["factorize", "--input", path, "--method", "standard"]) == 0
         out = capsys.readouterr().out
         assert "size = 2" in out and "predicted sizes" not in out
+
+    def test_standard_reads_standard_input(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("x^2 + 4"))
+        assert run(["factorize", "--input", "-", "--method", "standard"]) == 0
+        assert "size = 2" in capsys.readouterr().out
+
+    def test_failed_certificate_exit_code(self, part1_file, monkeypatch, capsys):
+        """A pipeline pair with one slot corrupted (+1 on phi's first
+        nonzero of its last row) exits 3 with the exact check's diagnostic
+        as its one error line, and writes nothing."""
+        mf = polymf.run_refined(paper_srp("part1"), verify="skip")
+        rows = [list(row) for row in mf.phi.entries]
+        j = next(j for j, e in enumerate(rows[-1]) if e)
+        rows[-1][j] += Polynomial.const(1)
+        bad = MatrixFactorization(mf.f, PolyMatrix(rows), mf.psi)
+        monkeypatch.setattr(cli, "run_refined", lambda *args, **kwargs: bad)
+        assert run(["factorize", "--input", part1_file]) == cli.EXIT_VERIFY
+        ok, diag = factorization.verify_exact(bad)
+        assert not ok and diag.startswith("phi*psi entry (15,")
+        assert capsys.readouterr() == ("", f"error: verification failed: {diag}\n")
 
     def test_refined_rejects_plain_polynomial(self, tmp_path):
         src = tmp_path / "poly.txt"

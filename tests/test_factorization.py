@@ -147,6 +147,10 @@ class TestVerifyExact:
                 from_strings([["1"], ["0"]]),
             )
 
+    def test_constructor_rejects_factors_of_two_sizes(self):
+        with pytest.raises(MatrixError, match="factor size mismatch: 1 vs 2"):
+            MatrixFactorization(parse_polynomial("x"), identity(1), identity(2))
+
     @given(factorizations())
     @settings(max_examples=100)
     def test_standard_constructions_verify(self, mf):
@@ -634,6 +638,48 @@ class TestExactReadout:
     def test_f_zero_on_any_pair(self, a, b):
         mf = MatrixFactorization(Polynomial.zero(), a, b)
         assert verify_exact(mf) == row_by_row(mf)
+
+
+# f = 0: phi = x*E_01 and psi = y*E_01, so phi*psi = psi*phi = 0
+NILPOTENT = MatrixFactorization(
+    Polynomial.zero(), from_strings([["0", "x"], ["0", "0"]]), from_strings([["0", "y"], ["0", "0"]])
+)
+PAPER_FIXTURES = [
+    "simple_quadratic", "pair_m", "pair_p", "pair_n", "pair_y", "pair_q", "pair_l", "part1_pair", "part2_pair",
+]
+
+
+def accepted_pairs():
+    """Valid pairs of every kind verify_exact meets: the pipelines', the
+    paper fixtures, an f = 0 pair and the 0x0 pair."""
+    empty = MatrixFactorization(parse_polynomial("x"), matrix.zeros(0, 0), matrix.zeros(0, 0))
+    return [*small_pipeline_pairs(), *(getattr(fixtures, name)() for name in PAPER_FIXTURES), NILPOTENT, empty]
+
+
+class TestExactAccept:
+    """A valid pair's product is stored exactly as scalar_matrix(f, n) is,
+    and verify_exact accepts it from its stored fields, reading no entry
+    by value."""
+
+    def test_a_valid_product_is_stored_as_scalar_matrix(self):
+        for mf in accepted_pairs():
+            expected = scalar_matrix(mf.f, mf.size)
+            for a, b in ((mf.phi, mf.psi), (mf.psi, mf.phi)) if mf.f.is_zero() else ((mf.phi, mf.psi),):
+                product = mat_mul(a, b)
+                assert (product.table, product.columns, product.indices) == (
+                    expected.table, expected.columns, expected.indices)
+
+    def test_valid_pairs_are_accepted_without_reading_an_entry(self, monkeypatch):
+        pairs = accepted_pairs()
+
+        def never(*args):
+            raise AssertionError("an entry was read by value")
+
+        monkeypatch.setattr(PolyMatrix, "__getitem__", never)
+        monkeypatch.setattr(PolyMatrix, "nonzeros", never)
+        monkeypatch.setattr(PolyMatrix, "_values", never)
+        for mf in pairs:
+            assert verify_exact(mf) == (True, "ok")
 
 
 class TestTableLayout:

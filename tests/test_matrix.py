@@ -94,6 +94,19 @@ class TestBasics:
         with pytest.raises(IndexError, match="row" if i not in (0, 1) else "column"):
             a[i, j]
 
+    def test_equality_needs_a_matrix_of_the_same_shape(self):
+        a = m([["x", "y"], ["z", "0"]])
+        assert (a == a.entries) is False
+        assert (zeros(2, 2) == zeros(2, 3)) is False and (zeros(2, 2) == zeros(3, 2)) is False
+
+    def test_add_needs_one_shape(self):
+        with pytest.raises(MatrixError, match="shape mismatch for add: 2x2 vs 2x3"):
+            zeros(2, 2) + zeros(2, 3)
+
+    def test_negative_dimensions_are_refused(self):
+        with pytest.raises(MatrixError, match="negative matrix dimension -1x1"):
+            zeros(-1, 1)
+
     def test_transpose_involution(self):
         a = m([["x", "y"], ["z", "0"]])
         assert transpose(transpose(a)) == a

@@ -86,6 +86,10 @@ class TestVariable:
         with pytest.raises(PolyError, match="must be an int"):
             Polynomial.variable("x", exp)
 
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(PolyError, match="negative exponent -1 for x"):
+            Polynomial.variable("x", -1)
+
     @pytest.mark.parametrize("exp", [0, 1, 2, 7])
     def test_text_round_trips(self, exp):
         q = Polynomial.variable("x", exp)
@@ -148,12 +152,24 @@ class TestCanonicalForm:
         assert Polynomial({(): 5}) == Polynomial.const(5)
         assert Polynomial({(("x", 2),): 5}) == p("5x^2")
 
-    @pytest.mark.parametrize("coeff, key", [(1, (("y", 1), ("x", 1))), (2, (("x", 1.5),))])
+    @pytest.mark.parametrize("coeff, key", [
+        (1, (("y", 1), ("x", 1))), (2, (("x", 1.5),)),
+        (1, "x"), (1, ["x", 1]), (1, ("x",)), (1, (("x", 1, 2),)),  # not a tuple, or an item not a pair
+    ])
     def test_monomial_refuses_a_key_the_polynomial_refuses(self, coeff, key):
         # they would print y*x and 2*x^1.5, which parse to another monomial or not at all
         with pytest.raises(PolyError):
             Monomial(coeff, key)
         assert str(Monomial(1, (("x", 1), ("y", 1)))) == "x*y"
+
+    def test_zero_monomial_is_refused(self):
+        with pytest.raises(PolyError, match="zero monomials"):
+            Monomial(0, (("x", 1),))
+
+    def test_as_constant(self):
+        assert Polynomial.zero().as_constant() == 0
+        assert p("-3/2").as_constant() == Fraction(-3, 2)
+        assert p("x + 1").as_constant() is None
 
     @given(polynomials(), polynomials(), polynomials())
     @settings(max_examples=100)
@@ -168,6 +184,11 @@ class TestEvaluation:
     def test_exact_rational_value(self):
         q = p("1/3 x^2 + y")
         assert q.evaluate({"x": 3, "y": Fraction(1, 2)}) == Fraction(7, 2)
+
+    def test_float_point_is_read_exactly(self):
+        assert p("1/3 x^2 + y").evaluate({"x": 1.5, "y": 0.25}) == 1
+        # 10 * 0.1 is 1.0 in floats; the exact value of the float 0.1 is not 1/10
+        assert p("10x").evaluate({"x": 0.1}) == 10 * Fraction(0.1) != 1
 
     def test_missing_variable(self):
         with pytest.raises(MissingVariableError):
@@ -212,6 +233,10 @@ class TestIntegerFirst:
         assert type(Polynomial.const(Fraction(6, 3)).as_constant()) is int
         assert type(Polynomial({(): Fraction(5)}).as_constant()) is int
         assert type(p("3/4").as_constant()) is Fraction
+
+    def test_float_coefficients_are_read_exactly(self):
+        assert Polynomial({(("x", 1),): 0.5, (): -2.0}) == p("1/2 x - 2")
+        assert type(Polynomial({(): 2.0}).as_constant()) is int
 
     @given(rational_polynomials(), rational_polynomials(), st.sampled_from([2, Fraction(3, 2), Fraction(-7, 7)]))
     @settings(max_examples=100)

@@ -26,7 +26,7 @@ from polymf import (
     verify_exact,
 )
 from polymf.refined import ConditionResult
-from polymf import STANDARD_VARIANTS, YOSHINO_VARIANTS, factorization
+from polymf import STANDARD_VARIANTS, YOSHINO_VARIANTS, factorization, refined
 from polymf.poly import _times_key
 from polymf.refined import check_cap
 
@@ -111,6 +111,18 @@ class TestValidation:
             srp(["zx"], [["x^5 - y^5"], ["xy^2 + x^2z + yz^2", "xy + z^2"]])
         )
         assert 3 not in report.failed_conditions()
+
+    def test_condition3_leaves_a_product_too_large_to_expand_unchecked(self, monkeypatch):
+        """A product over the cap passes unchecked, and a later product
+        that fails the condition still fails it."""
+        monkeypatch.setattr(refined, "CONDITION3_EXPANSION_CAP", 4)
+        large = ["xy^2 + x^2z + yz^2", "xy + z^2"]  # 6 formal monomials
+        report = validate_summand_reduced(srp(["zy"], [large]))
+        assert report.results[2] == ConditionResult(
+            3, True, "product 0 too large to expand (6 formal monomials); unchecked")
+        report = validate_summand_reduced(srp(["zy"], [large, ["x - y", "x + y"]]))
+        assert report.results[2] == ConditionResult(
+            3, False, "product 1 expands to 2 monomials, not more than the 4 in factor form")
 
     @pytest.mark.parametrize("factors", [
         ["x + y", "x + y"],  # collisions, no cancellation: 4 formal monomials
